@@ -35,7 +35,6 @@ from repro.datasets.fasta import fasta_text, parse_fasta, parse_fasta_text
 from repro.datasets.missing import (
     MISSING,
     MaskedAlignment,
-    impute_major_column,
     r_squared_pairwise_complete,
 )
 from repro.datasets.streaming import (
@@ -44,8 +43,6 @@ from repro.datasets.streaming import (
     StreamingAlignmentReader,
 )
 from repro.datasets.vcf import (
-    VcfRecord,
-    iter_vcf_records,
     parse_vcf,
     parse_vcf_text,
     vcf_text,
@@ -67,7 +64,6 @@ __all__ = [
     "clustered_positions",
     "MISSING",
     "MaskedAlignment",
-    "impute_major_column",
     "r_squared_pairwise_complete",
     "AlignmentStreamSource",
     "InMemoryStreamSource",
@@ -75,8 +71,6 @@ __all__ = [
     "parse_fasta",
     "parse_fasta_text",
     "fasta_text",
-    "VcfRecord",
-    "iter_vcf_records",
     "parse_vcf",
     "parse_vcf_text",
     "vcf_text",

@@ -29,7 +29,6 @@ from repro.errors import AlignmentError, LDError
 __all__ = [
     "MISSING",
     "MaskedAlignment",
-    "impute_major_column",
     "r_squared_pairwise_complete",
 ]
 
@@ -150,27 +149,6 @@ class MaskedAlignment:
         return SNPAlignment(
             self.matrix[keep, :], self.positions, self.length
         )
-
-
-def impute_major_column(column: np.ndarray) -> np.ndarray:
-    """Single-column :meth:`MaskedAlignment.impute_major`.
-
-    The streaming VCF reader imputes one site at a time while the
-    in-memory pipeline imputes the whole matrix at once; both must fill
-    identical values for the streamed scan to equal the in-memory scan
-    bitwise, so the arithmetic here mirrors ``impute_major`` exactly
-    (int64 count accumulation, float64 frequency, ``>= 0.5`` major call).
-    """
-    column = np.asarray(column, dtype=np.uint8)
-    obs = column != MISSING
-    if obs.any():
-        derived_freq = np.where(obs, column, 0).sum() / max(
-            int(obs.sum()), 1
-        )
-    else:
-        derived_freq = 0.0
-    major = np.uint8(1) if derived_freq >= 0.5 else np.uint8(0)
-    return np.where(obs, column, major).astype(np.uint8)
 
 
 def r_squared_pairwise_complete(

@@ -14,11 +14,11 @@ VCF input in two passes —
 2. a **chunk pass** (:meth:`~AlignmentStreamSource.windows`) that yields
    :class:`~repro.datasets.alignment.SNPAlignment` chunks for a monotonic
    sequence of site ranges, holding at most one chunk's genotypes at a
-   time. VCF is site-major, so one forward pass with a sliding column
-   buffer serves every window; ms is row-major, so each window re-reads
-   the replicate and slices every row (bounded memory — one row plus the
-   chunk — at the price of one file pass per window, the classic
-   double-buffer streaming trade).
+   time. VCF is site-major, so one forward pass with a sliding buffer
+   of decoded genotype batches serves every window; ms is row-major, so
+   each window re-reads the replicate and slices every row (bounded
+   memory — one row plus the chunk — at the price of one file pass per
+   window, the classic double-buffer streaming trade).
 
 Chunk positions stay in *global* coordinates
 (:meth:`SNPAlignment.site_slice` semantics), so window arithmetic and
@@ -36,14 +36,19 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.datasets.alignment import SNPAlignment
-from repro.datasets.missing import impute_major_column
+from repro.datasets.missing import MaskedAlignment
 from repro.datasets.msformat import (
     parse_haplotype_line,
     parse_positions_line,
     parse_segsites_line,
     scale_positions,
 )
-from repro.datasets.vcf import iter_vcf_records, vcf_chromosome_census
+from repro.datasets.vcf import (
+    iter_vcf_batches,
+    nudge_ties,
+    open_vcf,
+    vcf_chromosome_census,
+)
 from repro.errors import DataFormatError, ScanConfigError, StreamingError
 
 __all__ = [
@@ -115,11 +120,12 @@ def enumerate_chromosomes(
         raise ScanConfigError(
             f"streaming supports 'ms' and 'vcf', got {format!r}"
         )
-    fh: io.TextIOBase = (
-        open(path, "r", encoding="ascii")
-        if path is not None
-        else io.StringIO(text)
-    )
+    if path is None:
+        fh: io.TextIOBase = io.StringIO(text)
+    elif format == "vcf":
+        fh = open_vcf(path)
+    else:
+        fh = open(path, "r", encoding="ascii")
     with fh:
         if format == "ms":
             return _ms_replicate_census(fh)
@@ -299,9 +305,10 @@ class StreamingAlignmentReader(AlignmentStreamSource):
         CHROM value to keep in a VCF (as :func:`parse_vcf`).
 
     The VCF route applies major-allele imputation and drops monomorphic
-    sites per column, matching the in-memory
-    ``parse_vcf(...).impute_major().drop_monomorphic()`` pipeline
-    bitwise. Unsorted VCF positions raise
+    sites one decoded batch at a time
+    (:func:`~repro.datasets.vcf.iter_vcf_batches`), matching the
+    in-memory ``parse_vcf(...).impute_major().drop_monomorphic()``
+    pipeline bitwise. Unsorted VCF positions raise
     :class:`~repro.errors.DataFormatError`: the in-memory parser sorts
     globally, which a single forward pass cannot.
     """
@@ -346,9 +353,11 @@ class StreamingAlignmentReader(AlignmentStreamSource):
     # -------------------------------------------------------------- #
 
     def _open(self) -> io.TextIOBase:
-        if self._path is not None:
-            return open(self._path, "r", encoding="ascii")
-        return io.StringIO(self._text)
+        if self._path is None:
+            return io.StringIO(self._text)
+        if self._format == "vcf":
+            return open_vcf(self._path)
+        return open(self._path, "r", encoding="ascii")
 
     def chromosomes(self) -> List[ChromosomeInfo]:
         """Enumerate every scannable unit of the underlying input (all
@@ -497,50 +506,52 @@ class StreamingAlignmentReader(AlignmentStreamSource):
         return gen()
 
     # -------------------------------------------------------------- #
-    # VCF route (site-major: one forward pass, sliding column buffer)
+    # VCF route (site-major: one forward pass, sliding block buffer)
     # -------------------------------------------------------------- #
 
     def _vcf_stream(
         self, fh: io.TextIOBase
-    ) -> Iterator[Tuple[float, np.ndarray, bool]]:
-        """Yield ``(position, imputed column, kept)`` per biallelic
-        record, applying the exact in-memory transform chain: tie-nudge
-        (sorted input required), major-allele imputation, polymorphism
-        filter."""
-        prev_raw: Optional[float] = None
-        prev_out: Optional[float] = None
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray, float]]:
+        """Yield ``(positions, imputed calls)`` of the polymorphic sites
+        of each decoded batch, plus the last record's position, applying
+        the exact in-memory transform chain: tie-nudge (sorted input
+        required), major-allele imputation, polymorphism filter. The
+        imputation rule works column by column, so imputing a batch
+        gives the bits imputing the whole matrix does."""
+        prev_raw = prev_out = -np.inf
         any_records = False
-        for record in iter_vcf_records(fh, chromosome=self._chromosome):
+        batches = iter_vcf_batches(fh, chromosome=self._chromosome)
+        for raw, calls in batches:
             any_records = True
-            if prev_raw is not None and record.position < prev_raw:
+            before = np.concatenate(([prev_raw], raw[:-1]))
+            unsorted = np.flatnonzero(raw < before)
+            if unsorted.size:
+                k = unsorted[0]
                 raise DataFormatError(
-                    f"unsorted VCF positions ({record.position:.0f} after "
-                    f"{prev_raw:.0f}): streaming requires position-sorted "
+                    f"unsorted VCF positions ({raw[k]:.0f} after "
+                    f"{before[k]:.0f}): streaming requires position-sorted "
                     "records; sort the file or use the in-memory parser"
                 )
-            prev_raw = record.position
-            pos = record.position
-            if prev_out is not None and pos <= prev_out:
-                pos = float(np.nextafter(prev_out, np.inf))
-            prev_out = pos
-            column = impute_major_column(record.calls)
-            count = int(column.sum(dtype=np.int64))
-            yield pos, column, 0 < count < column.size
+            positions = nudge_ties(raw, prev_out)
+            prev_raw, prev_out = raw[-1], positions[-1]
+            imputed = MaskedAlignment(
+                calls, positions, prev_out + 1.0
+            ).impute_major()
+            kept = imputed.is_polymorphic()
+            yield positions[kept], imputed.matrix[:, kept], prev_out
         if not any_records:
             raise DataFormatError("no usable biallelic SNP records found")
 
     def _index_vcf(self, length: Optional[float]) -> None:
-        positions: List[float] = []
+        positions: List[np.ndarray] = []
         n_samples = 0
         last_pos = 0.0
         with self._open() as fh:
-            for pos, column, kept in self._vcf_stream(fh):
-                n_samples = column.size
-                last_pos = pos
-                if kept:
-                    positions.append(pos)
+            for pos, matrix, last_pos in self._vcf_stream(fh):
+                n_samples = matrix.shape[0]
+                positions.append(pos)
         self._n_samples = n_samples
-        self._positions = np.array(positions, dtype=np.float64)
+        self._positions = np.concatenate(positions)
         self._length = (
             float(length) if length else float(last_pos + 1.0)
         )
@@ -551,37 +562,42 @@ class StreamingAlignmentReader(AlignmentStreamSource):
         def gen() -> Iterator[SNPAlignment]:
             with self._open() as fh:
                 stream = self._vcf_stream(fh)
-                buffer: deque = deque()  # (kept site index, column)
+                # (first kept site, one past its last, kept columns)
+                buffer: deque = deque()
                 next_idx = 0
                 for lo, hi in ranges:
-                    while buffer and buffer[0][0] < lo:
+                    while buffer and buffer[0][1] <= lo:
                         buffer.popleft()
                     while next_idx < hi:
                         try:
-                            while True:
-                                pos, column, kept = next(stream)
-                                if kept:
-                                    break
+                            pos, block, _last = next(stream)
                         except StopIteration:
                             raise StreamingError(
                                 "VCF input changed between the index pass "
                                 f"and the chunk pass (ended at kept site "
                                 f"{next_idx}, indexed {self.n_sites})"
                             ) from None
-                        if pos != self._positions[next_idx]:
+                        start, next_idx = next_idx, next_idx + pos.size
+                        indexed = self._positions[start:next_idx]
+                        changed = np.flatnonzero(
+                            pos[: indexed.size] != indexed
+                        )
+                        if changed.size:
+                            k = changed[0]
                             raise StreamingError(
                                 "VCF input changed between the index pass "
-                                f"and the chunk pass (site {next_idx} at "
-                                f"{pos}, indexed "
-                                f"{self._positions[next_idx]})"
+                                f"and the chunk pass (site {start + k} "
+                                f"at {pos[k]}, indexed {indexed[k]})"
                             )
-                        if next_idx >= lo:
-                            buffer.append((next_idx, column))
-                        next_idx += 1
-                    cols = [col for _idx, col in buffer]
+                        if next_idx > lo:
+                            buffer.append((start, next_idx, block))
+                    parts = [
+                        block[:, max(lo - start, 0) : hi - start]
+                        for start, _end, block in buffer
+                    ]
                     matrix = (
-                        np.column_stack(cols)
-                        if cols
+                        np.concatenate(parts, axis=1)
+                        if parts
                         else np.zeros(
                             (self._n_samples, 0), dtype=np.uint8
                         )

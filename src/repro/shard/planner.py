@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,6 +74,22 @@ class WorkItem:
         return f"{base}[{self.replicate}]"
 
 
+#: (path, format) -> {unit name: usable-record count}, one census a path.
+_Censuses = Dict[Tuple[str, str], Dict[str, int]]
+
+
+def _census(path: str, format: str, censuses: _Censuses) -> Dict[str, int]:
+    """Unit name -> usable-record count of ``path``, enumerated on the
+    first request for that (path, format) and reused after."""
+    key = (path, format)
+    if key not in censuses:
+        censuses[key] = {
+            info.name: info.n_records
+            for info in enumerate_chromosomes(path, format=format)
+        }
+    return censuses[key]
+
+
 def expand_inputs(
     inputs: Sequence[Union[str, WorkItem]],
     *,
@@ -85,18 +101,27 @@ def expand_inputs(
     Paths are enumerated (every VCF chromosome, every ms replicate);
     explicit :class:`WorkItem` entries pass through untouched.
     """
+    return _expand_inputs(inputs, format, length, {})
+
+
+def _expand_inputs(
+    inputs: Sequence[Union[str, WorkItem]],
+    format: str,
+    length: Optional[float],
+    censuses: _Censuses,
+) -> List[WorkItem]:
     items: List[WorkItem] = []
     for entry in inputs:
         if isinstance(entry, WorkItem):
             items.append(entry)
             continue
-        for info in enumerate_chromosomes(entry, format=format):
+        for name in _census(entry, format, censuses):
             if format == "vcf":
                 items.append(
                     WorkItem(
                         path=entry,
                         format="vcf",
-                        chromosome=info.name,
+                        chromosome=name,
                         length=length,
                     )
                 )
@@ -105,7 +130,7 @@ def expand_inputs(
                     WorkItem(
                         path=entry,
                         format="ms",
-                        replicate=int(info.name),
+                        replicate=int(name),
                         length=length,
                     )
                 )
@@ -168,18 +193,6 @@ def _snap_to_rebuilds(
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _unit_record_count(item: WorkItem) -> Optional[int]:
-    """Usable-record count for ``item`` from the cheap structural census,
-    or ``None`` when the targeted chromosome/replicate does not exist."""
-    for info in enumerate_chromosomes(item.path, format=item.format):
-        if item.format == "vcf":
-            if info.name == item.chromosome:
-                return info.n_records
-        elif int(info.name) == item.replicate:
-            return info.n_records
-    return None
-
-
 def build_manifest(
     inputs: Sequence[Union[str, WorkItem]],
     config: OmegaConfig,
@@ -228,7 +241,8 @@ def build_manifest(
             f"target_shard_cost must be > 0, got {target_shard_cost}"
         )
     model = cost_model if cost_model is not None else get_cost_model()
-    items = expand_inputs(inputs, format=format, length=length)
+    censuses: _Censuses = {}
+    items = _expand_inputs(inputs, format, length, censuses)
 
     manifest = Manifest(
         path=manifest_path,
@@ -248,7 +262,10 @@ def build_manifest(
             replicate=item.replicate,
             length=item.length,
         )
-        count = _unit_record_count(item)
+        unit_key = (
+            item.chromosome if item.format == "vcf" else str(item.replicate)
+        )
+        count = _census(item.path, item.format, censuses).get(unit_key)
         if count is None:
             target = (
                 f"chromosome {item.chromosome!r}"

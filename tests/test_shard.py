@@ -221,6 +221,34 @@ class TestPlanner:
         item = WorkItem(path=multi_ms, replicate=1, length=1.0)
         assert expand_inputs([item]) == [item]
 
+    def test_each_path_censused_once(self, multi_ms, tmp_path, monkeypatch):
+        import repro.shard.planner as planner
+
+        calls = []
+        census = planner.enumerate_chromosomes
+
+        def counting(path, **kwargs):
+            calls.append(path)
+            return census(path, **kwargs)
+
+        monkeypatch.setattr(planner, "enumerate_chromosomes", counting)
+        manifest = build_manifest(
+            [multi_ms, WorkItem(path=multi_ms, replicate=1, length=1.0)],
+            CONFIG,
+            manifest_path=str(tmp_path / "scan.manifest"),
+            snp_budget=BUDGET,
+            length=1.0,
+        )
+        assert [u.replicate for u in manifest.units] == [0, 1, 1]
+        assert calls == [multi_ms]
+        with pytest.raises(ManifestError, match="replicate 2 not present"):
+            build_manifest(
+                [WorkItem(path=multi_ms, replicate=2, length=1.0)],
+                CONFIG,
+                manifest_path=str(tmp_path / "missing.manifest"),
+                snp_budget=BUDGET,
+            )
+
     def test_existing_manifest_rejected(self, multi_ms, tmp_path):
         path = tmp_path / "scan.manifest"
         path.write_text("stale")

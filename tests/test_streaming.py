@@ -9,6 +9,8 @@ benignly between workers).
 """
 
 import glob
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from repro.datasets.streaming import (
     StreamingAlignmentReader,
     enumerate_chromosomes,
 )
+from repro.datasets import vcf as vcf_module
 from repro.datasets.vcf import parse_vcf_text, vcf_text
 from repro.errors import DataFormatError, ScanConfigError, StreamingError
 
@@ -241,6 +244,102 @@ class TestStreamingReaderVcf:
         path.write_text("\n".join(lines[:-5]) + "\n", encoding="ascii")
         with pytest.raises(StreamingError, match="changed between"):
             list(reader.windows([(0, reader.n_sites)]))
+
+
+class TestVcfBatchBoundaries:
+    """Tie-nudging, imputation and the polymorphism filter run one
+    decoded batch at a time; wherever the batch byte budget cuts, the
+    streamed index and windows equal the in-memory pipeline."""
+
+    @given(
+        st.integers(1, 5),
+        st.lists(
+            st.tuples(st.integers(0, 2), st.lists(st.sampled_from("01."),
+                                                  min_size=5, max_size=5)),
+            min_size=2, max_size=30,
+        ),
+        st.integers(1, 40),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_stream_matches_in_memory(self, n_hap, sites, budget, step):
+        header = "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\t"
+        text = header + "\t".join(f"h{k}" for k in range(n_hap)) + "\n"
+        pos = 1
+        for gap, calls in sites:  # gap 0 repeats a position
+            pos += gap
+            text += (f"1\t{pos}\t.\tA\tG\t.\tPASS\t.\tGT\t"
+                     + "\t".join(calls[:n_hap]) + "\n")
+        ref = parse_vcf_text(text).impute_major().drop_monomorphic()
+        with mock.patch.object(vcf_module, "_BATCH_BYTES", budget):
+            reader = StreamingAlignmentReader(text=text, format="vcf")
+            np.testing.assert_array_equal(reader.positions, ref.positions)
+            assert reader.length == ref.length
+            n = reader.n_sites
+            ranges = [(lo, min(n, lo + step + 1)) for lo in range(0, n, step)]
+            for (lo, hi), chunk in zip(ranges, reader.windows(ranges)):
+                sliced = ref.site_slice(lo, hi)
+                np.testing.assert_array_equal(chunk.matrix, sliced.matrix)
+                np.testing.assert_array_equal(
+                    chunk.positions, sliced.positions
+                )
+
+
+def _diploid_vcf(path, n_sites, n_samples=200, seed=0):
+    """A phased diploid VCF with 1 % missing genotypes."""
+    rng = np.random.default_rng(seed)
+    genotypes = np.array(["0|0", "0|1", "1|0", "1|1", ".|."])
+    codes = rng.choice(5, size=(n_sites, n_samples),
+                       p=[0.3, 0.2, 0.2, 0.29, 0.01])
+    names = "\t".join(f"s{k}" for k in range(n_samples))
+    lines = [
+        "##fileformat=VCFv4.2",
+        f"#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\t{names}",
+    ]
+    lines.extend(
+        f"1\t{10 * (site + 1)}\t.\tA\tG\t.\tPASS\t.\tGT\t"
+        + "\t".join(genotypes[codes[site]])
+        for site in range(n_sites)
+    )
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+class TestVcfWorkingSet:
+    """The VCF index and chunk passes hold one batch of genotypes, not a
+    number of them that grows with the file. (Batches of 256 records,
+    ~200 KB of text here, peaked at several times this bound.)"""
+
+    BOUND = 1 << 20  # bytes; the 4 000-site matrix alone is 1.6 MB
+
+    @pytest.mark.parametrize("n_sites", [500, 4000])
+    def test_peak_does_not_grow_with_sites(self, tmp_path, n_sites):
+        path = tmp_path / "input.vcf"
+        _diploid_vcf(path, n_sites)
+        tracemalloc.start()
+        try:
+            reader = StreamingAlignmentReader(str(path), format="vcf")
+            _current, peak = tracemalloc.get_traced_memory()
+            # The kept positions of every batch, then their concatenation.
+            assert peak - 2 * reader.positions.nbytes < self.BOUND
+            assert reader.n_samples == 400 and reader.n_sites > n_sites // 2
+            base, _peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            n = reader.n_sites
+            # Contiguous chunks, then a window that skips most sites.
+            for ranges in (None, [(0, 10), (n - 100, n)]):
+                windows = (
+                    reader.chunks(100, overlap=10)
+                    if ranges is None
+                    else reader.windows(ranges)
+                )
+                for chunk in windows:
+                    _current, peak = tracemalloc.get_traced_memory()
+                    # This chunk and the one before it, still referenced.
+                    held = 2 * (chunk.matrix.nbytes + chunk.positions.nbytes)
+                    assert peak - base - held < self.BOUND
+                    tracemalloc.reset_peak()
+        finally:
+            tracemalloc.stop()
 
 
 class TestReaderConstruction:
