@@ -5,22 +5,15 @@ Measures the r² tile-fill time of every LD backend across an
 ``n_samples x tile-size`` ladder, asserting the properties the operand-
 plane layer promises:
 
-* all backends (gemm, blocked packed, the old 3-D-broadcast packed
-  kernel, and the cost-model-driven ``auto``) produce **bitwise
-  identical** r² tiles;
-* the blocked word-accumulating packed kernel is at least ``--min-blocked-speedup``
-  (default 3x) faster than the broadcast formulation at
-  ``n_samples >= 1024`` wherever the broadcast temporary
-  (``R·C·w·8`` bytes) no longer fits in cache — below that the 3-D
-  temporary is cache-resident and the two schedules converge;
+* all backends (gemm, blocked packed, and the cost-model-driven
+  ``auto``) produce **bitwise identical** r² tiles;
 * ``auto`` lands within ``--auto-tolerance`` (default 5 %) of the best
   fixed backend at every ladder point, after calibrating the crossover
   constants on this machine.
 
 Absolute fill times land in ``timings`` (gated lower-is-better by
-``check_regression.py``), together with two machine-portable ratio
-timings: the worst-case ``auto_over_best_ratio`` and the reciprocal
-blocked-kernel speedup ``blocked_over_broadcast_ratio``. Run as::
+``check_regression.py``), together with the machine-portable worst-case
+``auto_over_best_ratio``. Run as::
 
     PYTHONPATH=src python benchmarks/bench_ld_backends.py \\
         --repeats 3 --out-dir benchmarks/results
@@ -51,10 +44,7 @@ from repro.datasets.alignment import SNPAlignment  # noqa: E402
 from repro.datasets.packed import PackedAlignment  # noqa: E402
 from repro.ld.gemm import r_squared_block  # noqa: E402
 from repro.ld.operands import LDBackendFiller, LDOperands  # noqa: E402
-from repro.ld.packed_kernels import (  # noqa: E402
-    r_squared_block_packed,
-    r_squared_block_packed_broadcast,
-)
+from repro.ld.packed_kernels import r_squared_block_packed  # noqa: E402
 
 
 def _alignment(n_samples: int, n_sites: int, seed: int) -> SNPAlignment:
@@ -104,14 +94,8 @@ def run_point(
     ref = r_squared_block(aln, rows, cols, operands=ops)
     outputs = {
         "packed": r_squared_block_packed(packed, rows, cols, counts=counts),
-        "broadcast": r_squared_block_packed_broadcast(
-            packed, rows, cols, counts=counts
-        ),
         "auto": auto(rows, cols),
     }
-    # Broadcast goes last in each round: its (R, C, w) temporary evicts
-    # the operand planes, and whichever kernel runs next would otherwise
-    # be billed for the cache reload.
     timings = _best_of_interleaved(
         {
             "gemm": lambda: r_squared_block(aln, rows, cols, operands=ops),
@@ -119,9 +103,6 @@ def run_point(
                 packed, rows, cols, counts=counts
             ),
             "auto": lambda: auto(rows, cols),
-            "broadcast": lambda: r_squared_block_packed_broadcast(
-                packed, rows, cols, counts=counts
-            ),
         },
         repeats,
     )
@@ -149,14 +130,6 @@ def main() -> int:
     ap.add_argument("--full", action="store_true",
                     help="extend the ladder to paper-scale points "
                     "(adds n_samples=4096 and tile=512)")
-    ap.add_argument("--min-blocked-speedup", type=float, default=3.0,
-                    help="required broadcast/blocked ratio at "
-                    "n_samples >= 1024 (enforced where the broadcast "
-                    "temporary exceeds --cache-bytes)")
-    ap.add_argument("--cache-bytes", type=float, default=4 * 2**20,
-                    help="broadcast AND-temporary size above which the "
-                    "blocked-speedup gate applies (cache-resident "
-                    "temporaries make the schedules converge)")
     ap.add_argument("--auto-tolerance", type=float, default=0.05,
                     help="allowed auto-vs-best relative slack")
     ap.add_argument("--auto-epsilon", type=float, default=50e-6,
@@ -173,7 +146,6 @@ def main() -> int:
     values: dict = {}
     failures: list = []
     worst_auto_ratio = 0.0
-    worst_blocked_ratio = 0.0
 
     for n in samples:
         # Calibrate the crossover once per rung, at the ladder's own tile
@@ -192,7 +164,7 @@ def main() -> int:
             )
             failures.extend(violations)
             key = f"n{n}_t{tile}"
-            for backend in ("gemm", "packed", "broadcast", "auto"):
+            for backend in ("gemm", "packed", "auto"):
                 timings[f"{key}_{backend}_seconds"] = point[backend]
             values[f"{key}_auto_picked_packed"] = point["auto_pick"]
 
@@ -207,41 +179,17 @@ def main() -> int:
                     f"{best_fixed * 1e3:.3f} ms by more than "
                     f"{args.auto_tolerance:.0%} (+{args.auto_epsilon * 1e6:.0f} us)"
                 )
-
-            n_words = (n + 63) // 64
-            temp_bytes = tile * tile * n_words * 8
-            gate_blocked = n >= 1024 and temp_bytes >= args.cache_bytes
-            if gate_blocked:
-                blocked_ratio = point["packed"] / max(
-                    point["broadcast"], 1e-12
-                )
-                worst_blocked_ratio = max(worst_blocked_ratio, blocked_ratio)
-                speedup = point["broadcast"] / max(point["packed"], 1e-12)
-                if speedup < args.min_blocked_speedup:
-                    failures.append(
-                        f"n={n} tile={tile}: blocked packed kernel only "
-                        f"{speedup:.2f}x over broadcast "
-                        f"(need >= {args.min_blocked_speedup}x)"
-                    )
             print(
                 f"n={n:>5} tile={tile:>4}: "
                 f"gemm {point['gemm'] * 1e3:8.3f} ms  "
                 f"packed {point['packed'] * 1e3:8.3f} ms  "
-                f"broadcast {point['broadcast'] * 1e3:8.3f} ms  "
                 f"auto {point['auto'] * 1e3:8.3f} ms "
                 f"({'packed' if point['auto_pick'] else 'gemm'})"
             )
 
-    # Machine-portable ratio timings (lower is better, gateable across
+    # Machine-portable ratio timing (lower is better, gateable across
     # hosts unlike the absolute fills).
     timings["auto_over_best_ratio"] = worst_auto_ratio
-    if worst_blocked_ratio > 0.0:
-        timings["blocked_over_broadcast_ratio"] = worst_blocked_ratio
-    elif any(n >= 1024 for n in samples):
-        failures.append(
-            "no ladder point at n_samples >= 1024 exceeded --cache-bytes; "
-            "the blocked-speedup criterion was never exercised"
-        )
 
     model = get_cost_model()
     values["ld_gemm_cell_sample_seconds"] = model.ld_gemm_cell_sample_seconds

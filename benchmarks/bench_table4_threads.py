@@ -5,24 +5,18 @@ The scaling law (near-linear to 4 cores, saturating SMT bonus beyond) is
 printed against the published column; the benchmark also runs the *real*
 multiprocess scanner to verify the partitioning machinery on this host
 (single-core containers show no wall-clock gain, but report equality is
-asserted), and compares the shared-memory dynamic-block scheduler with
-the legacy pickled static-chunk baseline: wall-clock scaling curves and
-per-task serialized payload (the pickled path ships the full alignment
-to every worker; the shared path ships three integers per block).
+asserted), and measures the serialized payload of each block task the
+shared-memory scheduler submits (segment names, never the alignment).
 """
 
 import pickle
+from multiprocessing.pool import Pool
 
 import numpy as np
 
 from repro.analysis.tables import render_table, table4_rows
 from repro.core.grid import GridSpec
-from repro.core.parallel import (
-    _WorkerTask,
-    make_blocks,
-    parallel_scan,
-    split_grid,
-)
+from repro.core.parallel import ParallelScanSession, parallel_scan
 from repro.core.scan import OmegaConfig, OmegaPlusScanner
 from repro.datasets.generators import haplotype_block_alignment
 
@@ -60,104 +54,38 @@ def test_real_multiprocess_scan(benchmark, report):
     assert identical
 
 
-def test_shared_vs_pickled_scaling(benchmark, report):
-    """Old-vs-new scaling curves: wall-clock per worker count for the
-    legacy pickled static-chunk scheduler and the shared-memory
-    dynamic-block scheduler, both validated against the sequential scan.
+def test_task_payload_bytes(report, monkeypatch):
+    """Per-task serialized payload of the tasks the session actually
+    submits: each names its shared segments instead of carrying the
+    alignment, so a task is the same size whatever the alignment size."""
+    submitted = []
+    imap_unordered = Pool.imap_unordered
 
-    Wall-clock ordering is reported but only asserted loosely (CI
-    containers may expose a single core, where neither scheduler can
-    win); the structural advantages — zero per-task matrix pickling and
-    cross-worker tile sharing — are asserted strictly below and in
-    ``test_task_payload_bytes``.
-    """
-    alignment = haplotype_block_alignment(50, 600, seed=21)
-    config = OmegaConfig(
-        grid=GridSpec(n_positions=24, max_window=alignment.length / 4)
-    )
-    sequential = OmegaPlusScanner(config).scan(alignment)
+    def recording(self, func, iterable, chunksize=1):
+        tasks = list(iterable)
+        submitted.append(tasks)
+        return imap_unordered(self, func, tasks, chunksize)
 
-    def curves():
-        rows = []
-        for n_workers in (1, 2, 4, 8):
-            times = {}
-            for scheduler in ("pickled", "shared"):
-                result = parallel_scan(
-                    alignment,
-                    config,
-                    n_workers=n_workers,
-                    scheduler=scheduler,
-                )
-                np.testing.assert_allclose(
-                    result.omegas, sequential.omegas, rtol=1e-9, atol=1e-12
-                )
-                times[scheduler] = result.breakdown.wall_seconds
-                if scheduler == "shared" and n_workers > 1:
-                    assert (
-                        result.reuse.tile_entries_computed
-                        + result.reuse.tile_entries_reused
-                        > 0
-                    )
-            rows.append(
-                {
-                    "workers": n_workers,
-                    "pickled (s)": f"{times['pickled']:.3f}",
-                    "shared (s)": f"{times['shared']:.3f}",
-                    "shared/pickled": f"{times['shared'] / times['pickled']:.2f}x"
-                    if times["pickled"] > 0
-                    else "n/a",
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(curves, rounds=1, iterations=1)
-    report(
-        "E10c: shared-memory dynamic blocks vs pickled static chunks",
-        render_table(rows)
-        + "\nboth schedulers match the sequential report (asserted); "
-        "ratios < 1 mean the shared scheduler is faster (expected at "
-        ">= 4 workers on multi-core hosts)",
-    )
-
-
-def test_task_payload_bytes(report):
-    """The tentpole's measurable invariant: per-worker serialized payload
-    drops from the full alignment to a few bytes of block descriptor."""
-    alignment = haplotype_block_alignment(50, 600, seed=21)
-    config = OmegaConfig(
-        grid=GridSpec(n_positions=24, max_window=alignment.length / 4)
-    )
-    grid_positions = config.grid.positions(alignment)
-    n_workers = 4
-
-    pickled_tasks = [
-        _WorkerTask(
-            matrix=alignment.matrix,
-            positions=alignment.positions,
-            length=alignment.length,
-            config=config,
-            grid_positions=grid_positions[a:b],
+    monkeypatch.setattr(Pool, "imap_unordered", recording)
+    config = OmegaConfig(grid=GridSpec(n_positions=24, max_window=6000.0))
+    lines = []
+    task_bytes = {}
+    for n_sites in (600, 6000):
+        alignment = haplotype_block_alignment(50, n_sites, seed=21)
+        with ParallelScanSession(alignment, config, n_workers=4) as session:
+            session.scan()
+        tasks = submitted.pop()
+        sizes = {len(pickle.dumps(task)) for task in tasks}
+        task_bytes[n_sites] = sizes
+        lines.append(
+            f"{n_sites:>5} sites ({alignment.matrix.nbytes:>7d} B matrix): "
+            f"{len(tasks)} tasks of {'/'.join(map(str, sorted(sizes)))} B"
         )
-        for a, b in split_grid(grid_positions.size, n_workers)
-    ]
-    pickled_bytes = sum(len(pickle.dumps(t)) for t in pickled_tasks)
-
-    blocks = make_blocks(grid_positions.size, n_workers)
-    shared_task_bytes = sum(
-        len(pickle.dumps((idx, lo, hi)))
-        for idx, (lo, hi) in enumerate(blocks)
-    )
-    per_task = shared_task_bytes / len(blocks)
-
     report(
-        "E10d: serialized bytes shipped to workers per scan",
-        f"pickled static chunks : {pickled_bytes:>10d} B "
-        f"({len(pickled_tasks)} tasks, full alignment each)\n"
-        f"shared dynamic blocks : {shared_task_bytes:>10d} B "
-        f"({len(blocks)} tasks, {per_task:.0f} B each)\n"
-        f"reduction             : {pickled_bytes / max(1, shared_task_bytes):,.0f}x",
+        "E10d: serialized bytes shipped to workers per block task",
+        "\n".join(lines),
     )
-    # Every pickled task carries at least the matrix; every shared task is
-    # three small integers.
-    assert pickled_bytes > n_workers * alignment.matrix.nbytes
-    assert per_task < 100
+    # The task does not grow with the alignment: it ships segment names,
+    # the block's grid positions and its index, never the matrix.
+    assert task_bytes[600] == task_bytes[6000]
+    assert max(task_bytes[6000]) < 1024

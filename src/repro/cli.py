@@ -103,9 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "evaluation (1 disables batching)")
     scan_p.add_argument("--workers", type=int, default=1,
                         help="worker processes")
-    scan_p.add_argument("--scheduler", choices=("shared", "pickled"),
-                        default="shared",
-                        help="multiprocess scheduler (with --workers > 1)")
     scan_p.add_argument("--stream", action="store_true",
                         help="stream the input in bounded-memory chunks "
                         "instead of loading the full matrix (ms/vcf only)")
@@ -245,10 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_p.add_argument("--workers-per-shard", type=int, default=1,
                          help="scan workers inside each shard process "
                          "(1 keeps shards bitwise-reproducible)")
-    shard_p.add_argument("--scheduler", choices=("shared", "pickled"),
-                         default="shared",
-                         help="within-shard scheduler when "
-                         "--workers-per-shard > 1")
     shard_p.add_argument("--plan-only", action="store_true",
                          help="write the manifest and print the plan "
                          "without executing shards")
@@ -441,7 +434,6 @@ def _cmd_scan(args) -> int:
                 config,
                 snp_budget=args.snp_budget,
                 n_workers=args.workers,
-                scheduler=args.scheduler,
             )
         report = result.to_tsv()
         if args.out:
@@ -471,8 +463,7 @@ def _cmd_scan(args) -> int:
                 if args.workers > 1:
                     results.append(
                         parallel_scan(
-                            rep.alignment, config, n_workers=args.workers,
-                            scheduler=args.scheduler,
+                            rep.alignment, config, n_workers=args.workers
                         )
                     )
                 else:
@@ -510,8 +501,7 @@ def _cmd_scan(args) -> int:
     with _maybe_tracing(args):
         if args.workers > 1:
             result = parallel_scan(
-                alignment, config, n_workers=args.workers,
-                scheduler=args.scheduler,
+                alignment, config, n_workers=args.workers
             )
         else:
             result = OmegaPlusScanner(config).scan(alignment)
@@ -557,7 +547,6 @@ def _cmd_shard_scan(args) -> int:
             shards_per_unit=args.shards,
             target_shard_cost=args.target_shard_cost,
             workers_per_shard=args.workers_per_shard,
-            scheduler=args.scheduler,
             format=args.format,
             length=length,
         )

@@ -44,7 +44,6 @@ from repro.core.parallel import (
     StreamingScanSession,
     make_blocks,
     parallel_scan,
-    split_grid,
 )
 from repro.core.results import PositionResult, ScanResult
 from repro.core.reuse import R2RegionCache, ReuseStats, SumMatrixCache
@@ -82,7 +81,6 @@ __all__ = [
     "StreamingScanSession",
     "make_blocks",
     "parallel_scan",
-    "split_grid",
     "SharedR2TileStore",
     "TileStoreSpec",
     "PositionResult",

@@ -4,19 +4,14 @@ The paper's multicore baseline (Table IV) is OmegaPlus-generic [31]:
 pthreads that *share* one alignment and one LD workspace and partition the
 grid positions. Python threads cannot parallelize this CPU-bound
 NumPy-plus-control-flow loop under the GIL, so processes stand in for
-pthreads — but the original process model here shipped a pickled copy of
-the full SNP matrix to every worker and carved the grid into one static
-contiguous chunk per worker, which capped the reproducible speedup three
-ways: per-task serialization, per-worker cache warmup, and load imbalance
-(per-position ω work varies by orders of magnitude — the very skew the
-paper's Eq. 4 dispatch threshold exists for).
-
-The current architecture mirrors the pthread model instead:
+pthreads, arranged to mirror the pthread model:
 
 * **Shared segments** — the SNP matrix and positions live in POSIX shared
   memory (:class:`~repro.datasets.alignment.SharedAlignmentSegments`),
   created once by the parent; a persistent worker pool attaches zero-copy
-  in its initializer. Per-task payloads are three integers.
+  the first time a task names the segments. A task carries the segment
+  names, its block's grid positions and its block index — a few hundred
+  bytes whatever the alignment size.
 * **Shared r² tile store** — fresh r² entries are computed once
   process-wide into a shared tile band
   (:class:`~repro.core.tilestore.SharedR2TileStore`) and served to every
@@ -39,9 +34,9 @@ The current architecture mirrors the pthread model instead:
   while its ``wall_seconds`` field records true elapsed time (see
   :class:`~repro.utils.timing.TimeBreakdown`).
 
-The previous pickled static-chunk implementation is kept behind
-``scheduler="pickled"`` as the A/B baseline for
-``benchmarks/bench_table4_threads.py``.
+Every pool — the in-memory session, the scan service's requests and the
+streamed chunks — runs the same worker body (:func:`_scan_block`) through
+the same dispatch routine (:meth:`_PoolSession._dispatch`).
 """
 
 from __future__ import annotations
@@ -50,8 +45,7 @@ import dataclasses
 import math
 import multiprocessing as mp
 import time
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +58,7 @@ from repro.core.costmodel import (
 )
 from repro.core.grid import (
     GridSpec,
+    PositionPlan,
     build_plans,
     build_plans_from_positions,
     fixed_position_spec,
@@ -83,7 +78,6 @@ __all__ = [
     "make_blocks",
     "parallel_scan",
     "plans_for_positions",
-    "split_grid",
 ]
 
 #: Target number of scheduling blocks per worker. More blocks balance the
@@ -92,30 +86,6 @@ __all__ = [
 #: per worker keeps the straggler tail under ~25 % of one worker's share
 #: while blocks stay tens of positions long on realistic grids.
 BLOCKS_PER_WORKER = 4
-
-
-def split_grid(n_positions: int, n_workers: int) -> List[Tuple[int, int]]:
-    """Split ``n_positions`` into ``n_workers`` contiguous [start, stop)
-    chunks whose sizes differ by at most one. Empty chunks are dropped.
-
-    This is the *static* partitioning of the legacy pickled scheduler
-    (one chunk per worker); the shared-memory scheduler cuts finer with
-    :func:`make_blocks`.
-    """
-    if n_positions < 1:
-        raise ScanConfigError(f"n_positions must be >= 1, got {n_positions}")
-    if n_workers < 1:
-        raise ScanConfigError(f"n_workers must be >= 1, got {n_workers}")
-    base, extra = divmod(n_positions, n_workers)
-    chunks: List[Tuple[int, int]] = []
-    start = 0
-    for w in range(n_workers):
-        size = base + (1 if w < extra else 0)
-        if size == 0:
-            continue
-        chunks.append((start, start + size))
-        start += size
-    return chunks
 
 
 def make_blocks(
@@ -155,191 +125,85 @@ def plans_for_positions(
     )
 
 
-class _FixedGridScanner(OmegaPlusScanner):
-    """Scanner whose grid positions are supplied explicitly rather than
-    derived from the grid spec (used to hand each worker its block)."""
-
-    def __init__(
-        self,
-        config: OmegaConfig,
-        grid_positions: np.ndarray,
-        *,
-        block_fn=None,
-        valid_mask: Optional[np.ndarray] = None,
-    ):
-        super().__init__(config, block_fn=block_fn, valid_mask=valid_mask)
-        self._grid_positions = grid_positions
-
-    def scan(self, alignment: SNPAlignment) -> ScanResult:
-        spec = self.config.grid
-        fixed = self._grid_positions
-        if fixed.size == 0:
-            # An empty block scans nothing. Returning the empty result
-            # directly keeps the patched spec below consistent
-            # (GridSpec requires n_positions >= 1, which would disagree
-            # with a zero-length fixed position array).
-            return ScanResult(
-                positions=np.zeros(0),
-                omegas=np.zeros(0),
-                left_borders_bp=np.zeros(0),
-                right_borders_bp=np.zeros(0),
-                n_evaluations=np.zeros(0, dtype=np.int64),
-            )
-
-        # Reuse the sequential implementation verbatim with a
-        # fixed-position grid (see :func:`fixed_position_spec`); every
-        # other config field (eps, backends, reuse, batching) is
-        # forwarded unchanged.
-        patched = fixed_position_spec(spec, fixed)
-        cfg = dataclasses.replace(self.config, grid=patched)
-        return OmegaPlusScanner(
-            cfg, block_fn=self._block_fn, valid_mask=self._valid_mask
-        ).scan(alignment)
-
-
 # ---------------------------------------------------------------------- #
-# legacy pickled static-chunk scheduler (the A/B baseline)
+# worker side
 # ---------------------------------------------------------------------- #
 
-
-@dataclass
-class _WorkerTask:
-    """Picklable task description shipped to a worker process — carries a
-    full copy of the alignment, which is exactly what the shared-memory
-    scheduler exists to avoid."""
-
-    matrix: np.ndarray
-    positions: np.ndarray
-    length: float
-    config: OmegaConfig
-    grid_positions: np.ndarray
-    #: Global plan validity per grid position (streamed scans only): the
-    #: matrix above may be a chunk, and chunk-local planning must not
-    #: resurrect positions the global plan skipped.
-    valid_mask: Optional[np.ndarray] = None
-    #: Observability configuration (trace path); applied before scanning
-    #: so worker spans land in the parent's trace file.
-    obs_spec: Optional[obs.ObsSpec] = None
+#: Per-worker-process state: the pool initializer's arguments plus the
+#: mappings of the last alignment a task named. A task naming another
+#: alignment (the next streamed chunk) swaps the mappings.
+_WORKER: dict = {}
 
 
-def _run_chunk(task: _WorkerTask) -> ScanResult:
-    """Worker body: scan a fixed set of grid positions sequentially."""
-    obs.configure_worker(task.obs_spec)
-    alignment = SNPAlignment(
-        matrix=task.matrix, positions=task.positions, length=task.length
-    )
-    scanner = _FixedGridScanner(
-        task.config, task.grid_positions, valid_mask=task.valid_mask
-    )
-    result = scanner.scan(alignment)
-    obs.get_tracer().flush()
-    return result
-
-
-def _scan_pickled_static(
-    alignment: SNPAlignment,
+def _init_worker(
     config: OmegaConfig,
-    n_workers: int,
-    mp_context: Optional[str],
-) -> ScanResult:
-    grid_positions = config.grid.positions(alignment)
-    chunks = split_grid(grid_positions.size, n_workers)
-    spec = obs.current_spec()
-    tasks = [
-        _WorkerTask(
-            matrix=alignment.matrix,
-            positions=alignment.positions,
-            length=alignment.length,
-            config=config,
-            grid_positions=grid_positions[a:b],
-            obs_spec=spec,
-        )
-        for a, b in chunks
-    ]
-    with obs.scoped_metrics() as registry:
-        registry.counter("scheduler.blocks_dispatched").inc(len(tasks))
-        ctx = mp.get_context(mp_context) if mp_context else mp.get_context()
-        with ctx.Pool(processes=len(tasks)) as pool:
-            parts = pool.map(_run_chunk, tasks)
-        sched_snap = registry.snapshot()
-    result = _merge_parts(parts)
-    result.metrics = obs.merge_snapshots(result.metrics, sched_snap)
-    return result
+    obs_spec: Optional[obs.ObsSpec],
+    block_lru_bytes: int,
+) -> None:
+    obs.configure_worker(obs_spec)
+    _WORKER.update(
+        config=config,
+        block_lru_bytes=block_lru_bytes,
+        name=None,
+        segments=None,
+        store=None,
+    )
 
 
-def _merge_parts(parts: List[ScanResult]) -> ScanResult:
-    """Concatenate per-block records (in grid order) and merge the
-    observability sidecars (now public as
-    :func:`repro.core.results.merge_scan_results`)."""
-    return merge_scan_results(parts)
+def _attached(alignment_spec, tile_spec):
+    """This worker's mapping of the segments a task names, attached on
+    first sight (after releasing the previous alignment's mappings)."""
+    state = _WORKER
+    if state["name"] != alignment_spec.matrix_name:
+        for held in ("store", "segments"):
+            if state[held] is not None:
+                state[held].close()
+                state[held] = None
+        state["name"] = None
+        try:
+            segments = SharedAlignmentSegments.attach(alignment_spec)
+            state["segments"] = segments
+            if tile_spec is not None:
+                store = SharedR2TileStore.attach(
+                    tile_spec, segments.alignment
+                )
+                state["store"] = store
+                if state["block_lru_bytes"] > 0:
+                    store.enable_block_lru(state["block_lru_bytes"])
+        except Exception as exc:
+            raise RuntimeError(
+                "shared-memory worker failed to attach its segments"
+            ) from exc
+        state["name"] = alignment_spec.matrix_name
+    return state["segments"], state["store"]
 
 
-# ---------------------------------------------------------------------- #
-# shared-memory dynamic-block scheduler
-# ---------------------------------------------------------------------- #
+def _scan_block(task) -> Tuple[int, ScanResult]:
+    """Worker body: scan one block of explicit grid positions against the
+    shared alignment the task names; returns (block index, block result).
 
-
-@dataclass(frozen=True)
-class _WorkerSetup:
-    """Everything a worker needs, shipped once via the pool initializer.
-
-    ``alignment_spec`` and ``tile_spec`` are a few strings/ints each —
-    the actual data stays in shared memory.
+    The task is ``(block index, alignment spec, tile spec or None, grid
+    positions, validity mask or None, request id)``, positions and mask
+    as lists; a mask pins each position to the global plan's validity
+    (streamed chunks).
     """
-
-    alignment_spec: object
-    tile_spec: object
-    config: OmegaConfig
-    grid_positions: np.ndarray
-    obs_spec: Optional[obs.ObsSpec] = None
-    #: Capacity of each worker's private LRU of assembled multi-tile
-    #: r² blocks (0 disables). Long-lived service sessions turn this on
-    #: so repeated scans of hot regions stop re-memcpying assemblies.
-    block_lru_bytes: int = 0
-
-
-#: Per-worker-process state, populated by the pool initializer. Holds an
-#: exception instance when attachment failed (surfaced by the first task
-#: instead of crashing the initializer, which would make the pool respawn
-#: workers forever).
-_WORKER_STATE = None
-
-
-def _init_worker(setup: _WorkerSetup) -> None:
-    global _WORKER_STATE
-    try:
-        obs.configure_worker(setup.obs_spec)
-        segments = SharedAlignmentSegments.attach(setup.alignment_spec)
-        store = None
-        if setup.tile_spec is not None:
-            store = SharedR2TileStore.attach(
-                setup.tile_spec, segments.alignment
-            )
-            if setup.block_lru_bytes > 0:
-                store.enable_block_lru(setup.block_lru_bytes)
-        _WORKER_STATE = (segments, store, setup.config, setup.grid_positions)
-    except BaseException as exc:  # noqa: BLE001 - reported by first task
-        _WORKER_STATE = exc
-
-
-def _scan_attached(
-    idx: int, grid_block: np.ndarray, span_args: dict
-) -> Tuple[int, ScanResult]:
-    """Scan an explicit grid-position block against the attached shared
-    alignment (shared body of the fixed-grid and request worker fns)."""
-    state = _WORKER_STATE
-    if state is None or isinstance(state, BaseException):
-        raise RuntimeError(
-            "shared-memory worker failed to attach its segments"
-        ) from (state if isinstance(state, BaseException) else None)
-    segments, store, config, _grid_positions = state
-    block_fn = store.block if store is not None else None
-    scanner = _FixedGridScanner(config, grid_block, block_fn=block_fn)
+    idx, alignment_spec, tile_spec, grid_block, valid_mask, request_id = task
+    segments, store = _attached(alignment_spec, tile_spec)
+    config = _WORKER["config"]
+    scanner = OmegaPlusScanner(
+        dataclasses.replace(
+            config, grid=fixed_position_spec(config.grid, grid_block)
+        ),
+        block_fn=store.block if store is not None else None,
+        valid_mask=valid_mask,
+    )
     if store is not None:
         computed0 = store.tile_entries_computed
         reused0 = store.tile_entries_reused
     tr = obs.get_tracer()
-    with tr.span("scan_block", "block", args=span_args):
+    with tr.span(
+        "scan_block", "block", args={"block": idx, "request": request_id}
+    ):
         result = scanner.scan(segments.alignment)
     if store is not None:
         result.reuse.tile_entries_computed += (
@@ -350,43 +214,209 @@ def _scan_attached(
     return idx, result
 
 
-def _scan_block(task: Tuple[int, int, int]) -> Tuple[int, ScanResult]:
-    """Worker body: scan grid positions [lo, hi) against the attached
-    shared alignment; returns (block index, block result)."""
-    idx, lo, hi = task
-    state = _WORKER_STATE
-    if isinstance(state, tuple):
-        grid_positions = state[3]
-        return _scan_attached(
-            idx,
-            grid_positions[lo:hi],
-            {"block": idx, "lo": lo, "hi": hi},
+# ---------------------------------------------------------------------- #
+# parent side
+# ---------------------------------------------------------------------- #
+
+
+class _PoolSession:
+    """A persistent worker pool plus the shared segments its tasks name
+    (subclasses provide ``start``).
+
+    Teardown (:meth:`close`, or leaving the ``with`` block) unlinks every
+    segment even on error paths, so failed scans do not orphan
+    ``/dev/shm`` entries.
+    """
+
+    def __init__(
+        self,
+        config: OmegaConfig,
+        *,
+        n_workers: int,
+        mp_context: Optional[str] = None,
+        block_lru_bytes: int = 0,
+    ):
+        if n_workers < 1:
+            raise ScanConfigError(f"n_workers must be >= 1, got {n_workers}")
+        self._config = config
+        self._n_workers = n_workers
+        self._mp_context = mp_context
+        #: Capacity of each worker's private LRU of assembled multi-tile
+        #: r² blocks (0 disables). Long-lived service sessions turn this
+        #: on so repeated scans of hot regions stop re-memcpying
+        #: assemblies.
+        self._block_lru_bytes = block_lru_bytes
+        self._pool = None
+        self._segments: Optional[SharedAlignmentSegments] = None
+        self._store: Optional[SharedR2TileStore] = None
+
+    def _fork_pool(self) -> None:
+        ctx = (
+            mp.get_context(self._mp_context)
+            if self._mp_context
+            else mp.get_context()
         )
-    return _scan_attached(
-        idx, np.zeros(0), {"block": idx, "lo": lo, "hi": hi}
-    )
+        self._pool = ctx.Pool(
+            processes=self._n_workers,
+            initializer=_init_worker,
+            initargs=(self._config, obs.current_spec(), self._block_lru_bytes),
+        )
+
+    def _publish(self, alignment: SNPAlignment, max_pair_span: int) -> None:
+        """Place ``alignment`` in shared memory, plus its r² tile band
+        when some ω region holds a pair of sites."""
+        with obs.get_tracer().span(
+            "shm_publish", "shm", args={"sites": int(alignment.n_sites)}
+        ):
+            self._segments = SharedAlignmentSegments.create(alignment)
+            if max_pair_span >= 1:
+                self._store = SharedR2TileStore.create(
+                    alignment,
+                    max_pair_span=max_pair_span,
+                    backend=self._config.ld_backend,
+                )
+
+    def _unpublish(self) -> None:
+        if self._store is not None:
+            self._store.close()
+            self._store.unlink()
+            self._store = None
+        if self._segments is not None:
+            self._segments.close()
+            self._segments.unlink()
+            self._segments = None
+
+    def _dispatch(
+        self,
+        blocks: Sequence[Tuple[int, int, int]],
+        plans: Sequence[PositionPlan],
+        grid_positions: np.ndarray,
+        valid: Optional[np.ndarray],
+        registry: obs.MetricsRegistry,
+        *,
+        request_id: str = "",
+        progress: Optional[obs.SlotWriter] = None,
+        prefetch=None,
+    ) -> Tuple[Dict[int, ScanResult], object]:
+        """Scan grid blocks ``(index, lo, hi)`` over the published
+        alignment; returns ``({index: block result}, prefetched)``.
+
+        ``plans``, ``grid_positions`` and the optional validity mask
+        ``valid`` are sliced ``[lo:hi]`` per block. Blocks run largest
+        Eq. 4 cost first; ``registry`` receives the ``scheduler.*``
+        metrics, every finished block is archived as a
+        :class:`~repro.core.costmodel.CalibrationPair` and publishes live
+        progress (to ``progress``, else the process slot), and the
+        measured block times are folded into the process-wide cost model
+        at the end. ``prefetch`` (optional, zero-argument) runs after
+        dispatch and before collection, overlapping the next chunk's
+        ingestion with this compute; its return value is passed through.
+        """
+        model = get_cost_model()
+        terms = {}
+        for idx, lo, hi in blocks:
+            block = plans[lo:hi]
+            terms[idx] = (
+                hi - lo,
+                float(model.position_costs(block).sum()),
+                float(sum(p.n_evaluations for p in block)),
+                float(sum(p.region_width**2 for p in block)),
+            )
+        alignment_spec = self._segments.spec
+        tile_spec = self._store.spec if self._store is not None else None
+        # Positions and mask travel as lists, not array slices: a worker
+        # that unpickled an ndarray with every task gave back its heap
+        # after each block and page-faulted it in again, 2.2x the minor
+        # faults and ~5 % more worker CPU on a 128 x 8 000 scan (2 vCPU
+        # Linux host, glibc malloc).
+        tasks = sorted(
+            (
+                (
+                    idx,
+                    alignment_spec,
+                    tile_spec,
+                    grid_positions[lo:hi].tolist(),
+                    None if valid is None else valid[lo:hi].tolist(),
+                    request_id,
+                )
+                for idx, lo, hi in blocks
+            ),
+            key=lambda task: -terms[task[0]][1],
+        )
+        if progress is None:
+            progress = obs.live_slot()
+        secs_h = registry.histogram("scheduler.block_seconds")
+        est_h = registry.histogram("scheduler.block_est_cost")
+        depth_g = registry.gauge("scheduler.queue_depth")
+        registry.counter("scheduler.blocks_dispatched").inc(len(tasks))
+        parts: Dict[int, ScanResult] = {}
+        with obs.get_tracer().span(
+            "dispatch",
+            "scheduler",
+            args={"blocks": len(tasks), "request": request_id},
+        ):
+            for task in tasks:
+                est_h.observe(terms[task[0]][1])
+            pending = len(tasks)
+            depth_g.set(pending)
+            results = self._pool.imap_unordered(_scan_block, tasks, chunksize=1)
+            prefetched = prefetch() if prefetch is not None else None
+            for idx, part in results:
+                parts[idx] = part
+                pending -= 1
+                depth_g.set(pending)
+                seconds = part.breakdown.wall_seconds
+                secs_h.observe(seconds)
+                n_positions, cost, evals, area = terms[idx]
+                if progress is not None:
+                    progress.add_progress(n_positions, cost)
+                # A least-squares row for ScanCostModel.fit_weights.
+                record_calibration_pair(
+                    CalibrationPair(
+                        n_evaluations=evals,
+                        region_area=area,
+                        realized_seconds=seconds,
+                        est_seconds=model.estimate_seconds(cost),
+                        kind="block",
+                    )
+                )
+        # Running-sum refit, atomic under the calibration lock, so the
+        # next scan (and the GPU dispatcher) predict wall-clock from the
+        # same constants.
+        model = calibrate_from(registry.snapshot())
+        if model.seconds_per_unit is not None:
+            registry.gauge("scheduler.cost_seconds_per_unit").set(
+                model.seconds_per_unit
+            )
+            registry.gauge("scheduler.cost_calibration_blocks").set(
+                model.calibration_blocks
+            )
+        return parts, prefetched
+
+    def close(self) -> None:
+        """Tear down the pool and remove any shared segments still live."""
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
+        self._unpublish()
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
 
-def _scan_request_block(task) -> Tuple[int, ScanResult]:
-    """Worker body for service requests: the task carries its own grid
-    positions (a request's region grid is not the session's grid), plus
-    a request tag for the trace."""
-    idx, grid_block, request_id = task
-    return _scan_attached(
-        idx, grid_block, {"block": idx, "request": request_id}
-    )
-
-
-class ParallelScanSession:
+class ParallelScanSession(_PoolSession):
     """Persistent shared-memory scan workers over one alignment.
 
     Creating a session places the alignment (and the r² tile band) in
     shared memory and forks a worker pool that attaches zero-copy; every
-    :meth:`scan` then only moves block descriptors — three integers each —
-    through the pool's task queue, so repeated scans reuse warm workers
-    *and* the already-computed tiles. Use as a context manager (or call
-    :meth:`close`): teardown unlinks the segments even on error paths, so
-    failed scans do not orphan ``/dev/shm`` entries.
+    :meth:`scan` then only moves small block tasks through the pool's
+    task queue, so repeated scans reuse warm workers *and* the
+    already-computed tiles. Use as a context manager (or call
+    :meth:`close`).
     """
 
     def __init__(
@@ -397,30 +427,18 @@ class ParallelScanSession:
         n_workers: int,
         mp_context: Optional[str] = None,
         block_size: Optional[int] = None,
-        shared_tiles: bool = True,
-        cost_ordering: bool = True,
         block_lru_bytes: int = 0,
     ):
-        if n_workers < 1:
-            raise ScanConfigError(f"n_workers must be >= 1, got {n_workers}")
+        super().__init__(
+            config,
+            n_workers=n_workers,
+            mp_context=mp_context,
+            block_lru_bytes=block_lru_bytes,
+        )
         self._alignment = alignment
-        self._config = config
-        self._n_workers = n_workers
-        self._mp_context = mp_context
         self._block_size = block_size
-        self._shared_tiles = shared_tiles
-        self._cost_ordering = cost_ordering
-        self._block_lru_bytes = block_lru_bytes
-        self._segments: Optional[SharedAlignmentSegments] = None
-        self._store: Optional[SharedR2TileStore] = None
-        self._pool = None
         self._grid_positions: Optional[np.ndarray] = None
-        self._position_costs: Optional[np.ndarray] = None
-        self._position_evals: Optional[np.ndarray] = None
-        self._position_areas: Optional[np.ndarray] = None
-        self._cost_model = get_cost_model()
-
-    # -------------------------------------------------------------- #
+        self._plans: Optional[List[PositionPlan]] = None
 
     def start(self) -> "ParallelScanSession":
         """Create the shared segments and the worker pool (idempotent)."""
@@ -428,55 +446,13 @@ class ParallelScanSession:
             return self
         alignment, config = self._alignment, self._config
         self._grid_positions = config.grid.positions(alignment)
-        plans = build_plans(alignment, config.grid)
-        # Eq. 4 per-position cost from the process-wide model: omega work
-        # is the evaluation count, LD work scales with the region area.
-        # The cached model carries any seconds_per_unit calibration from
-        # earlier scans in this process.
-        self._cost_model = get_cost_model()
-        self._position_costs = self._cost_model.position_costs(plans)
-        # Raw per-position workload terms, kept so finished blocks can be
-        # archived as (evals, area, realized seconds) calibration pairs
-        # for ScanCostModel.fit_weights.
-        self._position_evals = np.array(
-            [float(p.n_evaluations) for p in plans], dtype=np.float64
-        )
-        self._position_areas = np.array(
-            [float(p.region_width) ** 2 for p in plans], dtype=np.float64
-        )
+        self._plans = build_plans(alignment, config.grid)
         max_span = max(
-            (p.region_width for p in plans if p.valid), default=0
+            (p.region_width for p in self._plans if p.valid), default=0
         )
-        tr = obs.get_tracer()
         try:
-            with tr.span(
-                "shm_publish", "shm", args={"sites": int(alignment.n_sites)}
-            ):
-                self._segments = SharedAlignmentSegments.create(alignment)
-                if self._shared_tiles and max_span >= 1:
-                    self._store = SharedR2TileStore.create(
-                        alignment,
-                        max_pair_span=max_span,
-                        backend=config.ld_backend,
-                    )
-            setup = _WorkerSetup(
-                alignment_spec=self._segments.spec,
-                tile_spec=self._store.spec if self._store else None,
-                config=config,
-                grid_positions=self._grid_positions,
-                obs_spec=obs.current_spec(),
-                block_lru_bytes=self._block_lru_bytes,
-            )
-            ctx = (
-                mp.get_context(self._mp_context)
-                if self._mp_context
-                else mp.get_context()
-            )
-            self._pool = ctx.Pool(
-                processes=self._n_workers,
-                initializer=_init_worker,
-                initargs=(setup,),
-            )
+            self._publish(alignment, max_span)
+            self._fork_pool()
         except BaseException:
             self.close()
             raise
@@ -485,80 +461,10 @@ class ParallelScanSession:
     def scan(self) -> ScanResult:
         """Run one full scan; the report matches the sequential scanner."""
         self.start()
-        t_wall = time.perf_counter()
-        assert self._grid_positions is not None
-        assert self._position_costs is not None
-        blocks = make_blocks(
-            self._grid_positions.size,
-            self._n_workers,
-            block_size=self._block_size,
-        )
-        tasks = [(idx, lo, hi) for idx, (lo, hi) in enumerate(blocks)]
-        costs = self._position_costs
-        if self._cost_ordering:
-            tasks.sort(key=lambda t: -float(costs[t[1] : t[2]].sum()))
-        tr = obs.get_tracer()
         with obs.scoped_metrics() as registry:
-            blocks_c = registry.counter("scheduler.blocks_dispatched")
-            depth_g = registry.gauge("scheduler.queue_depth")
-            secs_h = registry.histogram("scheduler.block_seconds")
-            est_h = registry.histogram("scheduler.block_est_cost")
-            with tr.span(
-                "dispatch", "scheduler", args={"blocks": len(tasks)}
-            ):
-                blocks_c.inc(len(tasks))
-                for _idx, lo, hi in tasks:
-                    est_h.observe(float(costs[lo:hi].sum()))
-                pending = len(tasks)
-                depth_g.set(pending)
-                parts = {}
-                live = obs.live_slot()
-                for idx, part in self._pool.imap_unordered(
-                    _scan_block, tasks, chunksize=1
-                ):
-                    parts[idx] = part
-                    pending -= 1
-                    depth_g.set(pending)
-                    secs_h.observe(part.breakdown.wall_seconds)
-                    # Archive the block as a least-squares row for
-                    # ScanCostModel.fit_weights (evals vs area split).
-                    lo, hi = blocks[idx]
-                    if live is not None:
-                        live.add_progress(hi - lo, float(costs[lo:hi].sum()))
-                    record_calibration_pair(
-                        CalibrationPair(
-                            n_evaluations=float(
-                                self._position_evals[lo:hi].sum()
-                            ),
-                            region_area=float(
-                                self._position_areas[lo:hi].sum()
-                            ),
-                            realized_seconds=float(
-                                part.breakdown.wall_seconds
-                            ),
-                            est_seconds=self._cost_model.estimate_seconds(
-                                float(costs[lo:hi].sum())
-                            ),
-                            kind="block",
-                        )
-                    )
-            # Fold this scan's estimate-vs-measured block timings into
-            # the process-wide model (running-sum refit, atomic under the
-            # calibration lock), so the next scan (and the GPU
-            # dispatcher) predict wall-clock from the same constants.
-            self._cost_model = calibrate_from(registry.snapshot())
-            if self._cost_model.seconds_per_unit is not None:
-                registry.gauge("scheduler.cost_seconds_per_unit").set(
-                    self._cost_model.seconds_per_unit
-                )
-                registry.gauge("scheduler.cost_calibration_blocks").set(
-                    self._cost_model.calibration_blocks
-                )
-            sched_snap = registry.snapshot()
-        result = _merge_parts([parts[i] for i in range(len(blocks))])
-        result.metrics = obs.merge_snapshots(result.metrics, sched_snap)
-        result.breakdown.wall_seconds = time.perf_counter() - t_wall
-        return result
+            return self.scan_positions(
+                self._grid_positions, plans=self._plans, registry=registry
+            )
 
     # -------------------------------------------------------------- #
     # multi-request reuse (the scan service rides on this)
@@ -575,16 +481,11 @@ class ParallelScanSession:
     def n_workers(self) -> int:
         return self._n_workers
 
-    @property
-    def cost_model(self):
-        """The process-wide Eq. 4 model as of the last calibration fold."""
-        return self._cost_model
-
     def scan_positions(
         self,
         grid_positions: np.ndarray,
         *,
-        position_costs: Optional[np.ndarray] = None,
+        plans: Optional[Sequence[PositionPlan]] = None,
         block_size: Optional[int] = None,
         registry: Optional[obs.MetricsRegistry] = None,
         request_id: str = "",
@@ -592,16 +493,17 @@ class ParallelScanSession:
     ) -> ScanResult:
         """Scan an explicit grid-position array over the shared pool.
 
-        This is the multi-tenant entry point: unlike :meth:`scan` (which
-        replays the session's own grid) the positions travel inside the
-        block tasks, so many concurrent requests — each with its own
-        region grid — multiplex over one worker pool, one shared
-        alignment and one shared r² tile store. The method is
-        thread-safe: scheduler metrics go to the caller-supplied
-        ``registry`` (never the process-global one, which
-        ``obs.scoped_metrics`` would make a cross-request race), and the
-        calibration fold is atomic. Results are bitwise-equal to a
-        sequential scan of the same positions.
+        This is the multi-tenant entry point: the positions travel
+        inside the block tasks, so many concurrent requests — each with
+        its own region grid — multiplex over one worker pool, one shared
+        alignment and one shared r² tile store. ``plans`` are the
+        positions' evaluation plans when the caller already has them
+        (:func:`plans_for_positions`); they price and order the blocks.
+        The method is thread-safe: scheduler metrics go to the
+        caller-supplied ``registry`` (never the process-global one,
+        which ``obs.scoped_metrics`` would make a cross-request race),
+        and the calibration fold is atomic. Results are bitwise-equal to
+        a sequential scan of the same positions.
         """
         self.start()
         if registry is None:
@@ -610,95 +512,30 @@ class ParallelScanSession:
         if grid_positions.size == 0:
             raise ScanConfigError("scan_positions needs >= 1 position")
         t_wall = time.perf_counter()
-        if position_costs is None:
+        if plans is None:
             plans = plans_for_positions(
                 self._alignment.positions, grid_positions, self._config.grid
             )
-            position_costs = get_cost_model().position_costs(plans)
         blocks = make_blocks(
             grid_positions.size,
             self._n_workers,
             block_size=block_size if block_size else self._block_size,
         )
-        tasks = [
-            (idx, grid_positions[lo:hi], request_id)
-            for idx, (lo, hi) in enumerate(blocks)
-        ]
-        if self._cost_ordering:
-            costs = position_costs
-            order = {
-                idx: float(costs[lo:hi].sum())
-                for idx, (lo, hi) in enumerate(blocks)
-            }
-            tasks.sort(key=lambda t: -order[t[0]])
-        tr = obs.get_tracer()
-        secs_h = registry.histogram("scheduler.block_seconds")
-        est_h = registry.histogram("scheduler.block_est_cost")
-        depth_g = registry.gauge("scheduler.queue_depth")
-        registry.counter("scheduler.blocks_dispatched").inc(len(tasks))
-        with tr.span(
-            "dispatch",
-            "scheduler",
-            args={"blocks": len(tasks), "request": request_id},
-        ):
-            for idx, _pos, _rid in tasks:
-                lo, hi = blocks[idx]
-                est_h.observe(float(position_costs[lo:hi].sum()))
-            pending = len(tasks)
-            depth_g.set(pending)
-            parts = {}
-            # Per-request progress goes to an explicitly passed slot (the
-            # service dispatchers each own one); fall back to the ambient
-            # process slot for standalone callers.
-            if progress is None:
-                progress = obs.live_slot()
-            for idx, part in self._pool.imap_unordered(
-                _scan_request_block, tasks, chunksize=1
-            ):
-                parts[idx] = part
-                pending -= 1
-                depth_g.set(pending)
-                secs_h.observe(part.breakdown.wall_seconds)
-                if progress is not None:
-                    lo, hi = blocks[idx]
-                    progress.add_progress(
-                        hi - lo, float(position_costs[lo:hi].sum())
-                    )
-        self._cost_model = calibrate_from(registry.snapshot())
-        if self._cost_model.seconds_per_unit is not None:
-            registry.gauge("scheduler.cost_seconds_per_unit").set(
-                self._cost_model.seconds_per_unit
-            )
-            registry.gauge("scheduler.cost_calibration_blocks").set(
-                self._cost_model.calibration_blocks
-            )
-        result = _merge_parts([parts[i] for i in range(len(blocks))])
+        parts, _ = self._dispatch(
+            [(idx, lo, hi) for idx, (lo, hi) in enumerate(blocks)],
+            plans,
+            grid_positions,
+            None,
+            registry,
+            request_id=request_id,
+            progress=progress,
+        )
+        result = merge_scan_results([parts[i] for i in range(len(blocks))])
         result.metrics = obs.merge_snapshots(
             result.metrics, registry.snapshot()
         )
         result.breakdown.wall_seconds = time.perf_counter() - t_wall
         return result
-
-    def close(self) -> None:
-        """Tear down the pool and remove the shared segments."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-        if self._store is not None:
-            self._store.close()
-            self._store.unlink()
-            self._store = None
-        if self._segments is not None:
-            self._segments.close()
-            self._segments.unlink()
-            self._segments = None
-
-    def __enter__(self) -> "ParallelScanSession":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -712,10 +549,7 @@ def parallel_scan(
     *,
     n_workers: int,
     mp_context: Optional[str] = None,
-    scheduler: str = "shared",
     block_size: Optional[int] = None,
-    shared_tiles: bool = True,
-    cost_ordering: bool = True,
 ) -> ScanResult:
     """Scan with ``n_workers`` processes; results match a sequential scan.
 
@@ -729,20 +563,9 @@ def parallel_scan(
     mp_context:
         Multiprocessing start method (default: platform default, ``fork``
         on Linux).
-    scheduler:
-        ``"shared"`` (default) — zero-copy shared-memory segments, shared
-        r² tile store, dynamic load-balanced block scheduling.
-        ``"pickled"`` — the legacy baseline: one static contiguous chunk
-        per worker, full alignment pickled into every task. Kept for the
-        old-vs-new benchmark comparison.
     block_size:
-        Scheduling-block length in grid positions (``"shared"`` only);
-        default targets :data:`BLOCKS_PER_WORKER` blocks per worker.
-    shared_tiles:
-        Serve fresh r² entries from the shared tile store (``"shared"``
-        only). Disable to measure its contribution.
-    cost_ordering:
-        Dispatch blocks largest-estimated-cost first (``"shared"`` only).
+        Scheduling-block length in grid positions; default targets
+        :data:`BLOCKS_PER_WORKER` blocks per worker.
 
     The returned breakdown's phase totals sum CPU seconds *across
     workers*; its ``wall_seconds`` holds the true elapsed time of this
@@ -750,26 +573,17 @@ def parallel_scan(
     """
     if n_workers < 1:
         raise ScanConfigError(f"n_workers must be >= 1, got {n_workers}")
-    if scheduler not in ("shared", "pickled"):
-        raise ScanConfigError(
-            f"scheduler must be 'shared' or 'pickled', got {scheduler!r}"
-        )
     t_wall = time.perf_counter()
     if n_workers == 1:
         return OmegaPlusScanner(config).scan(alignment)
-    if scheduler == "pickled":
-        result = _scan_pickled_static(alignment, config, n_workers, mp_context)
-    else:
-        with ParallelScanSession(
-            alignment,
-            config,
-            n_workers=n_workers,
-            mp_context=mp_context,
-            block_size=block_size,
-            shared_tiles=shared_tiles,
-            cost_ordering=cost_ordering,
-        ) as session:
-            result = session.scan()
+    with ParallelScanSession(
+        alignment,
+        config,
+        n_workers=n_workers,
+        mp_context=mp_context,
+        block_size=block_size,
+    ) as session:
+        result = session.scan()
     result.breakdown.wall_seconds = time.perf_counter() - t_wall
     return result
 
@@ -778,208 +592,61 @@ def parallel_scan(
 # streaming: persistent pool over shared-memory chunks
 # ---------------------------------------------------------------------- #
 
-#: Per-worker-process state for streamed scans. Unlike the fixed-alignment
-#: pool above (which attaches once in the initializer), streaming workers
-#: re-attach lazily whenever a task names a chunk they have not mapped
-#: yet, closing the previous chunk's mappings first.
-_STREAM_WORKER_STATE: dict = {
-    "config": None,
-    "spec_name": None,
-    "segments": None,
-    "store": None,
-}
 
-
-def _init_stream_worker(
-    config: OmegaConfig, obs_spec: Optional[obs.ObsSpec] = None
-) -> None:
-    obs.configure_worker(obs_spec)
-    _STREAM_WORKER_STATE.update(
-        config=config, spec_name=None, segments=None, store=None
-    )
-
-
-def _scan_stream_block(task) -> Tuple[int, ScanResult]:
-    """Worker body: attach the task's chunk (if not already mapped) and
-    scan one grid block against it."""
-    alignment_spec, tile_spec, idx, grid_block, valid_mask = task
-    state = _STREAM_WORKER_STATE
-    config = state["config"]
-    if config is None:
-        raise RuntimeError("streaming worker was not initialized")
-    if state["spec_name"] != alignment_spec.matrix_name:
-        segments = SharedAlignmentSegments.attach(alignment_spec)
-        store = (
-            SharedR2TileStore.attach(tile_spec, segments.alignment)
-            if tile_spec is not None
-            else None
-        )
-        if state["segments"] is not None:
-            state["segments"].close()
-        if state["store"] is not None:
-            state["store"].close()
-        state.update(
-            segments=segments, store=store, spec_name=alignment_spec.matrix_name
-        )
-    segments, store = state["segments"], state["store"]
-    block_fn = store.block if store is not None else None
-    scanner = _FixedGridScanner(
-        config, grid_block, block_fn=block_fn, valid_mask=valid_mask
-    )
-    if store is not None:
-        computed0 = store.tile_entries_computed
-        reused0 = store.tile_entries_reused
-    tr = obs.get_tracer()
-    with tr.span("scan_block", "block", args={"block": idx}):
-        result = scanner.scan(segments.alignment)
-    if store is not None:
-        result.reuse.tile_entries_computed += (
-            store.tile_entries_computed - computed0
-        )
-        result.reuse.tile_entries_reused += store.tile_entries_reused - reused0
-    tr.flush()
-    return idx, result
-
-
-class StreamingScanSession:
+class StreamingScanSession(_PoolSession):
     """Streaming counterpart of :class:`ParallelScanSession`: one
     persistent worker pool scans a *sequence* of shared-memory chunks.
 
     Each :meth:`scan_chunk` call publishes the chunk (and its r² tile
-    band) to shared memory exactly once, ships only block descriptors to
-    the pool, and unpublishes before returning — so at most one chunk is
-    resident at any time and a failed scan cannot orphan ``/dev/shm``
-    entries. Workers keep their mapping of the current chunk between
-    blocks and swap it lazily when the next chunk's tasks arrive.
+    band) to shared memory exactly once, ships only block tasks to the
+    pool, and unpublishes before returning — so at most one chunk is
+    resident at any time. Workers keep their mapping of the current chunk
+    between blocks and swap it when the next chunk's tasks arrive.
     """
-
-    def __init__(
-        self,
-        config: OmegaConfig,
-        *,
-        n_workers: int,
-        mp_context: Optional[str] = None,
-        shared_tiles: bool = True,
-    ):
-        if n_workers < 1:
-            raise ScanConfigError(f"n_workers must be >= 1, got {n_workers}")
-        self._config = config
-        self._n_workers = n_workers
-        self._mp_context = mp_context
-        self._shared_tiles = shared_tiles
-        self._pool = None
-        self._segments: Optional[SharedAlignmentSegments] = None
-        self._store: Optional[SharedR2TileStore] = None
 
     def start(self) -> "StreamingScanSession":
         """Fork the worker pool (idempotent)."""
         if self._pool is None:
-            ctx = (
-                mp.get_context(self._mp_context)
-                if self._mp_context
-                else mp.get_context()
-            )
-            self._pool = ctx.Pool(
-                processes=self._n_workers,
-                initializer=_init_stream_worker,
-                initargs=(self._config, obs.current_spec()),
-            )
+            self._fork_pool()
         return self
 
     def scan_chunk(
         self,
         chunk: SNPAlignment,
-        block_tasks,
+        blocks: Sequence[Tuple[int, int, int]],
         *,
+        plans: Sequence[PositionPlan],
+        grid_positions: np.ndarray,
+        valid: np.ndarray,
         max_pair_span: int,
         prefetch=None,
-        block_costs=None,
     ):
-        """Scan one chunk's grid blocks; returns ``(parts, prefetched)``.
+        """Scan one chunk's grid blocks ``(index, lo, hi)``; returns
+        ``(parts, prefetched)``.
 
-        ``block_tasks`` is a list of ``(block index, grid positions,
-        valid mask)`` triples, already in the desired dispatch order.
-        ``prefetch`` (optional, zero-argument) runs in the parent *after*
-        dispatch and *before* result collection, overlapping the next
-        chunk's ingestion with this chunk's compute; its return value is
-        passed through. ``block_costs`` (optional ``{block index: Eq. 4
-        cost}``) feeds the live progress ledger's cost accounting.
+        ``plans``, ``grid_positions`` and ``valid`` are the scan's global
+        arrays (the chunk covers every ω region of the given blocks);
+        ``prefetch`` is as for :meth:`_PoolSession._dispatch`.
         """
         self.start()
-        tr = obs.get_tracer()
-        with tr.span("shm_publish", "shm", args={"sites": int(chunk.n_sites)}):
-            self._segments = SharedAlignmentSegments.create(chunk)
         try:
-            if self._shared_tiles and max_pair_span >= 1:
-                with tr.span("shm_publish_tiles", "shm"):
-                    self._store = SharedR2TileStore.create(
-                        chunk,
-                        max_pair_span=max_pair_span,
-                        backend=self._config.ld_backend,
-                    )
-            alignment_spec = self._segments.spec
-            tile_spec = self._store.spec if self._store is not None else None
-            tasks = [
-                (alignment_spec, tile_spec, idx, grid_block, mask)
-                for idx, grid_block, mask in block_tasks
-            ]
-            registry = obs.get_metrics()
-            registry.counter("scheduler.blocks_dispatched").inc(len(tasks))
-            depth_g = registry.gauge("scheduler.queue_depth")
-            secs_h = registry.histogram("scheduler.block_seconds")
-            it = self._pool.imap_unordered(
-                _scan_stream_block, tasks, chunksize=1
+            self._publish(chunk, max_pair_span)
+            parts, prefetched = self._dispatch(
+                blocks,
+                plans,
+                grid_positions,
+                valid,
+                obs.get_metrics(),
+                prefetch=prefetch,
             )
-            prefetched = prefetch() if prefetch is not None else None
-            parts = {}
-            pending = len(tasks)
-            depth_g.set(pending)
-            live = obs.live_slot()
-            for idx, part in it:
-                parts[idx] = part
-                pending -= 1
-                depth_g.set(pending)
-                secs_h.observe(part.breakdown.wall_seconds)
-                if live is not None:
-                    live.add_progress(
-                        len(part.positions),
-                        block_costs.get(idx, 0.0) if block_costs else 0.0,
-                    )
             obs.get_flight().record(
                 "chunk", "stream.parallel_chunk",
-                sites=int(chunk.n_sites), blocks=len(tasks),
+                sites=int(chunk.n_sites), blocks=len(blocks),
             )
             return parts, prefetched
         finally:
-            with tr.span("shm_unpublish", "shm"):
-                if self._store is not None:
-                    self._store.close()
-                    self._store.unlink()
-                    self._store = None
-                self._segments.close()
-                self._segments.unlink()
-                self._segments = None
-
-    def close(self) -> None:
-        """Tear down the pool and any shared segments still live."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-        if self._store is not None:
-            self._store.close()
-            self._store.unlink()
-            self._store = None
-        if self._segments is not None:
-            self._segments.close()
-            self._segments.unlink()
-            self._segments = None
-
-    def __enter__(self) -> "StreamingScanSession":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+            with obs.get_tracer().span("shm_unpublish", "shm"):
+                self._unpublish()
 
 
 def _block_spans(plans, blocks) -> List[Optional[Tuple[int, int]]]:
@@ -1029,28 +696,25 @@ def _group_stream_chunks(
     return chunks
 
 
+
 def _iter_scan_stream_parallel(
     source: AlignmentStreamSource,
     config: OmegaConfig,
     *,
     snp_budget: int,
     n_workers: int,
-    scheduler: str,
     block_size: Optional[int],
     mp_context: Optional[str],
-    shared_tiles: bool,
-    cost_ordering: bool,
 ):
     """Parallel streamed scan (driven via
     :func:`repro.core.scan.iter_scan_stream`), yielding one merged
     :class:`ScanResult` part per chunk.
 
-    The grid partition is *identical* to the in-memory scheduler's
-    (:func:`make_blocks` for ``"shared"``, :func:`split_grid` for
-    ``"pickled"``), each worker computes its block from a chunk covering
-    all of the block's ω regions, and globally invalid positions are
-    masked — so every block's records are bitwise equal to the in-memory
-    run's, whichever scheduler is chosen.
+    The grid partition is *identical* to :func:`parallel_scan`'s
+    (:func:`make_blocks`), each worker computes its block from a chunk
+    covering all of the block's ω regions, and globally invalid positions
+    are masked — so every block's records are bitwise equal to the
+    in-memory run's.
     """
     positions = source.positions
     tr = obs.get_tracer()
@@ -1058,14 +722,10 @@ def _iter_scan_stream_parallel(
     with tr.phase(_plan_bd, "plan", "phase"):
         grid_positions = config.grid.positions_from(positions)
         plans = build_plans_from_positions(positions, config.grid)
-        if scheduler == "pickled":
-            blocks = split_grid(grid_positions.size, n_workers)
-        else:
-            blocks = make_blocks(
-                grid_positions.size, n_workers, block_size=block_size
-            )
+        blocks = make_blocks(
+            grid_positions.size, n_workers, block_size=block_size
+        )
         valid = np.array([p.valid for p in plans], dtype=bool)
-        costs = get_cost_model().position_costs(plans)
         spans = _block_spans(plans, blocks)
         chunk_descs = _group_stream_chunks(spans, snp_budget)
     plan_seconds = _plan_bd.totals["plan"]
@@ -1114,19 +774,16 @@ def _iter_scan_stream_parallel(
             default=0,
         )
 
-    def gen_shared():
+    def gen():
         window_iter = source.windows(
             [(lo, hi) for lo, hi, _ in chunk_descs]
         )
         session = StreamingScanSession(
-            config,
-            n_workers=n_workers,
-            mp_context=mp_context,
-            shared_tiles=shared_tiles,
+            config, n_workers=n_workers, mp_context=mp_context
         )
         try:
             if not chunk_descs:
-                part = _merge_parts(
+                part = merge_scan_results(
                     [synth_part(b) for b in range(len(blocks))]
                 )
                 part.breakdown.add("plan", plan_seconds)
@@ -1134,37 +791,21 @@ def _iter_scan_stream_parallel(
                 return
             chunk, ingest_seconds = ingest_next(window_iter)
             for ci, (_lo, _hi, data_blocks) in enumerate(chunk_descs):
-                tasks = []
-                for b in data_blocks:
-                    lo, hi = blocks[b]
-                    tasks.append((b, grid_positions[lo:hi], valid[lo:hi]))
-                if cost_ordering:
-                    tasks.sort(
-                        key=lambda t: -float(
-                            costs[blocks[t[0]][0] : blocks[t[0]][1]].sum()
-                        )
-                    )
                 prefetch = None
                 if ci + 1 < len(chunk_descs):
 
                     def prefetch():
                         return ingest_next(window_iter)
 
-                block_costs = None
-                if obs.live_slot() is not None:
-                    block_costs = {
-                        b: float(
-                            costs[blocks[b][0] : blocks[b][1]].sum()
-                        )
-                        for b in data_blocks
-                    }
                 with obs.scoped_metrics() as registry:
                     parts, prefetched = session.scan_chunk(
                         chunk,
-                        tasks,
+                        [(b, *blocks[b]) for b in data_blocks],
+                        plans=plans,
+                        grid_positions=grid_positions,
+                        valid=valid,
                         max_pair_span=chunk_max_span(data_blocks),
                         prefetch=prefetch,
-                        block_costs=block_costs,
                     )
                     registry.counter("stream.chunks").inc()
                     registry.gauge("stream.chunk_rss_bytes").set(
@@ -1172,7 +813,7 @@ def _iter_scan_stream_parallel(
                     )
                     parent_snap = registry.snapshot()
                 cov_lo, cov_hi = coverage[ci]
-                merged = _merge_parts(
+                merged = merge_scan_results(
                     [
                         parts[b] if b in parts else synth_part(b)
                         for b in range(cov_lo, cov_hi)
@@ -1191,88 +832,4 @@ def _iter_scan_stream_parallel(
             window_iter.close()
             session.close()
 
-    def gen_pickled():
-        window_iter = source.windows(
-            [(lo, hi) for lo, hi, _ in chunk_descs]
-        )
-        ctx = (
-            mp.get_context(mp_context) if mp_context else mp.get_context()
-        )
-        pool = None
-        try:
-            if not chunk_descs:
-                part = _merge_parts(
-                    [synth_part(b) for b in range(len(blocks))]
-                )
-                part.breakdown.add("plan", plan_seconds)
-                yield part
-                return
-            pool = ctx.Pool(processes=n_workers)
-            obs_spec = obs.current_spec()
-            chunk, ingest_seconds = ingest_next(window_iter)
-            for ci, (_lo, _hi, data_blocks) in enumerate(chunk_descs):
-                tasks = []
-                for b in data_blocks:
-                    lo, hi = blocks[b]
-                    tasks.append(
-                        (
-                            b,
-                            _WorkerTask(
-                                matrix=chunk.matrix,
-                                positions=chunk.positions,
-                                length=chunk.length,
-                                config=config,
-                                grid_positions=grid_positions[lo:hi],
-                                valid_mask=valid[lo:hi],
-                                obs_spec=obs_spec,
-                            ),
-                        )
-                    )
-                with obs.scoped_metrics() as registry:
-                    registry.counter("scheduler.blocks_dispatched").inc(
-                        len(tasks)
-                    )
-                    it = pool.imap_unordered(
-                        _run_stream_chunk, tasks, chunksize=1
-                    )
-                    prefetched = None
-                    if ci + 1 < len(chunk_descs):
-                        prefetched = ingest_next(window_iter)
-                    parts = {}
-                    for idx, part in it:
-                        parts[idx] = part
-                    registry.counter("stream.chunks").inc()
-                    registry.gauge("stream.chunk_rss_bytes").set(
-                        obs.current_rss_bytes()
-                    )
-                    parent_snap = registry.snapshot()
-                cov_lo, cov_hi = coverage[ci]
-                merged = _merge_parts(
-                    [
-                        parts[b] if b in parts else synth_part(b)
-                        for b in range(cov_lo, cov_hi)
-                    ]
-                )
-                merged.metrics = obs.merge_snapshots(
-                    merged.metrics, parent_snap
-                )
-                merged.breakdown.add("ingest", ingest_seconds)
-                if ci == 0:
-                    merged.breakdown.add("plan", plan_seconds)
-                yield merged
-                if prefetched is not None:
-                    chunk, ingest_seconds = prefetched
-        finally:
-            window_iter.close()
-            if pool is not None:
-                pool.terminate()
-                pool.join()
-
-    return gen_shared() if scheduler == "shared" else gen_pickled()
-
-
-def _run_stream_chunk(task) -> Tuple[int, ScanResult]:
-    """Pickled-scheduler streamed worker body: an indexed
-    :func:`_run_chunk`."""
-    idx, wtask = task
-    return idx, _run_chunk(wtask)
+    return gen()

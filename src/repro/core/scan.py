@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -310,7 +310,7 @@ class OmegaPlusScanner:
         config: OmegaConfig,
         *,
         block_fn=None,
-        valid_mask: Optional[np.ndarray] = None,
+        valid_mask: Optional[Sequence[bool]] = None,
     ):
         self.config = config
         self._block_fn = block_fn
@@ -335,78 +335,91 @@ class OmegaPlusScanner:
                 alignment, backend=cfg.ld_backend, block_fn=self._block_fn
             )
             dp_cache = SumMatrixCache(reuse=cfg.dp_reuse, stats=cache.stats)
-            subphases = TimeBreakdown()
-            n = len(plans)
-            omegas = np.zeros(n)
-            lefts = np.full(n, np.nan)
-            rights = np.full(n, np.nan)
-            evals = np.zeros(n, dtype=np.int64)
-            positions_evaluated = registry.counter("scan.positions_evaluated")
-            sink = _OmegaBatchSink(
-                cfg, alignment.positions, omegas, lefts, rights, evals,
-                registry,
+            result = _scan_plans(
+                cfg, plans, 0, len(plans), alignment.positions, cache,
+                dp_cache, registry, breakdown,
             )
-
-            for k, plan in enumerate(plans):
-                if not plan.valid:
-                    continue
-                positions_evaluated.inc()
-                with tr.phase(breakdown, "ld", "phase"):
-                    if cfg.reuse:
-                        r2 = cache.region_matrix(
-                            plan.region_start, plan.region_stop
-                        )
-                    else:
-                        cache.reset()
-                        r2 = cache.region_matrix(
-                            plan.region_start, plan.region_stop
-                        )
-                with tr.phase(breakdown, "omega", "phase"):
-                    t0ns = time.perf_counter_ns()
-                    sums = dp_cache.region_sums(
-                        plan.region_start, plan.region_stop, r2
-                    )
-                    dtns = time.perf_counter_ns() - t0ns
-                    dp_name = (
-                        "dp_build"
-                        if dp_cache.last_action == "build"
-                        else "dp_reuse"
-                    )
-                    subphases.add(dp_name, dtns / 1e9)
-                    tr.add_complete(
-                        dp_name, "dp", t0ns // 1000, dtns // 1000
-                    )
-                    sink.add(k, plan, sums)
-            if sink.pending:
-                with tr.phase(breakdown, "omega", "phase"):
-                    sink.flush()
-
-            positions = np.array([p.grid_position for p in plans])
             breakdown.wall_seconds = time.perf_counter() - t_wall
             _mirror_reuse_metrics(registry, cache.stats)
-            if sink.executor is not None:
-                # Fold the realized kernel timings this scan produced
-                # (backend.block_est_cost / backend.block_seconds) into
-                # the process-wide model, mirroring the parallel
-                # scheduler's fold — sequential backend scans calibrate
-                # seconds_per_unit from real launches too.
-                model = calibrate_from(registry.snapshot())
-                if model.seconds_per_unit is not None:
-                    registry.gauge("scheduler.cost_seconds_per_unit").set(
-                        model.seconds_per_unit
-                    )
-            metrics = registry.snapshot()
-        return ScanResult(
-            positions=positions,
-            omegas=omegas,
-            left_borders_bp=lefts,
-            right_borders_bp=rights,
-            n_evaluations=evals,
-            breakdown=breakdown,
-            reuse=cache.stats,
-            omega_subphases=subphases,
-            metrics=metrics,
-        )
+            result.reuse = cache.stats
+            result.metrics = registry.snapshot()
+        return result
+
+
+def _scan_plans(
+    cfg: OmegaConfig,
+    plans: List[PositionPlan],
+    lo: int,
+    hi: int,
+    site_positions: np.ndarray,
+    cache: R2RegionCache,
+    dp_cache: SumMatrixCache,
+    registry: obs.MetricsRegistry,
+    breakdown: TimeBreakdown,
+) -> ScanResult:
+    """The position loop of Fig. 3 over ``plans[lo:hi]``: r² with overlap
+    reuse, DP relocation, then the ω maximum, for every valid position.
+
+    ``cache`` and ``dp_cache`` carry reuse state across calls (the
+    streamed scan calls this once per chunk); ``breakdown`` receives the
+    ``ld`` / ``omega`` phase seconds. Returns the positions' records with
+    the DP sub-timings; reuse counters and metrics are the caller's.
+    """
+    tr = obs.get_tracer()
+    n = hi - lo
+    omegas = np.zeros(n)
+    lefts = np.full(n, np.nan)
+    rights = np.full(n, np.nan)
+    evals = np.zeros(n, dtype=np.int64)
+    subphases = TimeBreakdown()
+    positions_evaluated = registry.counter("scan.positions_evaluated")
+    sink = _OmegaBatchSink(
+        cfg, site_positions, omegas, lefts, rights, evals, registry
+    )
+    for k in range(lo, hi):
+        plan = plans[k]
+        if not plan.valid:
+            continue
+        positions_evaluated.inc()
+        with tr.phase(breakdown, "ld", "phase"):
+            if not cfg.reuse:
+                cache.reset()
+            r2 = cache.region_matrix(plan.region_start, plan.region_stop)
+        with tr.phase(breakdown, "omega", "phase"):
+            t0ns = time.perf_counter_ns()
+            sums = dp_cache.region_sums(
+                plan.region_start, plan.region_stop, r2
+            )
+            dtns = time.perf_counter_ns() - t0ns
+            dp_name = (
+                "dp_build" if dp_cache.last_action == "build" else "dp_reuse"
+            )
+            subphases.add(dp_name, dtns / 1e9)
+            tr.add_complete(dp_name, "dp", t0ns // 1000, dtns // 1000)
+            sink.add(k - lo, plan, sums)
+    if sink.pending:
+        with tr.phase(breakdown, "omega", "phase"):
+            sink.flush()
+    if sink.executor is not None:
+        # Fold the realized kernel timings these positions produced
+        # (backend.block_est_cost / backend.block_seconds) into the
+        # process-wide model, mirroring the parallel scheduler's fold —
+        # sequential backend scans calibrate seconds_per_unit from real
+        # launches too.
+        model = calibrate_from(registry.snapshot())
+        if model.seconds_per_unit is not None:
+            registry.gauge("scheduler.cost_seconds_per_unit").set(
+                model.seconds_per_unit
+            )
+    return ScanResult(
+        positions=np.array([p.grid_position for p in plans[lo:hi]]),
+        omegas=omegas,
+        left_borders_bp=lefts,
+        right_borders_bp=rights,
+        n_evaluations=evals,
+        breakdown=breakdown,
+        omega_subphases=subphases,
+    )
 
 
 def scan(
@@ -595,7 +608,6 @@ def _iter_stream_sequential(
             first = True
             for site_lo, site_hi, plan_lo, plan_hi in groups:
                 breakdown = TimeBreakdown()
-                subphases = TimeBreakdown()
                 if first:
                     breakdown.add("plan", plan_seconds)
                 live = obs.live_slot()
@@ -621,46 +633,12 @@ def _iter_stream_sequential(
                         holder["filler"] = LDBackendFiller(
                             operands_for(chunk), cfg.ld_backend
                         )
-                    count = plan_hi - plan_lo
-                    omegas = np.zeros(count)
-                    lefts = np.full(count, np.nan)
-                    rights = np.full(count, np.nan)
-                    evals = np.zeros(count, dtype=np.int64)
                     snapshot = dataclasses.replace(cache.stats)
-                    sink = _OmegaBatchSink(
-                        cfg, positions, omegas, lefts, rights, evals,
-                        registry,
+                    part = _scan_plans(
+                        cfg, plans, plan_lo, plan_hi, positions, cache,
+                        dp_cache, registry, breakdown,
                     )
-                    for k in range(plan_lo, plan_hi):
-                        plan = plans[k]
-                        if not plan.valid:
-                            continue
-                        with tr.phase(breakdown, "ld", "phase"):
-                            if not cfg.reuse:
-                                cache.reset()
-                            r2 = cache.region_matrix(
-                                plan.region_start, plan.region_stop
-                            )
-                        with tr.phase(breakdown, "omega", "phase"):
-                            t0ns = time.perf_counter_ns()
-                            sums = dp_cache.region_sums(
-                                plan.region_start, plan.region_stop, r2
-                            )
-                            dtns = time.perf_counter_ns() - t0ns
-                            dp_name = (
-                                "dp_build"
-                                if dp_cache.last_action == "build"
-                                else "dp_reuse"
-                            )
-                            subphases.add(dp_name, dtns / 1e9)
-                            tr.add_complete(
-                                dp_name, "dp", t0ns // 1000, dtns // 1000
-                            )
-                            sink.add(k - plan_lo, plan, sums)
-                    if sink.pending:
-                        with tr.phase(breakdown, "omega", "phase"):
-                            sink.flush()
-                    reuse_delta = _reuse_delta(cache.stats, snapshot)
+                    part.reuse = _reuse_delta(cache.stats, snapshot)
                     registry.counter("stream.chunks").inc()
                     registry.counter("stream.chunk_sites").inc(
                         site_hi - site_lo
@@ -668,24 +646,9 @@ def _iter_stream_sequential(
                     registry.gauge("stream.chunk_rss_bytes").set(
                         obs.current_rss_bytes()
                     )
-                    _mirror_reuse_metrics(registry, reuse_delta)
-                    metrics = registry.snapshot()
-                yield ScanResult(
-                    positions=np.array(
-                        [
-                            plans[k].grid_position
-                            for k in range(plan_lo, plan_hi)
-                        ]
-                    ),
-                    omegas=omegas,
-                    left_borders_bp=lefts,
-                    right_borders_bp=rights,
-                    n_evaluations=evals,
-                    breakdown=breakdown,
-                    reuse=reuse_delta,
-                    omega_subphases=subphases,
-                    metrics=metrics,
-                )
+                    _mirror_reuse_metrics(registry, part.reuse)
+                    part.metrics = registry.snapshot()
+                yield part
                 first = False
         finally:
             window_iter.close()
@@ -699,11 +662,8 @@ def iter_scan_stream(
     *,
     snp_budget: int,
     n_workers: int = 1,
-    scheduler: str = "shared",
     block_size: Optional[int] = None,
     mp_context: Optional[str] = None,
-    shared_tiles: bool = True,
-    cost_ordering: bool = True,
     grid_positions: Optional[np.ndarray] = None,
     dp_seed: Optional[DpSeed] = None,
 ) -> Iterator[ScanResult]:
@@ -721,12 +681,10 @@ def iter_scan_stream(
     snp_budget:
         Maximum SNPs resident per chunk — the peak-memory knob. Must be
         at least the widest ω region (a region cannot straddle chunks).
-    n_workers, scheduler, block_size, mp_context, shared_tiles,
-    cost_ordering:
+    n_workers, block_size, mp_context:
         As in :func:`~repro.core.parallel.parallel_scan`; with
         ``n_workers > 1`` the chunks are scanned by a persistent worker
-        pool (each chunk published once to shared memory under the
-        ``"shared"`` scheduler).
+        pool (each chunk published once to shared memory).
     grid_positions:
         Explicit ω evaluation positions overriding the equidistant
         derivation from ``config.grid`` (window geometry is kept). Plans
@@ -757,10 +715,6 @@ def iter_scan_stream(
         raise ScanConfigError(f"snp_budget must be >= 2, got {snp_budget}")
     if n_workers < 1:
         raise ScanConfigError(f"n_workers must be >= 1, got {n_workers}")
-    if scheduler not in ("shared", "pickled"):
-        raise ScanConfigError(
-            f"scheduler must be 'shared' or 'pickled', got {scheduler!r}"
-        )
     if source.n_sites < 2:
         raise ScanConfigError("scanning requires at least 2 SNPs")
     if grid_positions is not None:
@@ -783,11 +737,8 @@ def iter_scan_stream(
             config,
             snp_budget=snp_budget,
             n_workers=n_workers,
-            scheduler=scheduler,
             block_size=block_size,
             mp_context=mp_context,
-            shared_tiles=shared_tiles,
-            cost_ordering=cost_ordering,
         )
     return _iter_stream_sequential(source, config, snp_budget, dp_seed)
 
@@ -798,17 +749,15 @@ def scan_stream(
     *,
     snp_budget: int,
     n_workers: int = 1,
-    scheduler: str = "shared",
     block_size: Optional[int] = None,
     mp_context: Optional[str] = None,
-    shared_tiles: bool = True,
-    cost_ordering: bool = True,
     grid_positions: Optional[np.ndarray] = None,
     dp_seed: Optional[DpSeed] = None,
 ) -> ScanResult:
     """Scan a streaming source chunk by chunk; the merged report is
     bitwise identical to scanning the fully loaded alignment the same way
-    (sequentially, or with the same parallel scheduler).
+    (sequentially, or in parallel with the same worker count and block
+    size).
 
     See :func:`iter_scan_stream` for parameters; this wrapper drains the
     chunk iterator and merges the parts.
@@ -820,11 +769,8 @@ def scan_stream(
             config,
             snp_budget=snp_budget,
             n_workers=n_workers,
-            scheduler=scheduler,
             block_size=block_size,
             mp_context=mp_context,
-            shared_tiles=shared_tiles,
-            cost_ordering=cost_ordering,
             grid_positions=grid_positions,
             dp_seed=dp_seed,
         )

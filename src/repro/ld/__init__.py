@@ -30,7 +30,6 @@ from repro.ld.operands import (
 from repro.ld.packed_kernels import (
     cooccurrence_block_packed,
     r_squared_block_packed,
-    r_squared_block_packed_broadcast,
     r_squared_matrix_packed,
     r_squared_pairs_packed,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "r_squared_block",
     "r_squared_pairs_packed",
     "r_squared_block_packed",
-    "r_squared_block_packed_broadcast",
     "cooccurrence_block_packed",
     "r_squared_matrix_packed",
     "TiledLDEngine",

@@ -11,11 +11,7 @@ functional model backing the FPGA LD engine.
 The production block kernel (:func:`r_squared_block_packed`) loops over
 the **word axis**, accumulating co-occurrence counts into a uint32 (R, C)
 tile — peak extra memory is two (R, C) planes regardless of sample count,
-and each pass is a contiguous AND + popcount over a word slab. The
-original formulation that materializes the full (R, C, w) AND broadcast
-is kept as :func:`r_squared_block_packed_broadcast`: it is the A/B
-reference ``benchmarks/bench_ld_backends.py`` measures the blocked kernel
-against and an independent implementation for equivalence tests.
+and each pass is a contiguous AND + popcount over a word slab.
 """
 
 from __future__ import annotations
@@ -27,13 +23,12 @@ import numpy as np
 from repro.datasets.packed import PackedAlignment
 from repro.errors import LDError
 from repro.ld.correlation import r_squared_from_counts
-from repro.utils.bitops import HAVE_BITWISE_COUNT, popcount64, popcount64_swar
+from repro.utils.bitops import HAVE_BITWISE_COUNT, popcount64_swar
 
 __all__ = [
     "r_squared_pairs_packed",
     "r_squared_matrix_packed",
     "r_squared_block_packed",
-    "r_squared_block_packed_broadcast",
     "cooccurrence_block_packed",
 ]
 
@@ -69,10 +64,10 @@ def cooccurrence_block_packed(
 
     Loops over the word axis: each pass ANDs one word column of the rows
     against one word column of the cols and accumulates its popcount into
-    a uint32 (R, C) tile. Compared with the 3-D broadcast this replaces
-    an (R·C·w)-word temporary with two (R, C) planes and turns the
-    popcount into w contiguous passes — the same word-serial schedule the
-    FPGA LD engines pipeline in logic.
+    a uint32 (R, C) tile. Compared with one 3-D (R, C, w) AND broadcast
+    this replaces an (R·C·w)-word temporary with two (R, C) planes and
+    turns the popcount into w contiguous passes — the same word-serial
+    schedule the FPGA LD engines pipeline in logic.
 
     Parameters
     ----------
@@ -148,36 +143,6 @@ def r_squared_block_packed(
     n11 = cooccurrence_block_packed(
         packed.words[r0:r1], packed.words[c0:c1]
     ).astype(np.float64)
-    if counts is None:
-        counts = packed.derived_counts()
-    c_i = np.broadcast_to(counts[r0:r1, None], n11.shape)
-    c_j = np.broadcast_to(counts[None, c0:c1], n11.shape)
-    return r_squared_from_counts(
-        n11, c_i, c_j, packed.n_samples, strict=strict
-    )
-
-
-def r_squared_block_packed_broadcast(
-    packed: PackedAlignment,
-    rows: slice,
-    cols: slice,
-    *,
-    strict: bool = False,
-    counts: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The original 3-D broadcast formulation of the block kernel.
-
-    Materializes the AND of every (row-site, col-site) word pair as an
-    (R, C, w) temporary before popcounting — memory-hungry, but a fully
-    independent schedule. Kept as the A/B baseline for
-    ``benchmarks/bench_ld_backends.py`` and as a cross-validation
-    implementation; production paths use :func:`r_squared_block_packed`.
-    """
-    r0, r1, c0, c1 = _block_slices(packed, rows, cols)
-    row_words = packed.words[r0:r1]  # (R, w)
-    col_words = packed.words[c0:c1]  # (C, w)
-    both = row_words[:, None, :] & col_words[None, :, :]  # (R, C, w)
-    n11 = popcount64(both).sum(axis=-1).astype(np.float64)
     if counts is None:
         counts = packed.derived_counts()
     c_i = np.broadcast_to(counts[r0:r1, None], n11.shape)

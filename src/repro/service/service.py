@@ -30,12 +30,13 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 import repro.obs as obs
 from repro.core.costmodel import get_cost_model
+from repro.core.grid import PositionPlan
 from repro.core.parallel import ParallelScanSession, plans_for_positions
 from repro.obs.eta import estimate_eta
 from repro.obs.ledger import ProgressLedger
@@ -66,7 +67,9 @@ class ScanJob:
     request_id: str
     request: ScanRequest
     grid_positions: np.ndarray
-    position_costs: np.ndarray
+    #: The positions' evaluation plans (priced at admission; they order
+    #: the request's blocks at dispatch).
+    plans: List[PositionPlan]
     estimate: RequestEstimate
     future: "asyncio.Future[ScanResult]"
     submitted_at: float
@@ -142,15 +145,14 @@ class AdmissionController:
         n_workers: int,
         backlog_cost: float = 0.0,
     ):
-        """Price one request; returns ``(grid_positions, position_costs,
+        """Price one request; returns ``(grid_positions, plans,
         RequestEstimate)``."""
         grid_positions = self.grid_positions_for(request)
         plans = plans_for_positions(
             self._alignment.positions, grid_positions, self._config.grid
         )
         model = get_cost_model()
-        position_costs = model.position_costs(plans)
-        total_cost = float(position_costs.sum())
+        total_cost = float(model.position_costs(plans).sum())
         cpu = model.estimate_seconds(total_cost)
         wall = None if cpu is None else cpu / n_workers
         backlog = model.estimate_seconds(backlog_cost)
@@ -161,7 +163,7 @@ class AdmissionController:
             wall_seconds=wall,
             backlog_seconds=0.0 if backlog is None else backlog / n_workers,
         )
-        return grid_positions, position_costs, estimate
+        return grid_positions, plans, estimate
 
     def check_deadline(
         self, request: ScanRequest, estimate: RequestEstimate
@@ -205,8 +207,6 @@ class ScanService:
         max_concurrent: int = 4,
         block_size: Optional[int] = None,
         block_lru_bytes: int = DEFAULT_BLOCK_LRU_BYTES,
-        shared_tiles: bool = True,
-        cost_ordering: bool = True,
         ledger_path: Optional[str] = None,
     ):
         if queue_limit < 1:
@@ -223,8 +223,6 @@ class ScanService:
             n_workers=n_workers,
             mp_context=mp_context,
             block_size=block_size,
-            shared_tiles=shared_tiles,
-            cost_ordering=cost_ordering,
             block_lru_bytes=block_lru_bytes,
         )
         self.admission = AdmissionController(alignment, config)
@@ -337,7 +335,7 @@ class ScanService:
                 f"job queue is full ({self._queue.maxsize} pending); "
                 "retry later"
             )
-        grid_positions, position_costs, estimate = self.admission.estimate(
+        grid_positions, plans, estimate = self.admission.estimate(
             request,
             n_workers=self._session.n_workers,
             backlog_cost=self._backlog_cost,
@@ -355,7 +353,7 @@ class ScanService:
             request_id=f"req-{self._next_id:06d}",
             request=request,
             grid_positions=grid_positions,
-            position_costs=position_costs,
+            plans=plans,
             estimate=estimate,
             future=asyncio.get_running_loop().create_future(),
             submitted_at=time.monotonic(),
@@ -442,7 +440,7 @@ class ScanService:
             ):
                 result = self._session.scan_positions(
                     job.grid_positions,
-                    position_costs=job.position_costs,
+                    plans=job.plans,
                     registry=sched,
                     request_id=job.request_id,
                     progress=writer,

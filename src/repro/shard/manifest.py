@@ -5,7 +5,7 @@ One manifest file describes one sharded workload:
 * line 1 — a ``header`` record: ledger version, the scan configuration
   (grid geometry, eps, LD backend, reuse switches, batching, backend),
   the per-shard streaming parameters (``snp_budget``,
-  ``workers_per_shard``, ``scheduler``) and the sidecar directory name;
+  ``workers_per_shard``) and the sidecar directory name;
 * one ``unit`` record per scannable input unit (a VCF chromosome or an
   ms replicate), carrying the index-pass facts needed to re-derive the
   unit's scan plan (``n_sites``, ``n_samples``, ``length``) — or a
@@ -130,7 +130,6 @@ class Manifest:
     config: OmegaConfig
     snp_budget: int
     workers_per_shard: int = 1
-    scheduler: str = "shared"
     units: List[UnitSpec] = field(default_factory=list)
     shards: List[ShardRecord] = field(default_factory=list)
 
@@ -174,7 +173,6 @@ class Manifest:
                     "config": _config_to_json(self.config),
                     "snp_budget": self.snp_budget,
                     "workers_per_shard": self.workers_per_shard,
-                    "scheduler": self.scheduler,
                 },
                 sort_keys=True,
             )
@@ -237,12 +235,14 @@ class Manifest:
                 f"manifest {path!r} has version {version!r}; this build "
                 f"reads version {MANIFEST_VERSION}"
             )
+        # Headers written before the scheduler option was removed also
+        # carry a "scheduler" key. It never entered shard fingerprints,
+        # so those ledgers resume unchanged with the key ignored.
         manifest = cls(
             path=path,
             config=_config_from_json(header.get("config", {})),
             snp_budget=int(header["snp_budget"]),
             workers_per_shard=int(header["workers_per_shard"]),
-            scheduler=header["scheduler"],
         )
         for k, rec in enumerate(records[1:], start=2):
             kind = rec.pop("kind", None)

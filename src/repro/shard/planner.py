@@ -202,7 +202,6 @@ def build_manifest(
     shards_per_unit: int = 1,
     target_shard_cost: Optional[float] = None,
     workers_per_shard: int = 1,
-    scheduler: str = "shared",
     format: str = "ms",
     length: Optional[float] = None,
     cost_model: Optional[ScanCostModel] = None,
@@ -232,10 +231,6 @@ def build_manifest(
         raise ScanConfigError(
             f"workers_per_shard must be >= 1, got {workers_per_shard}"
         )
-    if scheduler not in ("shared", "pickled"):
-        raise ScanConfigError(
-            f"scheduler must be 'shared' or 'pickled', got {scheduler!r}"
-        )
     if target_shard_cost is not None and target_shard_cost <= 0:
         raise ScanConfigError(
             f"target_shard_cost must be > 0, got {target_shard_cost}"
@@ -249,7 +244,6 @@ def build_manifest(
         config=config,
         snp_budget=snp_budget,
         workers_per_shard=workers_per_shard,
-        scheduler=scheduler,
     )
     shard_id = 0
     for unit_id, item in enumerate(items):

@@ -133,7 +133,6 @@ class _ShardJob:
     config: OmegaConfig
     snp_budget: int
     workers_per_shard: int
-    scheduler: str
     npz_path: str
     json_path: str
     fingerprint: dict
@@ -314,7 +313,6 @@ def _shard_worker(job: _ShardJob) -> None:
             job.config,
             snp_budget=job.snp_budget,
             n_workers=job.workers_per_shard,
-            scheduler=job.scheduler,
             grid_positions=grid,
             dp_seed=seed,
         )
@@ -500,7 +498,6 @@ def run_manifest(
             config=manifest.config,
             snp_budget=manifest.snp_budget,
             workers_per_shard=manifest.workers_per_shard,
-            scheduler=manifest.scheduler,
             npz_path=manifest.sidecar_path(npz_name),
             json_path=manifest.sidecar_path(json_name),
             fingerprint=_shard_fingerprint(unit, shard),
@@ -739,7 +736,6 @@ def shard_scan(
     shards_per_unit: int = 1,
     target_shard_cost: Optional[float] = None,
     workers_per_shard: int = 1,
-    scheduler: str = "shared",
     format: str = "ms",
     length: Optional[float] = None,
     mp_context: Optional[str] = None,
@@ -764,7 +760,6 @@ def shard_scan(
             shards_per_unit=shards_per_unit,
             target_shard_cost=target_shard_cost,
             workers_per_shard=workers_per_shard,
-            scheduler=scheduler,
             format=format,
             length=length,
         )

@@ -407,6 +407,10 @@ class TestScannerEquivalence:
             assert np.array_equal(
                 getattr(got, field), getattr(base, field), equal_nan=True
             ), field
+        # Streamed backend scans fold their realized launches into the
+        # cost model, as OmegaPlusScanner.scan does.
+        gauge = got.metrics["gauges"].get("scheduler.cost_seconds_per_unit")
+        assert gauge is not None and gauge["last"] > 0
 
     def test_config_rejects_non_string_backend(self):
         with pytest.raises(ScanConfigError):

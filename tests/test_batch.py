@@ -150,24 +150,17 @@ class TestScannerEquivalence:
         counters = direct.metrics["counters"]
         assert counters.get("omega.batched_positions", 0) == 0
 
-    @pytest.mark.parametrize("scheduler", ["shared", "pickled"])
-    def test_parallel_is_batch_size_invariant(self, scheduler):
-        """Bitwise invariance within a scheduler (parallel-vs-sequential
+    def test_parallel_is_batch_size_invariant(self):
+        """Bitwise invariance among parallel scans (parallel-vs-sequential
         itself differs in the last bits from DP block anchoring, which is
         orthogonal to batching and covered by test_parallel)."""
         aln = haplotype_block_alignment(30, 400, seed=11)
         grid = GridSpec(n_positions=14, max_window=aln.length / 4)
         base = parallel_scan(
-            aln,
-            OmegaConfig(grid=grid, omega_batch=1),
-            n_workers=2,
-            scheduler=scheduler,
+            aln, OmegaConfig(grid=grid, omega_batch=1), n_workers=2
         )
         par = parallel_scan(
-            aln,
-            OmegaConfig(grid=grid, omega_batch=5),
-            n_workers=2,
-            scheduler=scheduler,
+            aln, OmegaConfig(grid=grid, omega_batch=5), n_workers=2
         )
         assert np.array_equal(par.omegas, base.omegas)
         assert np.array_equal(

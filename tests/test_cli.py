@@ -369,8 +369,7 @@ class TestScanStream:
     def test_stream_parallel_matches_in_memory(self, sweep_ms, tmp_path):
         a, b = str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")
         base = ["scan", sweep_ms, "--length", "500000", "--grid", "9",
-                "--maxwin", "50000", "--workers", "2",
-                "--scheduler", "pickled"]
+                "--maxwin", "50000", "--workers", "2"]
         assert main(base + ["-o", a]) == 0
         assert main(base + ["--stream", "--snp-budget", "700", "-o", b]) == 0
         assert open(a).read() == open(b).read()

@@ -40,7 +40,6 @@ from repro.ld.operands import (
 from repro.ld.packed_kernels import (
     cooccurrence_block_packed,
     r_squared_block_packed,
-    r_squared_block_packed_broadcast,
 )
 
 
@@ -149,17 +148,9 @@ class TestBlockedPackedKernel:
                 np.zeros((2, 3), dtype=np.uint64),
             )
 
-    def test_blocked_matches_broadcast_reference(self):
-        aln = _alignment(200, n_sites=90, seed=11)
-        packed = PackedAlignment.from_alignment(aln)
-        rows, cols = slice(3, 60), slice(30, 90)
-        blocked = r_squared_block_packed(packed, rows, cols)
-        broadcast = r_squared_block_packed_broadcast(packed, rows, cols)
-        assert blocked.tobytes() == broadcast.tobytes()
-
 
 class TestBackendBitIdentity:
-    """gemm == packed == auto == broadcast, byte for byte."""
+    """gemm == packed == auto, byte for byte."""
 
     @pytest.mark.parametrize("n_samples", [1, 63, 64, 65, 1000])
     def test_fixed_sample_ladder(self, n_samples):
@@ -199,7 +190,6 @@ class TestBackendBitIdentity:
         packed = PackedAlignment.from_alignment(aln)
         candidates = {
             "packed": r_squared_block_packed(packed, rows, cols),
-            "broadcast": r_squared_block_packed_broadcast(packed, rows, cols),
         }
         ops = operands_for(aln)
         for backend in ("gemm", "packed", "auto"):

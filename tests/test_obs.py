@@ -292,7 +292,6 @@ class TestEndToEnd:
                 config,
                 snp_budget=160,
                 n_workers=2,
-                scheduler="shared",
                 block_size=4,
             )
         events = _read_trace(path)
@@ -334,7 +333,6 @@ class TestEndToEnd:
             self._ALN,
             _config(self._ALN, 24),
             n_workers=2,
-            scheduler="shared",
             block_size=4,
         )
         counters = result.metrics["counters"]

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from repro.core.grid import GridSpec
 from repro.core.parallel import (
     ParallelScanSession,
-    _FixedGridScanner,
     make_blocks,
     parallel_scan,
-    split_grid,
 )
 from repro.core.scan import OmegaConfig, OmegaPlusScanner
 from repro.datasets.alignment import SHM_NAME_PREFIX
@@ -23,34 +21,6 @@ from repro.errors import ScanConfigError
 
 def _shm_entries():
     return set(glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}*"))
-
-
-class TestSplitGrid:
-    def test_even_split(self):
-        assert split_grid(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
-
-    def test_uneven_split(self):
-        chunks = split_grid(10, 3)
-        assert chunks == [(0, 4), (4, 7), (7, 10)]
-
-    def test_more_workers_than_positions(self):
-        chunks = split_grid(2, 5)
-        assert chunks == [(0, 1), (1, 2)]
-
-    def test_single_worker(self):
-        assert split_grid(7, 1) == [(0, 7)]
-
-    def test_covers_everything_no_overlap(self):
-        for n, w in [(17, 4), (100, 7), (3, 3)]:
-            chunks = split_grid(n, w)
-            flat = [k for a, b in chunks for k in range(a, b)]
-            assert flat == list(range(n))
-
-    def test_invalid(self):
-        with pytest.raises(ScanConfigError):
-            split_grid(0, 2)
-        with pytest.raises(ScanConfigError):
-            split_grid(5, 0)
 
 
 class TestMakeBlocks:
@@ -73,10 +43,10 @@ class TestMakeBlocks:
     def test_explicit_block_size(self):
         assert make_blocks(10, 3, block_size=4) == [(0, 4), (4, 8), (8, 10)]
 
-    def test_finer_than_split_grid(self):
+    def test_more_blocks_than_workers(self):
         """Dynamic scheduling needs more blocks than workers so the pool
         queue can rebalance."""
-        assert len(make_blocks(64, 4)) > len(split_grid(64, 4))
+        assert len(make_blocks(64, 4)) > 4
 
     def test_invalid(self):
         with pytest.raises(ScanConfigError):
@@ -116,8 +86,8 @@ class TestParallelScan:
         np.testing.assert_allclose(two.omegas, four.omegas, rtol=1e-9)
 
     def test_more_workers_than_positions(self, block_alignment):
-        """split_grid drops empty chunks, so oversubscription must still
-        produce the full, sequential-identical report."""
+        """Oversubscription (more workers than blocks) must still produce
+        the full, sequential-identical report."""
         config = OmegaConfig(
             grid=GridSpec(n_positions=3, max_window=block_alignment.length / 3)
         )
@@ -162,32 +132,31 @@ class TestParallelScan:
 
 
 class TestFixedGridScanner:
-    def test_empty_chunk(self, block_alignment):
-        """A zero-position chunk must scan to an empty result instead of
-        tripping GridSpec's n_positions >= 1 validation."""
-        config = OmegaConfig(
-            grid=GridSpec(n_positions=4, max_window=block_alignment.length / 3)
-        )
-        scanner = _FixedGridScanner(config, np.zeros(0))
-        result = scanner.scan(block_alignment)
-        assert len(result) == 0
-        assert result.n_evaluations.dtype == np.int64
-        assert result.total_evaluations == 0
+    """A scanner over a ``fixed_position_spec`` grid: how each worker
+    scans its block."""
 
     def test_chunk_positions_used_verbatim(self, block_alignment):
+        import dataclasses
+
+        from repro.core.parallel import fixed_position_spec
+
         config = OmegaConfig(
             grid=GridSpec(n_positions=6, max_window=block_alignment.length / 3)
         )
         all_positions = config.grid.positions(block_alignment)
-        scanner = _FixedGridScanner(config, all_positions[2:5])
+        scanner = OmegaPlusScanner(
+            dataclasses.replace(
+                config,
+                grid=fixed_position_spec(config.grid, all_positions[2:5]),
+            )
+        )
         result = scanner.scan(block_alignment)
         np.testing.assert_allclose(result.positions, all_positions[2:5])
 
 
 class TestParallelEquivalenceProperty:
     """parallel_scan must be observationally identical to the sequential
-    scanner for any grid size / worker count / scheduler / block size /
-    LD backend."""
+    scanner for any grid size / worker count / block size / LD backend."""
 
     _ALN = haplotype_block_alignment(40, 120, seed=202)
 
@@ -195,12 +164,11 @@ class TestParallelEquivalenceProperty:
         n_positions=st.integers(2, 10),
         n_workers=st.integers(2, 6),
         backend=st.sampled_from(["gemm", "packed", "auto"]),
-        scheduler=st.sampled_from(["shared", "pickled"]),
         block_size=st.one_of(st.none(), st.integers(1, 5)),
     )
     @settings(max_examples=8, deadline=None)
     def test_matches_sequential(
-        self, n_positions, n_workers, backend, scheduler, block_size
+        self, n_positions, n_workers, backend, block_size
     ):
         aln = self._ALN
         config = OmegaConfig(
@@ -212,7 +180,6 @@ class TestParallelEquivalenceProperty:
             aln,
             config,
             n_workers=n_workers,
-            scheduler=scheduler,
             block_size=block_size,
         )
         np.testing.assert_array_equal(par.positions, seq.positions)
@@ -259,24 +226,6 @@ class TestSharedScheduler:
         par = parallel_scan(block_alignment, config, n_workers=2)
         tiles = par.reuse.tile_entries_computed + par.reuse.tile_entries_reused
         assert tiles > 0
-        off = parallel_scan(
-            block_alignment, config, n_workers=2, shared_tiles=False
-        )
-        assert off.reuse.tile_entries_computed == 0
-        assert off.reuse.tile_entries_reused == 0
-
-    def test_cost_ordering_off_still_matches(self, block_alignment, config):
-        seq = OmegaPlusScanner(config).scan(block_alignment)
-        par = parallel_scan(
-            block_alignment, config, n_workers=2, cost_ordering=False
-        )
-        np.testing.assert_allclose(par.omegas, seq.omegas, rtol=1e-9)
-
-    def test_rejects_unknown_scheduler(self, block_alignment, config):
-        with pytest.raises(ScanConfigError):
-            parallel_scan(
-                block_alignment, config, n_workers=2, scheduler="threads"
-            )
 
     def test_no_segments_leak_after_scan(self, block_alignment, config):
         before = _shm_entries()
@@ -458,23 +407,35 @@ class TestScanPositions:
     def test_caller_registry_gets_scheduler_metrics(
         self, block_alignment, config
     ):
+        """The request's registry gets every block's measured and
+        estimated cost, each block is archived as a calibration pair,
+        and the fold publishes the cost-model gauges — as for
+        ``parallel_scan``."""
         import repro.obs as obs_mod
+        from repro.core.costmodel import calibration_pairs, reset_cost_model
 
         registry = obs_mod.MetricsRegistry()
-        with ParallelScanSession(
-            block_alignment, config, n_workers=2
-        ) as session:
-            session.scan_positions(
-                np.linspace(20.0, 100.0, 6),
-                registry=registry,
-                request_id="req-test",
-            )
+        reset_cost_model()
+        try:
+            with ParallelScanSession(
+                block_alignment, config, n_workers=2
+            ) as session:
+                session.scan_positions(
+                    np.linspace(20.0, 100.0, 6),
+                    registry=registry,
+                    request_id="req-test",
+                )
+            n_pairs = len(calibration_pairs())
+        finally:
+            reset_cost_model()
         snap = registry.snapshot()
-        assert snap["counters"]["scheduler.blocks_dispatched"] > 0
-        assert (
-            snap["histograms"]["scheduler.block_seconds"]["count"]
-            == snap["counters"]["scheduler.blocks_dispatched"]
-        )
+        blocks = snap["counters"]["scheduler.blocks_dispatched"]
+        assert blocks > 0
+        assert snap["histograms"]["scheduler.block_seconds"]["count"] == blocks
+        assert snap["histograms"]["scheduler.block_est_cost"]["count"] == blocks
+        assert n_pairs == blocks
+        assert "scheduler.cost_seconds_per_unit" in snap["gauges"]
+        assert "scheduler.cost_calibration_blocks" in snap["gauges"]
 
     def test_rejects_empty_positions(self, block_alignment, config):
         with ParallelScanSession(

@@ -204,7 +204,8 @@ class TestAdmissionController:
         self, aln, config
     ):
         ctrl = AdmissionController(aln, config)
-        _gp, costs, est = ctrl.estimate(ScanRequest(), n_workers=2)
+        _gp, plans, est = ctrl.estimate(ScanRequest(), n_workers=2)
+        costs = get_cost_model().position_costs(plans)
         assert est.total_cost == pytest.approx(float(costs.sum()))
         assert est.total_cost > 0.0
         assert est.cpu_seconds is None
@@ -218,8 +219,8 @@ class TestAdmissionController:
     def test_calibrated_estimate_prices_in_model_units(self, aln, config):
         set_cost_model(ScanCostModel(seconds_per_unit=1e-6))
         ctrl = AdmissionController(aln, config)
-        _gp, costs, est = ctrl.estimate(ScanRequest(), n_workers=2)
-        total = float(costs.sum())
+        _gp, plans, est = ctrl.estimate(ScanRequest(), n_workers=2)
+        total = float(get_cost_model().position_costs(plans).sum())
         assert est.cpu_seconds == pytest.approx(total * 1e-6)
         assert est.wall_seconds == pytest.approx(total * 1e-6 / 2)
         assert est.predicted_seconds == pytest.approx(est.wall_seconds)
@@ -227,9 +228,9 @@ class TestAdmissionController:
     def test_backlog_extends_prediction(self, aln, config):
         set_cost_model(ScanCostModel(seconds_per_unit=1e-6))
         ctrl = AdmissionController(aln, config)
-        _gp, costs, quiet = ctrl.estimate(ScanRequest(), n_workers=2)
-        _gp, _costs, loaded = ctrl.estimate(
-            ScanRequest(), n_workers=2, backlog_cost=float(costs.sum())
+        _gp, _plans, quiet = ctrl.estimate(ScanRequest(), n_workers=2)
+        _gp, _plans, loaded = ctrl.estimate(
+            ScanRequest(), n_workers=2, backlog_cost=quiet.total_cost
         )
         assert loaded.backlog_seconds == pytest.approx(quiet.wall_seconds)
         assert loaded.predicted_seconds == pytest.approx(
@@ -239,7 +240,7 @@ class TestAdmissionController:
     def test_infeasible_deadline_raises_with_estimate(self, aln, config):
         set_cost_model(ScanCostModel(seconds_per_unit=10.0))
         ctrl = AdmissionController(aln, config)
-        _gp, _costs, est = ctrl.estimate(ScanRequest(), n_workers=2)
+        _gp, _plans, est = ctrl.estimate(ScanRequest(), n_workers=2)
         with pytest.raises(DeadlineInfeasibleError) as info:
             ctrl.check_deadline(
                 ScanRequest(deadline_seconds=1e-9), est

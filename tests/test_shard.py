@@ -118,7 +118,6 @@ class TestManifestLedger:
         loaded = Manifest.load(manifest.path)
         assert loaded.snp_budget == manifest.snp_budget
         assert loaded.workers_per_shard == manifest.workers_per_shard
-        assert loaded.scheduler == manifest.scheduler
         assert loaded.config == manifest.config
         assert loaded.units == manifest.units
         assert loaded.shards == manifest.shards
@@ -279,7 +278,6 @@ class TestPlanner:
                 dict(snp_budget=BUDGET, workers_per_shard=0),
                 "workers_per_shard",
             ),
-            (dict(snp_budget=BUDGET, scheduler="magic"), "scheduler"),
             (
                 dict(snp_budget=BUDGET, target_shard_cost=-1.0),
                 "target_shard_cost",
@@ -746,6 +744,26 @@ class TestRecovery:
         report = run_manifest(manifest)
         assert report.executed == [manifest.shards[1].id]
         _assert_bitwise(merge_manifest(manifest).combined, ref)
+
+    def test_header_with_scheduler_key_resumes(self, multi_ms, tmp_path):
+        """Ledgers written while the scheduler option existed carry
+        ``"scheduler": "shared"`` in their header; they still load and
+        resume (the key never entered shard fingerprints)."""
+        manifest = self._done_manifest(multi_ms, tmp_path)
+        ref = merge_manifest(manifest).combined
+        manifest.shards[1].status = "failed"
+        manifest.shards[1].error = "injected"
+        manifest.save()
+        lines = open(manifest.path, encoding="ascii").read().splitlines()
+        header = json.loads(lines[0])
+        assert "scheduler" not in header
+        header["scheduler"] = "shared"
+        lines[0] = json.dumps(header, sort_keys=True)
+        with open(manifest.path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+        report = run_manifest(manifest.path)
+        assert report.executed == [manifest.shards[1].id]
+        _assert_bitwise(merge_manifest(manifest.path).combined, ref)
 
     def test_done_without_sidecars_rerun(self, multi_ms, tmp_path):
         manifest = self._done_manifest(multi_ms, tmp_path)

@@ -3,9 +3,9 @@
 The load-bearing property: ``scan_stream`` over any chunking must be
 *bitwise* identical to the corresponding in-memory scan — sequential
 streamed vs :class:`OmegaPlusScanner` (including reuse counters, which
-are deterministic there), parallel streamed vs ``parallel_scan`` under
-the same scheduler (arrays only: the shared tile-store counters race
-benignly between workers).
+are deterministic there), parallel streamed vs ``parallel_scan`` with the
+same worker count and block size (arrays only: the shared tile-store
+counters race benignly between workers).
 """
 
 import glob
@@ -23,7 +23,6 @@ from repro.core.parallel import (
     _group_stream_chunks,
     make_blocks,
     parallel_scan,
-    split_grid,
 )
 from repro.core.scan import (
     OmegaConfig,
@@ -80,6 +79,32 @@ def _assert_results_equal(streamed, ref, *, reuse=False):
     np.testing.assert_array_equal(streamed.n_evaluations, ref.n_evaluations)
     if reuse:
         assert streamed.reuse == ref.reuse
+        _assert_counters_match(streamed, ref)
+
+
+def _assert_counters_match(streamed, ref):
+    """A streamed scan's counters equal the in-memory scan's, apart from
+    its own ``stream.*`` ones and ``omega.batches``: each chunk flushes
+    its last partial ω batch, so every yielded part is complete, which
+    can add one batch per chunk after the first."""
+    got = dict(streamed.metrics["counters"])
+    want = dict(ref.metrics["counters"])
+    n_chunks = got.pop("stream.chunks")
+    got.pop("stream.chunk_sites")
+    extra = got.pop("omega.batches", 0) - want.pop("omega.batches", 0)
+    assert 0 <= extra <= n_chunks - 1
+    assert got == want
+
+
+def _assert_block_calibration(result, n_pairs):
+    """One estimated cost and one archived calibration pair per
+    dispatched block, and the folded cost-model gauges."""
+    snap = result.metrics
+    blocks = snap["counters"]["scheduler.blocks_dispatched"]
+    assert snap["histograms"]["scheduler.block_est_cost"]["count"] == blocks
+    assert n_pairs == blocks
+    assert "scheduler.cost_seconds_per_unit" in snap["gauges"]
+    assert "scheduler.cost_calibration_blocks" in snap["gauges"]
 
 
 # ------------------------------------------------------------------ #
@@ -526,6 +551,20 @@ class TestSequentialStreamEquivalence:
         streamed = scan_stream(aln, config, snp_budget=budget)
         _assert_results_equal(streamed, ref, reuse=True)
 
+    @pytest.mark.parametrize("chunks", ["one", "several"])
+    def test_counters_match_in_memory(self, chunks):
+        aln = self._ALN
+        config = _config(aln, 9)
+        budget = (
+            aln.n_sites
+            if chunks == "one"
+            else _widest(build_plans(aln, config.grid)) + 10
+        )
+        streamed = scan_stream(aln, config, snp_budget=budget)
+        n_chunks = streamed.metrics["counters"]["stream.chunks"]
+        assert (n_chunks == 1) == (chunks == "one")
+        _assert_counters_match(streamed, OmegaPlusScanner(config).scan(aln))
+
     def test_parts_concatenate_to_full_grid(self):
         aln = self._ALN
         config = _config(aln, 9)
@@ -583,18 +622,15 @@ class TestSequentialStreamEquivalence:
 
 class TestParallelStreamEquivalence:
     """Streamed parallel scan == in-memory parallel scan with the same
-    scheduler, bitwise on every per-position array. Reuse counters are
-    excluded: the shared tile-store publish counters race benignly
-    between workers in both runs."""
+    worker count and block size, bitwise on every per-position array.
+    Reuse counters are excluded: the shared tile-store publish counters
+    race benignly between workers in both runs."""
 
     _ALN = haplotype_block_alignment(40, 160, seed=77)
 
-    def _budget_for(self, config, scheduler, n_workers, block_size, extra):
+    def _budget_for(self, config, n_workers, block_size, extra):
         plans = build_plans(self._ALN, config.grid)
-        if scheduler == "pickled":
-            blocks = split_grid(len(plans), n_workers)
-        else:
-            blocks = make_blocks(len(plans), n_workers, block_size=block_size)
+        blocks = make_blocks(len(plans), n_workers, block_size=block_size)
         spans = _block_spans(plans, blocks)
         widest = max((hi - lo for span in spans if span for lo, hi in [span]),
                      default=2)
@@ -603,53 +639,49 @@ class TestParallelStreamEquivalence:
     @given(
         n_positions=st.integers(3, 10),
         n_workers=st.integers(2, 3),
-        scheduler=st.sampled_from(["shared", "pickled"]),
         block_size=st.one_of(st.none(), st.integers(2, 5)),
         extra=st.integers(0, 120),
     )
     @settings(max_examples=6, deadline=None)
     def test_bitwise_identical(
-        self, n_positions, n_workers, scheduler, block_size, extra
+        self, n_positions, n_workers, block_size, extra
     ):
         aln = self._ALN
         config = _config(aln, n_positions)
-        budget = self._budget_for(
-            config, scheduler, n_workers, block_size, extra
-        )
+        budget = self._budget_for(config, n_workers, block_size, extra)
         ref = parallel_scan(
-            aln,
-            config,
-            n_workers=n_workers,
-            scheduler=scheduler,
-            block_size=block_size,
+            aln, config, n_workers=n_workers, block_size=block_size
         )
         streamed = scan_stream(
             aln,
             config,
             snp_budget=budget,
             n_workers=n_workers,
-            scheduler=scheduler,
             block_size=block_size,
         )
         _assert_results_equal(streamed, ref)
 
     def test_shared_multi_chunk_deterministic(self):
         """Small blocks + tight budget: several chunks stream through one
-        persistent pool and still match the in-memory run bitwise."""
+        persistent pool and still match the in-memory run bitwise — and
+        record the same per-block calibration evidence."""
+        from repro.core.costmodel import calibration_pairs, reset_cost_model
+
         aln = self._ALN
         config = _config(aln, 10)
-        budget = self._budget_for(config, "shared", 2, 3, 0)
-        ref = parallel_scan(
-            aln, config, n_workers=2, scheduler="shared", block_size=3
-        )
-        streamed = scan_stream(
-            aln,
-            config,
-            snp_budget=budget,
-            n_workers=2,
-            scheduler="shared",
-            block_size=3,
-        )
+        budget = self._budget_for(config, 2, 3, 0)
+        reset_cost_model()
+        try:
+            ref = parallel_scan(aln, config, n_workers=2, block_size=3)
+            _assert_block_calibration(ref, len(calibration_pairs()))
+            reset_cost_model()
+            streamed = scan_stream(
+                aln, config, snp_budget=budget, n_workers=2, block_size=3
+            )
+            _assert_block_calibration(streamed, len(calibration_pairs()))
+        finally:
+            reset_cost_model()
+        assert streamed.metrics["counters"]["stream.chunks"] > 1
         _assert_results_equal(streamed, ref)
 
 
@@ -665,14 +697,6 @@ class TestScanStreamValidation:
         config = _config(self._ALN, 4)
         with pytest.raises(ScanConfigError, match="snp_budget"):
             scan_stream(self._ALN, config, snp_budget=1)
-
-    def test_rejects_bad_scheduler(self):
-        config = _config(self._ALN, 4)
-        with pytest.raises(ScanConfigError, match="scheduler"):
-            scan_stream(
-                self._ALN, config, snp_budget=64, n_workers=2,
-                scheduler="threads",
-            )
 
     def test_rejects_zero_workers(self):
         config = _config(self._ALN, 4)
@@ -713,7 +737,6 @@ class TestStreamLeaks:
             config,
             snp_budget=budget,
             n_workers=2,
-            scheduler="shared",
             block_size=3,
         )
         next(it)
@@ -725,7 +748,7 @@ class TestStreamLeaks:
 
         # The pool forks after the patch, so workers inherit the broken
         # task body and the parent must still unlink every segment.
-        monkeypatch.setattr(par, "_scan_stream_block", _boom)
+        monkeypatch.setattr(par, "_scan_block", _boom)
         config, budget = self._config_and_budget()
         before = _shm_entries()
         with pytest.raises(RuntimeError, match="injected"):
@@ -734,23 +757,6 @@ class TestStreamLeaks:
                 config,
                 snp_budget=budget,
                 n_workers=2,
-                scheduler="shared",
-            )
-        assert _shm_entries() == before
-
-    def test_pickled_worker_failure_propagates(self, monkeypatch):
-        import repro.core.parallel as par
-
-        monkeypatch.setattr(par, "_run_stream_chunk", _boom)
-        config, budget = self._config_and_budget()
-        before = _shm_entries()
-        with pytest.raises(RuntimeError, match="injected"):
-            scan_stream(
-                self._ALN,
-                config,
-                snp_budget=budget,
-                n_workers=2,
-                scheduler="pickled",
             )
         assert _shm_entries() == before
 
