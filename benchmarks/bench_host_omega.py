@@ -25,22 +25,35 @@ def _setup(n_sites):
     return sums, li, c, rj
 
 
-def test_omega_small_window(benchmark, report):
+def test_omega_crossover_window(timed, report):
+    """16 x 16 borders (~2^8 scores): the cost model's
+    batch_score_threshold, where positions start taking the direct path."""
+    sums, li, c, rj = _setup(200)
+    li, rj = li[-16:], rj[:16]
+    _, mean = timed(lambda: omega_max_at_split(sums, li, c, rj))
+    report(
+        "host omega direct path at the batching crossover (16 x 16)",
+        f"{mean * 1e6:.1f} us per position "
+        f"({li.size * rj.size / mean / 1e6:.1f} Mscores/s)",
+    )
+
+
+def test_omega_small_window(timed, report):
     sums, li, c, rj = _setup(200)
     n = li.size * rj.size
-    benchmark(lambda: omega_max_at_split(sums, li, c, rj))
-    rate = n / benchmark.stats["mean"]
+    _, mean = timed(lambda: omega_max_at_split(sums, li, c, rj))
+    rate = n / mean
     report(
         "host omega throughput: ~10k evaluations/position",
         f"{rate / 1e6:.1f} Mscores/s (paper CPU core: 60-100 M/s)",
     )
 
 
-def test_omega_large_window(benchmark, report):
+def test_omega_large_window(timed, report):
     sums, li, c, rj = _setup(1200)
     n = li.size * rj.size
-    benchmark(lambda: omega_max_at_split(sums, li, c, rj))
-    rate = n / benchmark.stats["mean"]
+    _, mean = timed(lambda: omega_max_at_split(sums, li, c, rj))
+    rate = n / mean
     report(
         "host omega throughput: ~360k evaluations/position",
         f"{rate / 1e6:.1f} Mscores/s",
@@ -48,13 +61,13 @@ def test_omega_large_window(benchmark, report):
     assert rate > 1e6  # sanity floor
 
 
-def test_dp_matrix_construction(benchmark, report):
+def test_dp_matrix_construction(timed, report):
     aln = random_alignment(40, 1000, seed=52)
     r2 = r_squared_matrix(aln)
-    benchmark(lambda: SumMatrix(r2))
+    _, mean = timed(lambda: SumMatrix(r2))
     report(
         "host SumMatrix construction (1000-SNP region)",
-        f"{benchmark.stats['mean'] * 1e3:.2f} ms per region "
+        f"{mean * 1e3:.2f} ms per region "
         f"(O(W^2) prefix sums; amortized across all window sums at the "
         f"position)",
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import time
 
 import pytest
 
@@ -40,6 +41,22 @@ def report(request, capsys):
             print(f"\n{content}", end="")
 
     return _report
+
+
+@pytest.fixture
+def timed(benchmark):
+    """``timed(fn)`` benchmarks ``fn`` and returns ``(result, mean seconds
+    per call)``. Under ``--benchmark-disable`` pytest-benchmark calls
+    ``fn`` once and keeps no statistics, so that one call is timed."""
+
+    def _timed(fn):
+        t0 = time.perf_counter()
+        result = benchmark(fn)
+        if benchmark.stats is None:
+            return result, time.perf_counter() - t0
+        return result, benchmark.stats["mean"]
+
+    return _timed
 
 
 @pytest.fixture(scope="session")

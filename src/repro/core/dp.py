@@ -213,19 +213,44 @@ class SumMatrix:
         orientation matches the GPU kernels, which assign the inner loop to
         the larger side (Section IV-B).
         """
+        head, block, tail = self.cross_sum_terms(left_borders, c, right_borders)
+        return (head[:, None] - block) + tail[None, :]
+
+    def cross_sum_terms(
+        self, left_borders: np.ndarray, c: int, right_borders: np.ndarray
+    ) -> tuple:
+        """:meth:`cross_sums_grid` unevaluated: ``(head, block, tail)``
+        with ``Σ_LR[jj, ii] = (head[jj] - block[jj, ii]) + tail[ii]``.
+
+        Evaluating that expression reproduces :meth:`cross_sums_grid` bit
+        for bit, one row panel at a time if the caller wishes. ``block``
+        is a read-only view of the prefix when both border sets are
+        ascending runs of consecutive sites (every scan plan's are) and
+        a gathered copy otherwise.
+        """
         li = np.asarray(left_borders, dtype=np.intp)
         rj = np.asarray(right_borders, dtype=np.intp)
         if li.size == 0 or rj.size == 0:
-            return np.zeros((rj.size, li.size))
-        if li.min() < 0 or li.max() > c or rj.min() <= c or rj.max() >= self._w:
+            return (
+                np.zeros(rj.size), np.zeros((rj.size, li.size)),
+                np.zeros(li.size),
+            )
+        run = _is_run(li) and _is_run(rj)
+        if run:  # the end borders bound the set; every read is a slice
+            lo_l, hi_l, lo_r, hi_r = li[0], li[-1], rj[0], rj[-1]
+            rows, cols = slice(lo_r + 1, hi_r + 2), slice(lo_l, hi_l + 1)
+        else:
+            lo_l, hi_l, lo_r, hi_r = li.min(), li.max(), rj.min(), rj.max()
+            rows, cols = rj + 1, li
+        if lo_l < 0 or hi_l > c or lo_r <= c or hi_r >= self._w:
             raise ScanConfigError("borders out of range for cross_sums_grid")
-        p = self._prefix
+        p = self._prefix.view()
+        p.flags.writeable = False  # views of it must not alter the sums
         # block(c+1..j, i..c) = P[j+1, c+1] - P[c+1, c+1] - P[j+1, i] + P[c+1, i]
-        return (
-            (p[rj + 1, c + 1] - p[c + 1, c + 1])[:, None]
-            - p[np.ix_(rj + 1, li)]
-            + p[c + 1, li][None, :]
-        )
+        head = p[rows, c + 1] - p[c + 1, c + 1]
+        tail = p[c + 1, cols]
+        block = p[rows, cols] if run else p[np.ix_(rows, cols)]
+        return head, block, tail
 
     def cross_sums_pairs(
         self, left_borders: np.ndarray, c: int, right_borders: np.ndarray
@@ -258,3 +283,11 @@ class SumMatrix:
             for j in range(i + 1):
                 m[i, j] = self.pair_sum(j, i)
         return m
+
+
+def _is_run(idx: np.ndarray) -> bool:
+    """True when ``idx`` is ``idx[0], idx[0] + 1, ...``: strictly
+    increasing integers whose span equals their count."""
+    return idx[-1] - idx[0] == idx.size - 1 and bool(
+        (idx[1:] > idx[:-1]).all()
+    )

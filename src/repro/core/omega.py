@@ -22,18 +22,23 @@ score is the maximum ω over all (i, j) combinations. That double loop —
 ``(number of left borders) x (number of right borders)`` ω evaluations —
 is precisely the workload the paper's GPU and FPGA accelerators attack.
 
-Three evaluators live here:
+Four evaluators live here:
 
 * :func:`omega_from_sums` — the bare formula, vectorized.
 * :func:`omega_brute_force` — triple-loop oracle built directly on r²
   pairs (test reference; O(W²) per (i, j) candidate).
-* :func:`omega_split_matrix` / :func:`omega_max_at_split` — the production
-  path: all splits at once from a :class:`~repro.core.dp.SumMatrix`.
+* :func:`omega_split_matrix` — every split's score at once from a
+  :class:`~repro.core.dp.SumMatrix`, as one (R, L) matrix; the reference
+  :func:`omega_max_at_split` must reproduce bit for bit.
+* :func:`omega_max_at_split` — the production path: the same scores a
+  cache-sized row panel at a time, reduced to their maximum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.dp import SumMatrix
@@ -50,6 +55,10 @@ __all__ = [
 
 #: OmegaPlus's denominator guard (same value as the original C source).
 DENOMINATOR_OFFSET = 1e-5
+
+#: Score-grid elements per row panel of :func:`omega_max_at_split`: its
+#: three float64 scratch panels (768 KiB together) fit a per-core L2.
+PANEL_ELEMENTS = 1 << 15
 
 
 def _pairs(k: np.ndarray | int) -> np.ndarray | float:
@@ -198,17 +207,65 @@ def omega_max_at_split(
     *,
     eps: float = DENOMINATOR_OFFSET,
 ) -> OmegaMaximum:
-    """Maximize ω over all border combinations at a fixed split ``c``."""
+    """Maximize ω over all border combinations at a fixed split ``c``.
+
+    Bitwise-equal to ``np.argmax`` over :func:`omega_split_matrix` (the
+    full-matrix reference), evaluated one row panel of the score grid at
+    a time — Kernel II's lanes on the host: each panel is scored with
+    the exact IEEE operations of :func:`omega_from_sums` into three
+    reused scratch panels, yields a first-occurrence (max, argmax), and
+    the panels reduce in row-major order, so ties keep the earliest
+    element and the first NaN wins, as in ``np.argmax``.
+    """
     li = np.asarray(left_borders, dtype=np.intp)
     rj = np.asarray(right_borders, dtype=np.intp)
-    if li.size == 0 or rj.size == 0:
+    n_l, n_r = li.size, rj.size
+    if n_l == 0 or n_r == 0:
         return OmegaMaximum(0.0, -1, -1, 0)
-    scores = omega_split_matrix(sums, li, c, rj, eps=eps)
-    flat = int(np.argmax(scores))
-    jj, ii = np.unravel_index(flat, scores.shape)
+    sum_l = sums.left_sums(li, c)
+    sum_r = sums.right_sums(c, rj)
+    head, block, tail = sums.cross_sum_terms(li, c, rj)
+    n_left = (c + 1.0) - li
+    n_right = rj - float(c)
+    pairs_l = _pairs(n_left)
+    pairs_r = _pairs(n_right)
+    # Splits with no within-window pair (l = r = 1) score 0 / denominator;
+    # omega_from_sums reaches that through np.where, here those cells of
+    # the numerator and its divisor are patched before the division.
+    empty_l = np.flatnonzero(pairs_l == 0.0)
+    empty_r = np.flatnonzero(pairs_r == 0.0) if empty_l.size else empty_l
+    rows = max(1, PANEL_ELEMENTS // n_l)
+    scratch = np.empty((3, min(rows, n_r), n_l))
+    best, best_at = 0.0, -1
+    for j0 in range(0, n_r, rows):
+        j1 = min(j0 + rows, n_r)
+        den, num, tmp = scratch[:, : j1 - j0]
+        np.subtract(head[j0:j1, None], block[j0:j1], out=den)
+        np.add(den, tail, out=den)  # Σ_LR
+        np.multiply(n_left, n_right[j0:j1, None], out=tmp)
+        np.divide(den, tmp, out=den)
+        np.add(den, eps, out=den)
+        np.add(sum_l, sum_r[j0:j1, None], out=num)
+        np.add(pairs_l, pairs_r[j0:j1, None], out=tmp)
+        if empty_r.size:
+            local = empty_r[(empty_r >= j0) & (empty_r < j1)] - j0
+            hit = np.ix_(local, empty_l)
+            num[hit] = 0.0
+            tmp[hit] = 1.0
+        np.divide(num, tmp, out=num)
+        np.divide(num, den, out=num)
+        k = int(num.argmax())
+        value = num.item(k)
+        # Replace unless the standing maximum is NaN (the first NaN wins);
+        # a tie keeps the earlier panel's element.
+        if best_at < 0 or (
+            not math.isnan(best) and (value > best or math.isnan(value))
+        ):
+            best, best_at = value, j0 * n_l + k
+    jj, ii = divmod(best_at, n_l)
     return OmegaMaximum(
-        omega=float(scores[jj, ii]),
+        omega=best,
         left_border=int(li[ii]),
         right_border=int(rj[jj]),
-        n_evaluations=int(scores.size),
+        n_evaluations=n_l * n_r,
     )

@@ -8,8 +8,9 @@ involving newly entered SNPs (Fig. 3, "data-reuse optimization"). We apply
 the same idea at *two* levels:
 
 * :class:`R2RegionCache` — reuse of the r² matrix itself, where the
-  expensive O(W² · samples) work lives: entries for the overlapping SNP
-  block are copied, only the new rows and columns are computed.
+  expensive O(W² · samples) work lives: the overlapping SNP block stays
+  where it is in an anchored buffer, only the new rows and columns are
+  computed.
 * :class:`SumMatrixCache` — reuse of the window-sum DP structure
   (:class:`~repro.core.dp.SumMatrix`, Eq. 3). The prefix-sum block built
   for the previous region is *relocated* (served as an offset view — every
@@ -140,6 +141,18 @@ class R2RegionCache:
     """Serve per-region r² matrices, reusing the overlap with the previous
     region.
 
+    Every region is a read-only view into one anchored buffer, the way
+    :class:`SumMatrixCache` serves its prefix: a call writes only the
+    rows and columns of sites entering the region, so the overlap with
+    the previous region is never copied while the region stays inside
+    the buffer. A forward region that runs past the buffer re-anchors
+    it: the overlap block moves to the origin in place. Only a backward
+    jump or a region too wide for the buffer allocates a new one, with
+    ``W + W // SLACK_DIVISOR`` rows and columns for a W-SNP region
+    (capped by ``max_region_bytes``), so the cache holds about 1.27 W²
+    floats. A served view is valid until the next :meth:`region_matrix`
+    or :meth:`reset` call; a caller that keeps one must copy it.
+
     Parameters
     ----------
     alignment:
@@ -169,6 +182,11 @@ class R2RegionCache:
     #: with a clear message instead of an opaque MemoryError when a
     #: misconfigured max_window asks for a chromosome-sized region.
     DEFAULT_MAX_REGION_BYTES = 512 * 1024 * 1024
+    #: A fresh buffer spares W // SLACK_DIVISOR sites beyond its W-SNP
+    #: region, so a forward scan re-anchors once per ~W/8 sites; W // 4
+    #: raised a 1 200-SNP-window worker's peak RSS by ~15 MiB (glibc kept
+    #: later large temporaries on the heap), W // 8 stays within noise.
+    SLACK_DIVISOR = 8
 
     def __init__(
         self,
@@ -213,15 +231,19 @@ class R2RegionCache:
             )
         self._prev_start: Optional[int] = None
         self._prev_stop: Optional[int] = None
-        self._prev_matrix: Optional[np.ndarray] = None
+        #: The anchored buffer; row and column k hold global site
+        #: ``_anchor + k``.
+        self._buf: Optional[np.ndarray] = None
+        self._anchor = 0
         self.stats = ReuseStats()
 
     def region_matrix(self, start: int, stop: int) -> np.ndarray:
-        """r² matrix for global sites ``[start .. stop]`` (inclusive).
+        """r² matrix for global sites ``[start .. stop]`` (inclusive), as
+        a read-only view valid until the next call or :meth:`reset`.
 
         When the request overlaps the previously served region, the
-        overlapping sub-block is copied from the cached matrix and only the
-        rows/columns of newly entered SNPs are computed.
+        overlapping sub-block is reused and only the rows/columns of
+        newly entered SNPs are computed.
         """
         n = self._n_sites
         if not (0 <= start <= stop < n):
@@ -236,26 +258,49 @@ class R2RegionCache:
                 f"matrix (cap {self._max_region_bytes / 1e6:.0f} MB); "
                 f"reduce max_window or raise max_region_bytes"
             )
-        out = np.empty((width, width))
+        overlap = False
+        if self._prev_start is not None and self._prev_stop is not None:
+            o_lo = max(start, self._prev_start)
+            o_hi = min(stop, self._prev_stop)
+            overlap = o_lo <= o_hi
+        buf = self._buf
+        if (
+            buf is None
+            or start < self._anchor
+            or stop - self._anchor >= buf.shape[0]
+        ):
+            # Re-anchor at ``start``: in place when the buffer has room
+            # and the overlap only moves towards the origin, else into a
+            # new buffer.
+            capacity = min(
+                width + width // self.SLACK_DIVISOR,
+                math.isqrt(self._max_region_bytes // 8),
+            )
+            if buf is not None and capacity <= buf.shape[0] and (
+                not overlap or start > self._anchor
+            ):
+                if overlap:
+                    _move_block_back(
+                        buf, o_lo - self._anchor, o_lo - start,
+                        o_hi - o_lo + 1,
+                    )
+            else:
+                fresh = np.empty((capacity, capacity))
+                if overlap:
+                    src = slice(o_lo - self._anchor, o_hi - self._anchor + 1)
+                    dst = slice(o_lo - start, o_hi - start + 1)
+                    fresh[dst, dst] = buf[src, src]  # type: ignore[index]
+                buf = self._buf = fresh
+            self._anchor = start
+        a = start - self._anchor
+        out = buf[a : a + width, a : a + width]
 
-        prev_ok = (
-            self._prev_matrix is not None
-            and self._prev_start is not None
-            and self._prev_stop is not None
-            and max(start, self._prev_start) <= min(stop, self._prev_stop)
-        )
-        if not prev_ok:
+        if not overlap:
             out[:] = self._block(slice(start, stop + 1), slice(start, stop + 1))
             self.stats.entries_computed += width * width
         else:
-            o_lo = max(start, self._prev_start)  # type: ignore[arg-type]
-            o_hi = min(stop, self._prev_stop)  # type: ignore[arg-type]
-            # Local coordinates of the overlap in old and new matrices.
+            # Local coordinates of the overlap in the new region.
             new_a, new_b = o_lo - start, o_hi - start
-            old_a, old_b = o_lo - self._prev_start, o_hi - self._prev_start  # type: ignore[operator]
-            out[new_a : new_b + 1, new_a : new_b + 1] = self._prev_matrix[  # type: ignore[index]
-                old_a : old_b + 1, old_a : old_b + 1
-            ]
             reused = (new_b - new_a + 1) ** 2
             self.stats.entries_reused += reused
 
@@ -285,13 +330,30 @@ class R2RegionCache:
                 self.stats.entries_computed += 2 * rows.size - seg**2
         self.stats.regions_served += 1
         self._prev_start, self._prev_stop = start, stop
-        self._prev_matrix = out
+        out.flags.writeable = False
         return out
 
     def reset(self) -> None:
-        """Drop the cached region (e.g. when jumping to a new chromosome)."""
+        """Drop the cached region (e.g. when jumping to a new chromosome);
+        the next region is computed in full. The buffer is kept."""
         self._prev_start = self._prev_stop = None
-        self._prev_matrix = None
+
+
+def _move_block_back(buf: np.ndarray, src: int, dst: int, size: int) -> None:
+    """Move the square block ``buf[src:src+size, src:src+size]`` to
+    ``[dst:dst+size, dst:dst+size]`` (``dst < src``) in place.
+
+    Row chunks no taller than the shift ``src - dst`` keep each chunk's
+    source and destination in disjoint memory, so NumPy copies directly
+    instead of through a temporary; ascending order only overwrites rows
+    an earlier chunk already moved.
+    """
+    step = src - dst
+    for r in range(0, size, step):
+        h = min(step, size - r)
+        buf[dst + r : dst + r + h, dst : dst + size] = buf[
+            src + r : src + r + h, src : src + size
+        ]
 
 
 def _dp_choose_capacity(width: int, strides, growth: Optional[float]) -> int:

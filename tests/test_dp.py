@@ -138,6 +138,20 @@ class TestSumMatrix:
                     sm.cross_sum(int(i), c, int(j)), abs=1e-9
                 )
 
+    @pytest.mark.parametrize("order", ["run", "shuffled"])
+    def test_cross_sums_grid_bitwise_scalar(self, r2, order):
+        """The slice path (runs of consecutive borders) and the gather
+        path both reproduce cross_sum's four-corner arithmetic exactly."""
+        sm = SumMatrix(r2)
+        c = 25
+        li, rj = np.arange(3, 26), np.arange(26, 51)
+        if order == "shuffled":
+            rng = np.random.default_rng(0)
+            li, rj = rng.permutation(li), rng.permutation(rj)
+        grid = sm.cross_sums_grid(li, c, rj)
+        want = [[sm.cross_sum(int(i), c, int(j)) for i in li] for j in rj]
+        assert grid.tobytes() == np.array(want).tobytes()
+
     def test_empty_borders(self, r2):
         sm = SumMatrix(r2)
         assert sm.left_sums(np.array([], dtype=int), 5).size == 0

@@ -1,10 +1,13 @@
 """Unit + property tests for the omega statistic (Eq. 2)."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.omega as omega_mod
 from repro.core.dp import SumMatrix
 from repro.core.omega import (
     DENOMINATOR_OFFSET,
@@ -154,3 +157,108 @@ class TestOmegaMax:
         bf = omega_brute_force(r2, a, c, b)
         res = omega_max_at_split(sm, np.array([a]), c, np.array([b]))
         assert res.omega == pytest.approx(bf, rel=1e-9, abs=1e-12)
+
+
+def _dyadic_sums(rng, w):
+    """SumMatrix over r² values in {0, 1/8, ..., 1}: every prefix sum and
+    window sum is exact, so exact ties and exact zero cross sums occur."""
+    r2 = np.tril(rng.integers(0, 9, size=(w, w)) / 8.0, k=-1)
+    return SumMatrix(r2 + r2.T)
+
+
+def _kernel_matches_reference(sums, li, c, rj, eps=DENOMINATOR_OFFSET):
+    """Assert omega_max_at_split equals np.argmax over the full-matrix
+    reference byte for byte; returns the winning (row, column)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = omega_split_matrix(sums, li, c, rj, eps=eps)
+        got = omega_max_at_split(sums, li, c, rj, eps=eps)
+    jj, ii = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    assert np.float64(got.omega).tobytes() == scores[jj, ii].tobytes()
+    assert got.left_border == li[ii] and got.right_border == rj[jj]
+    assert got.n_evaluations == scores.size
+    return int(jj), int(ii)
+
+
+class TestPanelKernel:
+    """The row-panel kernel against the full-matrix reference."""
+
+    def test_single_row_panels(self, monkeypatch):
+        monkeypatch.setattr(omega_mod, "PANEL_ELEMENTS", 8)
+        rng = np.random.default_rng(3)
+        sums = SumMatrix(r_squared_matrix(random_alignment(20, 70, seed=3)))
+        li, rj = np.arange(5, 36), np.arange(36, 70)  # L = 31 > 8
+        _kernel_matches_reference(sums, li, 35, rj)
+        _kernel_matches_reference(_dyadic_sums(rng, 70), li, 35, rj)
+
+    @pytest.mark.parametrize("panel", [7, 16, 45, 1 << 15])
+    def test_ties_span_panel_edges(self, monkeypatch, panel):
+        monkeypatch.setattr(omega_mod, "PANEL_ELEMENTS", panel)
+        li, rj = np.arange(0, 15), np.arange(15, 40)
+        # Constant r²: every split scores the same, so the maximum ties
+        # across every panel edge and the first element must win.
+        r2 = np.full((40, 40), 0.5)
+        assert _kernel_matches_reference(SumMatrix(r2), li, 14, rj) == (0, 0)
+        rng = np.random.default_rng(panel)
+        for _ in range(20):
+            _kernel_matches_reference(_dyadic_sums(rng, 40), li, 14, rj)
+
+    def test_first_nan_in_later_panel(self, monkeypatch):
+        monkeypatch.setattr(omega_mod, "PANEL_ELEMENTS", 20)
+        r2 = np.tril(
+            np.random.default_rng(5).integers(1, 9, size=(40, 40)) / 8.0, k=-1
+        )
+        r2[20, 19] = 0.0  # the l = r = 1 split at c = 19 has Σ_LR = 0
+        sums = SumMatrix(r2 + r2.T)
+        li = np.arange(5, 20)  # L = 15: one row per panel
+        rj = np.arange(39, 19, -1)  # row of j = c + 1 comes last
+        jj, _ = _kernel_matches_reference(sums, li, 19, rj, eps=0.0)
+        with np.errstate(invalid="ignore"):
+            scores = omega_split_matrix(sums, li, 19, rj, eps=0.0)
+        assert np.isnan(scores).sum() == 1 and np.isnan(scores[-1, -1])
+        assert jj == rj.size - 1
+
+    @pytest.mark.parametrize("row", [0, 9, 19])
+    def test_single_snp_flanks_in_any_panel(self, monkeypatch, row):
+        """min_flank_snps=1 admits the l = r = 1 split; its patched cell
+        may sit in the first, a middle or the last panel."""
+        monkeypatch.setattr(omega_mod, "PANEL_ELEMENTS", 30)
+        rng = np.random.default_rng(row)
+        sums = _dyadic_sums(rng, 40)
+        li = np.arange(5, 20)
+        rj = np.insert(np.arange(21, 40), row, 20)  # j = c + 1 at `row`
+        for eps in (DENOMINATOR_OFFSET, 0.0):
+            _kernel_matches_reference(sums, li, 19, rj, eps=eps)
+        plain = SumMatrix(r_squared_matrix(random_alignment(16, 40, seed=row)))
+        _kernel_matches_reference(plain, li, 19, rj)
+        # A prefix whose one-SNP windows [c..c] and [c+1..c+1] sum to 0.5
+        # each: only the patched numerator keeps that split at ω = 0.
+        prefix = np.zeros((41, 41))
+        prefix[19, 19] = prefix[21, 21] = 1.0
+        _kernel_matches_reference(SumMatrix.from_prefix(prefix, 40), li, 19, rj)
+
+    @given(seed=st.integers(0, 10_000), panel=st.integers(1, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_property_random_border_sets(self, seed, panel):
+        """Contiguous, permuted, subsampled and duplicated border sets."""
+        rng = np.random.default_rng(seed)
+        w = int(rng.integers(4, 60))
+        c = int(rng.integers(0, w - 1))
+        sums = (
+            _dyadic_sums(rng, w)
+            if rng.random() < 0.5
+            else SumMatrix(r_squared_matrix(random_alignment(12, w, seed=seed)))
+        )
+        li = np.arange(int(rng.integers(0, c + 1)), c + 1)
+        rj = np.arange(c + 1, int(rng.integers(c + 1, w)) + 1)
+        shape = rng.integers(0, 4)
+        if shape == 1:
+            li, rj = rng.permutation(li), rng.permutation(rj)
+        elif shape == 2:
+            li = np.sort(rng.choice(li, size=int(rng.integers(1, li.size + 1))))
+            rj = np.sort(rng.choice(rj, size=int(rng.integers(1, rj.size + 1))))
+        elif shape == 3:
+            li = rng.choice(li, size=li.size + 2)
+            rj = rng.choice(rj, size=rj.size + 2)
+        with patch.object(omega_mod, "PANEL_ELEMENTS", panel):
+            for eps in (DENOMINATOR_OFFSET, 0.0):
+                _kernel_matches_reference(sums, li, c, rj, eps=eps)

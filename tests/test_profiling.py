@@ -32,14 +32,19 @@ class TestProfileScan:
 class TestProfileSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
-        # Wide dimension spreads so the profiled trends dominate
-        # wall-clock noise (these are real timing measurements).
+        # These are wall-clock measurements, so the sweep is set wide
+        # enough that every asserted ordering holds by about 2x in the
+        # median, on the host kernels and under REPRO_BACKEND=numpy alike
+        # (2-core host, 6 sweeps each): LD/ω >= 2.1 at 10 000 samples,
+        # ω/LD >= 1.9 at 15 samples. The 20-position grid keeps the
+        # regions overlapping, so each ω evaluation costs few fresh r²
+        # entries, as on the paper's dense grids.
         return profile_sweep(
-            sample_counts=(15, 2000),
+            sample_counts=(15, 10_000),
             site_counts=(100, 1200),
-            base_samples=30,
+            base_samples=15,
             base_sites=200,
-            grid_size=10,
+            grid_size=20,
             seed=1,
         )
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.reuse import R2RegionCache, ReuseStats, simulate_fresh_entries
+from repro.datasets.generators import random_alignment
 from repro.errors import ScanConfigError
 from repro.ld.gemm import r_squared_block
 
@@ -112,18 +113,86 @@ class TestR2RegionCache:
             R2RegionCache(small_alignment, max_region_bytes=0)
 
     def test_cached_matrix_not_aliased(self, small_alignment):
-        """Mutating a returned matrix must not corrupt later reuse."""
+        """A served matrix is a read-only view: writing into it raises,
+        so it cannot corrupt the overlap the next region reuses."""
         cache = R2RegionCache(small_alignment)
         first = cache.region_matrix(0, 19)
-        expected_second = r_squared_block(
-            small_alignment, slice(10, 30), slice(10, 30)
-        ).copy()
-        # The cache holds a reference to `first`; a *fresh* request reuses
-        # its overlap. Corrupt `first` outside the region the next request
-        # shares — the served overlap must stay intact:
-        first[0, 0] = 123.0
+        with pytest.raises(ValueError):
+            first[15, 15] = 123.0  # inside the overlap with (10, 29)
         second = cache.region_matrix(10, 29)
-        np.testing.assert_allclose(second, expected_second, atol=1e-12)
+        np.testing.assert_array_equal(
+            second,
+            r_squared_block(small_alignment, slice(10, 30), slice(10, 30)),
+        )
+
+
+class TestAnchoredViews:
+    """Random region sequences through every LD backend: each served
+    view is read-only and bitwise equal to a fresh ``r_squared_block``,
+    and the counters match :func:`simulate_fresh_entries` between
+    resets."""
+
+    @staticmethod
+    def _requests(rng, n_sites, n_calls):
+        """Forward strides of drifting width (in-place re-anchors), with
+        occasional backward jumps, disjoint jumps, wide regions and
+        resets mixed in."""
+        start, width = 0, 30
+        for _ in range(n_calls):
+            kind = rng.choice(
+                ["forward"] * 12 + ["backward", "disjoint", "wide", "reset"]
+            )
+            if kind == "reset":
+                yield None
+                continue
+            if kind == "forward":
+                start += int(rng.integers(0, 9))
+                width = int(np.clip(width + rng.integers(-4, 5), 8, 60))
+            elif kind == "backward":
+                start -= int(rng.integers(1, width))
+            elif kind == "disjoint":
+                start = int(rng.integers(0, n_sites))
+            else:
+                width = int(rng.integers(70, 120))
+            start = int(np.clip(start, 0, n_sites - width))
+            yield start, start + width - 1
+
+    @pytest.mark.parametrize("backend", ["gemm", "packed", "auto"])
+    def test_random_sequences(self, backend):
+        aln = random_alignment(24, 400, seed=17)
+        cache = R2RegionCache(aln, backend=backend)
+        rng = np.random.default_rng(23)
+        fresh, simulated, segment = [], [], []
+        moves = reallocs = 0
+        for request in self._requests(rng, aln.n_sites, 400):
+            if request is None:
+                cache.reset()
+                simulated += simulate_fresh_entries(segment)
+                segment = []
+                continue
+            start, stop = request
+            overlaps = bool(segment) and max(start, segment[-1][0]) <= min(
+                stop, segment[-1][1]
+            )
+            segment.append(request)
+            buf, anchor = cache._buf, cache._anchor
+            computed = cache.stats.entries_computed
+            reused = cache.stats.entries_reused
+            got = cache.region_matrix(start, stop)
+            fresh.append(cache.stats.entries_computed - computed)
+            width = stop - start + 1
+            assert fresh[-1] + cache.stats.entries_reused - reused == width**2
+            reallocs += cache._buf is not buf
+            moves += overlaps and cache._buf is buf and cache._anchor != anchor
+            assert not got.flags.writeable
+            want = r_squared_block(
+                aln, slice(start, stop + 1), slice(start, stop + 1)
+            )
+            assert got.tobytes() == want.tobytes()
+        simulated += simulate_fresh_entries(segment)
+        assert fresh == simulated
+        # The sequence moved overlaps in place and allocated new buffers.
+        assert moves > 10 and reallocs > 3
 
 
 class TestDualFreshSegments:
