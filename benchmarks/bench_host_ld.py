@@ -7,6 +7,8 @@ discussing what "one CPU core" means on modern hardware vs the paper's
 2013-era laptop parts.
 """
 
+import time
+
 import numpy as np
 
 from repro.datasets.generators import random_alignment
@@ -16,6 +18,10 @@ from repro.ld.packed_kernels import r_squared_matrix_packed
 from repro.ld.tiled import TiledLDEngine
 
 N_SAMPLES, N_SITES = 200, 600
+
+#: The r² fill shape of a high-LD streamed scan (5 000 haplotypes,
+#: 380-SNP regions, ~6 sites entering per grid position).
+STRIP_SAMPLES, STRIP_COLS, STRIP_ROWS = 5000, 380, 6
 
 
 def _pairs():
@@ -81,3 +87,50 @@ def test_backends_agree(benchmark, report):
         f"max |gemm - packed| = {diff:.2e}",
     )
     assert diff < 1e-12
+
+
+def test_ld_thin_strips_vs_tall(benchmark, report):
+    """Co-occurrence GEMM of the entering rows against the region's
+    columns, as strided column views of one operand plane: one thin
+    strip per grid position vs one strip W // 8 rows tall per buffer
+    re-anchor, on a float64 plane and on the exact float32 plane."""
+    tall = STRIP_COLS // 8
+    rng = np.random.default_rng(43)
+    bits = rng.integers(
+        0, 2, size=(STRIP_SAMPLES, STRIP_COLS + tall), dtype=np.uint8
+    )
+    planes = {"float64": bits.astype(np.float64),
+              "float32": bits.astype(np.float32)}
+    variants = {
+        f"{kind} {name}": (plane, rows)
+        for name, plane in planes.items()
+        for kind, rows in (("thin", STRIP_ROWS), ("tall", tall))
+    }
+
+    def strip(plane, rows):
+        # The last ``rows`` sites entering against the region's columns.
+        return plane[:, -rows:].T @ plane[:, -STRIP_COLS:]
+
+    def run():
+        # Best of 6 round-robin passes, so a slow spell of the BLAS
+        # thread pool lands on every variant alike.
+        best = dict.fromkeys(variants, float("inf"))
+        for _ in range(6):
+            for key, (plane, rows) in variants.items():
+                t0 = time.perf_counter()
+                strip(plane, rows)
+                best[key] = min(best[key], time.perf_counter() - t0)
+        # Per equivalent STRIP_ROWS-row strip.
+        return {k: t * STRIP_ROWS / variants[k][1] for k, t in best.items()}
+
+    times = benchmark.pedantic(run, rounds=1, iterations=1)
+    report(
+        "host LD fill: thin per-position strips vs tall fill-ahead strips",
+        f"{STRIP_ROWS} x {STRIP_COLS} strips at {STRIP_SAMPLES} samples "
+        f"(tall: {tall} rows), ms per {STRIP_ROWS}-row strip\n"
+        + "\n".join(f"{k:14s} {v * 1e3:7.3f}" for k, v in times.items()),
+    )
+    # float32 products of 0/1 columns are exact: same counts as float64.
+    np.testing.assert_array_equal(
+        strip(planes["float32"], tall), strip(planes["float64"], tall)
+    )

@@ -380,16 +380,18 @@ def calibrate_ld_crossover(
 ) -> ScanCostModel:
     """Measure the LD backend crossover constants on this machine.
 
-    Times the raw co-occurrence primitives of both formulations (a float64
-    GEMM and the blocked popcount — the shared ``r_squared_from_counts``
-    tail costs the same either way, so it cancels out of the pick) on
-    synthetic operands at two tile sizes, then solves each backend's
-    two-parameter linear cost model exactly from the two points. The
-    whole microbenchmark is a few milliseconds; with ``publish=True``
-    (default) the refitted model is installed process-wide under the
-    calibration lock.
+    Times the raw co-occurrence primitives of both formulations (the GEMM
+    in the dtype production fills use,
+    :func:`~repro.ld.operands.gemm_plane_dtype`, and the blocked popcount
+    — the shared ``r_squared_from_counts`` tail costs the same either
+    way, so it cancels out of the pick) on synthetic operands at two tile
+    sizes, then solves each backend's two-parameter linear cost model
+    exactly from the two points. The whole microbenchmark is a few
+    milliseconds; with ``publish=True`` (default) the refitted model is
+    installed process-wide under the calibration lock.
     """
     global _cached
+    from repro.ld.operands import gemm_plane_dtype
     from repro.ld.packed_kernels import cooccurrence_block_packed
 
     n = max(1, int(n_samples))
@@ -404,7 +406,7 @@ def calibrate_ld_crossover(
     # contiguous microbenchmark is systematically gemm-optimistic) and
     # the packed rows/cols are contiguous row slices of a (sites, w)
     # word plane, with rows != cols as in an off-diagonal tile.
-    a = rng.integers(0, 2, size=(n, 2 * t_big)).astype(np.float64)
+    a = rng.integers(0, 2, size=(n, 2 * t_big)).astype(gemm_plane_dtype(n))
     words = rng.integers(
         0, np.iinfo(np.uint64).max, size=(2 * t_big, w), dtype=np.uint64
     )

@@ -64,6 +64,7 @@ from repro.core.grid import (
     fixed_position_spec,
 )
 from repro.core.results import ScanResult, merge_scan_results
+from repro.core.reuse import R2RegionCache
 from repro.core.scan import OmegaConfig, OmegaPlusScanner
 from repro.core.tilestore import SharedR2TileStore
 from repro.datasets.alignment import SharedAlignmentSegments, SNPAlignment
@@ -262,17 +263,19 @@ class _PoolSession:
             initargs=(self._config, obs.current_spec(), self._block_lru_bytes),
         )
 
-    def _publish(self, alignment: SNPAlignment, max_pair_span: int) -> None:
+    def _publish(self, alignment: SNPAlignment, max_width: int) -> None:
         """Place ``alignment`` in shared memory, plus its r² tile band
-        when some ω region holds a pair of sites."""
+        when some ω region (at most ``max_width`` sites) holds a pair of
+        sites. The band spans every pair a region-cache fill can ask
+        for, which runs ahead of the region to its buffer's edge."""
         with obs.get_tracer().span(
             "shm_publish", "shm", args={"sites": int(alignment.n_sites)}
         ):
             self._segments = SharedAlignmentSegments.create(alignment)
-            if max_pair_span >= 1:
+            if max_width >= 1:
                 self._store = SharedR2TileStore.create(
                     alignment,
-                    max_pair_span=max_pair_span,
+                    max_pair_span=R2RegionCache.fill_span(max_width),
                     backend=self._config.ld_backend,
                 )
 
@@ -618,19 +621,20 @@ class StreamingScanSession(_PoolSession):
         plans: Sequence[PositionPlan],
         grid_positions: np.ndarray,
         valid: np.ndarray,
-        max_pair_span: int,
+        max_width: int,
         prefetch=None,
     ):
         """Scan one chunk's grid blocks ``(index, lo, hi)``; returns
         ``(parts, prefetched)``.
 
         ``plans``, ``grid_positions`` and ``valid`` are the scan's global
-        arrays (the chunk covers every ω region of the given blocks);
-        ``prefetch`` is as for :meth:`_PoolSession._dispatch`.
+        arrays (the chunk covers every ω region of the given blocks, none
+        wider than ``max_width`` sites); ``prefetch`` is as for
+        :meth:`_PoolSession._dispatch`.
         """
         self.start()
         try:
-            self._publish(chunk, max_pair_span)
+            self._publish(chunk, max_width)
             parts, prefetched = self._dispatch(
                 blocks,
                 plans,
@@ -804,7 +808,7 @@ def _iter_scan_stream_parallel(
                         plans=plans,
                         grid_positions=grid_positions,
                         valid=valid,
-                        max_pair_span=chunk_max_span(data_blocks),
+                        max_width=chunk_max_span(data_blocks),
                         prefetch=prefetch,
                     )
                     registry.counter("stream.chunks").inc()

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -142,16 +142,27 @@ class R2RegionCache:
     region.
 
     Every region is a read-only view into one anchored buffer, the way
-    :class:`SumMatrixCache` serves its prefix: a call writes only the
-    rows and columns of sites entering the region, so the overlap with
-    the previous region is never copied while the region stays inside
-    the buffer. A forward region that runs past the buffer re-anchors
-    it: the overlap block moves to the origin in place. Only a backward
-    jump or a region too wide for the buffer allocates a new one, with
-    ``W + W // SLACK_DIVISOR`` rows and columns for a W-SNP region
-    (capped by ``max_region_bytes``), so the cache holds about 1.27 W²
-    floats. A served view is valid until the next :meth:`region_matrix`
-    or :meth:`reset` call; a caller that keeps one must copy it.
+    :class:`SumMatrixCache` serves its prefix. The cache tracks the square
+    of sites whose r² the buffer holds (the *valid* square) separately
+    from the last served region: a call computes only the rows and
+    columns of sites outside the valid square, so the overlap with the
+    previous region is never recomputed or copied while the region stays
+    inside the buffer. A forward region that runs past the buffer
+    re-anchors it: the valid block moves to the origin in place. Only a
+    backward jump or a region too wide for the buffer allocates a new
+    one, with ``W + W // SLACK_DIVISOR`` rows and columns for a W-SNP
+    region (capped by ``max_region_bytes``), so the cache holds about
+    1.27 W² floats. A served view is valid until the next
+    :meth:`region_matrix` or :meth:`reset` call; a caller that keeps one
+    must copy it.
+
+    Given a ``horizon`` (the last site later calls will ask for), sites
+    entering on the right are filled *ahead*: their rows run to the
+    buffer end in one tall block, so a forward scan makes one fill per
+    ~W / SLACK_DIVISOR sites instead of one thin strip per region.
+    :attr:`stats` keeps the paper's relocation accounting either way:
+    each served region counts W² − V² fresh entries, V its overlap with
+    the previous region (:func:`simulate_fresh_entries`).
 
     Parameters
     ----------
@@ -218,8 +229,8 @@ class R2RegionCache:
             self._block = block_fn
         elif backend in ("gemm", "packed", "auto"):
             # All backends flow through the per-alignment operand-plane
-            # cache: the float64 plane / packed words are materialized
-            # once per alignment, and "auto" picks per block from the
+            # cache: the GEMM plane / packed words are materialized once
+            # per alignment, and "auto" picks per block from the
             # calibrated cost-model crossover.
             self._block: Callable[[slice, slice], np.ndarray] = (
                 LDBackendFiller(operands_for(alignment), backend)
@@ -229,21 +240,34 @@ class R2RegionCache:
                 f"unknown LD backend {backend!r}; use 'gemm', 'packed' "
                 f"or 'auto'"
             )
-        self._prev_start: Optional[int] = None
-        self._prev_stop: Optional[int] = None
+        #: The last served region (the accounting's reference).
+        self._served: Optional[Tuple[int, int]] = None
+        #: Inclusive global site range whose full r² square the buffer
+        #: holds (the values' reference).
+        self._valid: Optional[Tuple[int, int]] = None
         #: The anchored buffer; row and column k hold global site
         #: ``_anchor + k``.
         self._buf: Optional[np.ndarray] = None
         self._anchor = 0
         self.stats = ReuseStats()
 
-    def region_matrix(self, start: int, stop: int) -> np.ndarray:
+    @classmethod
+    def fill_span(cls, max_width: int) -> int:
+        """Widest pair span, in sites, a fill can reach when no region is
+        wider than ``max_width``: the edge of that region's buffer."""
+        return max_width + max_width // cls.SLACK_DIVISOR
+
+    def region_matrix(
+        self, start: int, stop: int, horizon: Optional[int] = None
+    ) -> np.ndarray:
         """r² matrix for global sites ``[start .. stop]`` (inclusive), as
         a read-only view valid until the next call or :meth:`reset`.
 
-        When the request overlaps the previously served region, the
-        overlapping sub-block is reused and only the rows/columns of
-        newly entered SNPs are computed.
+        Only sites outside the valid square are computed. ``horizon`` is
+        the last site any later call will ask for: when sites enter on
+        the right, their rows are computed up to
+        ``min(horizon, buffer end, n_sites - 1)`` in one block. Without a
+        horizon exactly the region is filled.
         """
         n = self._n_sites
         if not (0 <= start <= stop < n):
@@ -258,85 +282,109 @@ class R2RegionCache:
                 f"matrix (cap {self._max_region_bytes / 1e6:.0f} MB); "
                 f"reduce max_window or raise max_region_bytes"
             )
-        overlap = False
-        if self._prev_start is not None and self._prev_stop is not None:
-            o_lo = max(start, self._prev_start)
-            o_hi = min(stop, self._prev_stop)
-            overlap = o_lo <= o_hi
+        # The paper's relocation model (Fig. 3): a region reuses its
+        # overlap with the previous one and computes the rest, however
+        # far ahead the values were actually filled.
+        overlap = 0
+        if self._served is not None:
+            overlap = max(
+                0, min(stop, self._served[1]) - max(start, self._served[0]) + 1
+            )
+        self.stats.entries_reused += overlap * overlap
+        self.stats.entries_computed += width * width - overlap * overlap
+        self.stats.regions_served += 1
+        self._served = (start, stop)
+
+        valid = self._valid
+        if valid is not None and (start > valid[1] or stop < valid[0]):
+            valid = None
         buf = self._buf
         if (
             buf is None
             or start < self._anchor
             or stop - self._anchor >= buf.shape[0]
         ):
-            # Re-anchor at ``start``: in place when the buffer has room
-            # and the overlap only moves towards the origin, else into a
-            # new buffer.
+            # Re-anchor at ``start``, keeping the valid sites from
+            # ``start`` on: in place when the buffer has room and the
+            # block only moves towards the origin, else into a new buffer.
             capacity = min(
                 width + width // self.SLACK_DIVISOR,
                 math.isqrt(self._max_region_bytes // 8),
             )
-            if buf is not None and capacity <= buf.shape[0] and (
-                not overlap or start > self._anchor
-            ):
-                if overlap:
-                    _move_block_back(
-                        buf, o_lo - self._anchor, o_lo - start,
-                        o_hi - o_lo + 1,
-                    )
-            else:
+            in_place = (
+                buf is not None
+                and capacity <= buf.shape[0]
+                and (valid is None or start > self._anchor)
+            )
+            size = buf.shape[0] if in_place else capacity
+            if valid is not None:
+                valid = (max(start, valid[0]), min(valid[1], start + size - 1))
+            if not in_place:
                 fresh = np.empty((capacity, capacity))
-                if overlap:
-                    src = slice(o_lo - self._anchor, o_hi - self._anchor + 1)
-                    dst = slice(o_lo - start, o_hi - start + 1)
+                if valid is not None:
+                    src = slice(
+                        valid[0] - self._anchor, valid[1] - self._anchor + 1
+                    )
+                    dst = slice(valid[0] - start, valid[1] - start + 1)
                     fresh[dst, dst] = buf[src, src]  # type: ignore[index]
                 buf = self._buf = fresh
+            elif valid is not None:
+                _move_block_back(
+                    buf, valid[0] - self._anchor, valid[0] - start,
+                    valid[1] - valid[0] + 1,
+                )
             self._anchor = start
+
+        if valid is None:
+            self._fill(start, stop, start)
+            self._valid = (start, stop)
+        else:
+            lo, top = valid
+            if start < lo:
+                # A step back keeps only what the region itself uses.
+                top = min(top, stop)
+            hi = top
+            if stop > top:
+                # Sites enter on the right: fill their rows ahead.
+                hi = stop
+                if horizon is not None:
+                    end = self._anchor + buf.shape[0] - 1
+                    hi = max(stop, min(horizon, end, n - 1))
+            # Rows entering on the left span every column; the rows
+            # entering on the right then only need the columns from the
+            # kept block on, or the left x right cross block would be
+            # computed twice.
+            if start < lo:
+                self._fill(start, lo - 1, start, hi)
+            if hi > top:
+                self._fill(top + 1, hi, max(start, lo))
+            if start < lo or hi > top:
+                self._valid = (start, hi)
         a = start - self._anchor
         out = buf[a : a + width, a : a + width]
-
-        if not overlap:
-            out[:] = self._block(slice(start, stop + 1), slice(start, stop + 1))
-            self.stats.entries_computed += width * width
-        else:
-            # Local coordinates of the overlap in the new region.
-            new_a, new_b = o_lo - start, o_hi - start
-            reused = (new_b - new_a + 1) ** 2
-            self.stats.entries_reused += reused
-
-            # New sites enter on either side of the overlap; a forward scan
-            # only adds on the right, but both are handled for generality.
-            # The left block spans every column; once it is in place
-            # (including its transpose), the right block only needs the
-            # columns it does not already cover — otherwise the
-            # left-fresh x right-fresh cross block would be computed twice
-            # and entries_computed would over-count it.
-            if new_a > 0:
-                rows = self._block(
-                    slice(start, start + new_a), slice(start, stop + 1)
-                )  # (new_a, width)
-                out[:new_a, :] = rows
-                out[:, :new_a] = rows.T
-                self.stats.entries_computed += 2 * rows.size - new_a**2
-            if new_b < width - 1:
-                lo = new_b + 1
-                seg = width - lo
-                rows = self._block(
-                    slice(start + lo, stop + 1),
-                    slice(start + new_a, stop + 1),
-                )  # (seg, width - new_a)
-                out[lo:, new_a:] = rows
-                out[new_a:, lo:] = rows.T
-                self.stats.entries_computed += 2 * rows.size - seg**2
-        self.stats.regions_served += 1
-        self._prev_start, self._prev_stop = start, stop
         out.flags.writeable = False
         return out
 
+    def _fill(
+        self, r_lo: int, r_hi: int, c_lo: int, c_hi: Optional[int] = None
+    ) -> None:
+        """Compute r² for global rows ``[r_lo, r_hi]`` x columns
+        ``[c_lo, c_hi]`` (``c_hi`` defaults to ``r_hi``) in one block and
+        write it, and its transpose, into the buffer."""
+        if c_hi is None:
+            c_hi = r_hi
+        rows = self._block(slice(r_lo, r_hi + 1), slice(c_lo, c_hi + 1))
+        r = slice(r_lo - self._anchor, r_hi - self._anchor + 1)
+        c = slice(c_lo - self._anchor, c_hi - self._anchor + 1)
+        self._buf[r, c] = rows  # type: ignore[index]
+        if (r_lo, r_hi) != (c_lo, c_hi):
+            self._buf[c, r] = rows.T  # type: ignore[index]
+
     def reset(self) -> None:
-        """Drop the cached region (e.g. when jumping to a new chromosome);
-        the next region is computed in full. The buffer is kept."""
-        self._prev_start = self._prev_stop = None
+        """Drop the cached values and the served region (e.g. when
+        jumping to a new chromosome); the next region is computed in
+        full. The buffer is kept."""
+        self._served = self._valid = None
 
 
 def _move_block_back(buf: np.ndarray, src: int, dst: int, size: int) -> None:

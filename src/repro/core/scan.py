@@ -364,9 +364,19 @@ def _scan_plans(
     streamed scan calls this once per chunk); ``breakdown`` receives the
     ``ld`` / ``omega`` phase seconds. Returns the positions' records with
     the DP sub-timings; reuse counters and metrics are the caller's.
+
+    With reuse on, each r² request carries the largest region stop among
+    the valid positions still ahead as its fill horizon, so the cache
+    fills ahead in tall blocks but never past this call's last region: a
+    streamed chunk's resident sites, a parallel block's own regions.
     """
     tr = obs.get_tracer()
     n = hi - lo
+    stops = np.array(
+        [p.region_stop if p.valid else -1 for p in plans[lo:hi]],
+        dtype=np.int64,
+    )
+    horizons = np.maximum.accumulate(stops[::-1])[::-1]
     omegas = np.zeros(n)
     lefts = np.full(n, np.nan)
     rights = np.full(n, np.nan)
@@ -382,9 +392,14 @@ def _scan_plans(
             continue
         positions_evaluated.inc()
         with tr.phase(breakdown, "ld", "phase"):
-            if not cfg.reuse:
+            if cfg.reuse:
+                horizon: Optional[int] = int(horizons[k - lo])
+            else:
                 cache.reset()
-            r2 = cache.region_matrix(plan.region_start, plan.region_stop)
+                horizon = None
+            r2 = cache.region_matrix(
+                plan.region_start, plan.region_stop, horizon
+            )
         with tr.phase(breakdown, "omega", "phase"):
             t0ns = time.perf_counter_ns()
             sums = dp_cache.region_sums(
@@ -613,6 +628,11 @@ def _iter_stream_sequential(
                 live = obs.live_slot()
                 with obs.scoped_metrics() as registry:
                     if site_hi > site_lo:
+                        # Release the finished chunk (its filler holds
+                        # the only reference to its operand planes)
+                        # before the next one is parsed, so at most one
+                        # chunk's planes are resident.
+                        holder.pop("filler", None)
                         if live is not None:
                             live.set_phase("ingest")
                         with tr.phase(
@@ -628,8 +648,7 @@ def _iter_stream_sequential(
                         )
                         holder["lo"] = site_lo
                         # One operand-plane cache (and backend filler)
-                        # per chunk; dead chunks drop their planes with
-                        # the chunk object itself.
+                        # per chunk.
                         holder["filler"] = LDBackendFiller(
                             operands_for(chunk), cfg.ld_backend
                         )

@@ -8,16 +8,18 @@ recompute its first region from scratch, once per worker. This module
 recovers that loss with one band of r² *tiles* placed in POSIX shared
 memory by the parent:
 
-* the band covers every SNP pair closer than the widest region the scan
-  can request (``max_pair_span``), cut into ``tile x tile`` squares, with
-  only the upper-triangle offsets stored (r² is symmetric);
+* the band covers every SNP pair closer than the widest block the scan
+  can request (``max_pair_span``: the widest region plus the fill-ahead
+  slack of :class:`~repro.core.reuse.R2RegionCache`), cut into
+  ``tile x tile`` squares, with only the upper-triangle offsets stored
+  (r² is symmetric);
 * a tile is computed by whichever process first needs it and published
   under a per-tile ready flag; afterwards every process serves it with a
   plain copy. Because both LD backends are deterministic (co-occurrence
-  counts are exact integers in float64, so every summation order agrees
-  bit-for-bit), two workers racing on the same tile write identical
-  bytes — the flag is set only after the data, so a reader never sees a
-  half-filled tile as ready;
+  counts are exact integers in the GEMM plane's dtype, so every
+  summation order agrees bit-for-bit), two workers racing on the same
+  tile write identical bytes — the flag is set only after the data, so
+  a reader never sees a half-filled tile as ready;
 * :meth:`SharedR2TileStore.block` assembles any rectangular block of the
   pair matrix from tiles, bit-identical to computing the block directly.
 

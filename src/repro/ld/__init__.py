@@ -25,6 +25,7 @@ from repro.ld.operands import (
     LD_BACKENDS,
     LDBackendFiller,
     LDOperands,
+    gemm_plane_dtype,
     operands_for,
 )
 from repro.ld.packed_kernels import (
@@ -56,6 +57,7 @@ __all__ = [
     "LDOperands",
     "LDBackendFiller",
     "operands_for",
+    "gemm_plane_dtype",
     "LD_BACKENDS",
     "ld_stats_matrix",
     "d_from_counts",

@@ -38,9 +38,14 @@ def r_squared_from_counts(
     Parameters
     ----------
     n11:
-        Count of samples derived at both sites of each pair.
+        Count of samples derived at both sites of each pair, in any real
+        dtype that holds the counts exactly (an integer GEMM or popcount
+        result, float32 or float64).
     c_i, c_j:
-        Derived-allele counts at the first/second site of each pair.
+        Derived-allele counts at the first/second site of each pair. They
+        broadcast against ``n11``: a block passes per-site counts shaped
+        (R, 1) and (1, C), so p and p(1 − p) are computed once per site,
+        not once per cell.
     n_samples:
         Total sample count n (so p = c / n).
     strict:
@@ -50,30 +55,41 @@ def r_squared_from_counts(
     Returns
     -------
     numpy.ndarray
-        float64 array of r² values in [0, 1], same shape as the inputs.
+        float64 array of r² values in [0, 1], shaped like the three inputs
+        broadcast together.
     """
     if n_samples <= 0:
         raise LDError(f"n_samples must be positive, got {n_samples}")
     n = float(n_samples)
-    n11 = np.asarray(n11, dtype=np.float64)
     c_i = np.asarray(c_i, dtype=np.float64)
     c_j = np.asarray(c_j, dtype=np.float64)
+    n11 = np.asarray(n11)
+    shape = np.broadcast_shapes(n11.shape, c_i.shape, c_j.shape)
     p_i = c_i / n
     p_j = c_j / n
-    p_ij = n11 / n
     # Grouped per site so the product is exactly symmetric under an
     # (i, j) swap (float multiplication commutes bitwise; the flat
     # left-to-right order would not associate the same way) — this is
     # what lets symmetric consumers serve r2(j, i) as r2(i, j) verbatim.
-    denom = (p_i * (1.0 - p_i)) * (p_j * (1.0 - p_j))
-    bad = denom <= 0.0
-    if strict and np.any(bad):
+    q_i = p_i * (1.0 - p_i)
+    q_j = p_j * (1.0 - p_j)
+    # Every cell below sees the same IEEE operations in the same order as
+    # the elementwise formula (p_ij − p_i p_j)² / (q_i q_j); only the
+    # per-site factors are no longer materialized at full size.
+    r2 = np.empty(shape)
+    np.divide(n11, n, out=r2, dtype=np.float64)  # p_ij
+    tmp = np.empty(shape)
+    np.multiply(p_i, p_j, out=tmp)
+    r2 -= tmp  # num
+    r2 *= r2
+    np.multiply(q_i, q_j, out=tmp)  # denom
+    bad = tmp <= 0.0
+    if strict and bad.any():
         raise LDError("r-squared undefined for monomorphic site(s)")
-    num = p_ij - p_i * p_j
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(bad, 0.0, (num * num) / np.where(bad, 1.0, denom))
+    np.divide(r2, tmp, out=r2, where=~bad)
+    r2[bad] = 0.0
     # Guard against float round-off pushing r2 infinitesimally above 1.
-    return np.clip(r2, 0.0, 1.0)
+    return np.clip(r2, 0.0, 1.0, out=r2)
 
 
 def r_squared_pair(alignment: SNPAlignment, i: int, j: int) -> float:

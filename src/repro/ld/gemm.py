@@ -13,9 +13,15 @@ stage. In NumPy the analogue of the vendor GEMM is ``A.T @ A`` dispatched
 to BLAS — this module is therefore both the fastest host implementation
 and the functional model of the GPU LD path.
 
-Memory note: the full matrix is O(sites²) float64. For the window sizes
-OmegaPlus feeds it (a few thousand SNPs per region) that is tens of MB;
-whole-chromosome all-pairs use :mod:`repro.ld.tiled` instead.
+The operand is float32 up to 2²⁴ samples
+(:func:`~repro.ld.operands.gemm_plane_dtype`): every partial sum of 0/1
+products is an integer ≤ 2²⁴ there, exact in float32, so the GEMM yields
+the exact counts in any BLAS summation order on half the bytes of a
+float64 operand.
+
+Memory note: the full r² matrix is O(sites²) float64. For the window
+sizes OmegaPlus feeds it (a few thousand SNPs per region) that is tens of
+MB; whole-chromosome all-pairs use :mod:`repro.ld.tiled` instead.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import numpy as np
 from repro.datasets.alignment import SNPAlignment
 from repro.errors import LDError
 from repro.ld.correlation import r_squared_from_counts
+from repro.ld.operands import gemm_plane_dtype
 
 __all__ = ["cooccurrence_gemm", "r_squared_matrix", "r_squared_block"]
 
@@ -63,18 +70,19 @@ def cooccurrence_gemm(
 ) -> np.ndarray:
     """Return the (sites x sites) co-occurrence count matrix AᵀA.
 
-    Uses a float64 GEMM (BLAS, or the array ``backend``'s device GEMM —
-    see :mod:`repro.accel.backend`) and rounds back to integers: counts
-    are bounded by n_samples, far below 2⁵³, so the round-trip is exact
-    either way. ``operands`` accepts an
-    :class:`~repro.ld.operands.LDOperands` cache whose float64 plane is
-    reused instead of converting the matrix per call.
+    Uses a float GEMM (BLAS, or the array ``backend``'s device GEMM —
+    see :mod:`repro.accel.backend`) on an operand of
+    :func:`~repro.ld.operands.gemm_plane_dtype` and rounds back to
+    integers: every partial sum is an integer the dtype holds exactly, so
+    the round-trip is exact. ``operands`` accepts an
+    :class:`~repro.ld.operands.LDOperands` cache whose plane is reused
+    instead of converting the matrix per call.
     """
     backend = _resolve(backend)
     if operands is not None:
         a = operands.gemm_columns(0, alignment.n_sites)
     else:
-        a = alignment.matrix.astype(np.float64)
+        a = alignment.matrix.astype(gemm_plane_dtype(alignment.n_samples))
     return np.rint(_device_gemm(a.T, a, backend)).astype(np.int64)
 
 
@@ -97,10 +105,9 @@ def r_squared_matrix(
         if operands is not None
         else alignment.derived_counts()
     )
-    c_i = np.broadcast_to(counts[:, None], n11.shape)
-    c_j = np.broadcast_to(counts[None, :], n11.shape)
     return r_squared_from_counts(
-        n11, c_i, c_j, alignment.n_samples, strict=strict
+        n11, counts[:, None], counts[None, :], alignment.n_samples,
+        strict=strict,
     )
 
 
@@ -118,8 +125,8 @@ def r_squared_block(
     This is the primitive the tiled large-dataset driver composes; it is
     also how the GEMM engine serves OmegaPlus, which only ever needs the
     pairs inside the current grid-position window rather than the whole
-    matrix. Only the requested columns are converted to float64 (slice
-    first, then ``astype``); pass ``operands``
+    matrix. Only the requested columns are converted to the GEMM dtype
+    (slice first, then ``astype``); pass ``operands``
     (:class:`~repro.ld.operands.LDOperands`) to serve the conversion from
     the per-alignment cached plane instead.
     """
@@ -134,12 +141,12 @@ def r_squared_block(
         a_cols = operands.gemm_columns(c0, c1)
         counts = operands.derived_counts()
     else:
-        a_rows = alignment.matrix[:, r0:r1].astype(np.float64)
-        a_cols = alignment.matrix[:, c0:c1].astype(np.float64)
+        dtype = gemm_plane_dtype(alignment.n_samples)
+        a_rows = alignment.matrix[:, r0:r1].astype(dtype)
+        a_cols = alignment.matrix[:, c0:c1].astype(dtype)
         counts = alignment.derived_counts()
     n11 = _device_gemm(a_rows.T, a_cols, backend)
-    c_i = np.broadcast_to(counts[r0:r1, None], n11.shape)
-    c_j = np.broadcast_to(counts[None, c0:c1], n11.shape)
     return r_squared_from_counts(
-        n11, c_i, c_j, alignment.n_samples, strict=strict
+        n11, counts[r0:r1, None], counts[None, c0:c1], alignment.n_samples,
+        strict=strict,
     )

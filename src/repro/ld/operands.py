@@ -2,8 +2,14 @@
 
 Every LD backend consumes a derived *operand plane* of the alignment:
 
-* the GEMM formulation multiplies float64 columns (``Aᵀ A``), and
+* the GEMM formulation multiplies float columns (``Aᵀ A``), and
 * the popcount formulation ANDs bit-packed 64-bit word rows.
+
+The GEMM plane is float32 whenever the sample count allows it
+(:func:`gemm_plane_dtype`): every partial sum of 0/1 products is then an
+integer no larger than 2²⁴, which float32 holds exactly, so the product
+is the exact count in any BLAS summation order — at half the bytes per
+fill of a float64 plane.
 
 Before this module each consumer derived its plane ad hoc — worst of all
 ``r_squared_block`` converting the *entire* (samples x sites) matrix to
@@ -12,10 +18,11 @@ float64 on every tile, and every worker process re-packing its own
 materializes each plane **once per alignment** (lazily, only the planes a
 backend actually touches) and serves column slices from it; the
 process-local :func:`operands_for` memo shares one instance across the
-region cache, tile store and tiled engine of the same alignment. In the
-multiprocess path the packed plane is published to POSIX shared memory
-(:class:`~repro.datasets.packed.SharedPackedWords`) so workers attach
-zero-copy instead of re-packing — pass that attachment in via ``packed=``.
+region cache, tile store and tiled engine of the same alignment while any
+of them holds it. In the multiprocess path the packed plane is published
+to POSIX shared memory (:class:`~repro.datasets.packed.SharedPackedWords`)
+so workers attach zero-copy instead of re-packing — pass that attachment
+in via ``packed=``.
 
 :class:`LDBackendFiller` is the block-computation callable the caches and
 the shared tile store plug in: it serves ``r_squared_block`` semantics
@@ -30,7 +37,7 @@ choice produces bitwise-identical r² — the pick is timing-only.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,17 +46,37 @@ from repro.datasets.alignment import SNPAlignment
 from repro.datasets.packed import PackedAlignment
 from repro.errors import LDError
 
-__all__ = ["LDOperands", "LDBackendFiller", "operands_for", "LD_BACKENDS"]
+__all__ = [
+    "LDOperands",
+    "LDBackendFiller",
+    "operands_for",
+    "gemm_plane_dtype",
+    "LD_BACKENDS",
+]
 
 #: The LD backend names understood by the filler (and by every consumer
 #: that forwards a backend name here: config, tile store, CLI).
 LD_BACKENDS = ("gemm", "packed", "auto")
 
-#: Refuse to cache a float64 GEMM plane larger than this (2 GB). Above the
-#: cap :meth:`LDOperands.gemm_columns` converts each requested column
-#: slice on demand (slice first, then convert — still never the full
-#: matrix), trading repeated conversion for bounded residency.
+#: Refuse to cache a GEMM plane larger than this (2 GB). Above the cap
+#: :meth:`LDOperands.gemm_columns` converts each requested column slice
+#: on demand (slice first, then convert — still never the full matrix),
+#: trading repeated conversion for bounded residency.
 DEFAULT_MAX_GEMM_PLANE_BYTES = 2 * 1024 * 1024 * 1024
+
+#: Largest sample count with a float32 GEMM plane: float32 represents
+#: every integer up to 2²⁴ exactly, and no co-occurrence partial sum can
+#: exceed the sample count.
+FLOAT32_EXACT_SAMPLES = 2**24
+
+
+def gemm_plane_dtype(n_samples: int) -> np.dtype:
+    """The dtype of the GEMM operand for ``n_samples`` samples: float32
+    when every partial sum of 0/1 products is exact in it
+    (``n_samples <= 2**24``), float64 above that."""
+    if n_samples <= FLOAT32_EXACT_SAMPLES:
+        return np.dtype(np.float32)
+    return np.dtype(np.float64)
 
 
 class LDOperands:
@@ -65,7 +92,7 @@ class LDOperands:
         process published). When omitted, the plane is packed locally on
         first use.
     max_gemm_plane_bytes:
-        Cap on the cached float64 GEMM plane; see
+        Cap on the cached GEMM plane; see
         :data:`DEFAULT_MAX_GEMM_PLANE_BYTES`.
     """
 
@@ -97,6 +124,11 @@ class LDOperands:
         return self._alignment.n_sites
 
     @property
+    def gemm_dtype(self) -> np.dtype:
+        """dtype of the GEMM plane (:func:`gemm_plane_dtype`)."""
+        return gemm_plane_dtype(self.n_samples)
+
+    @property
     def n_words(self) -> int:
         """Packed words per site (without forcing the packed plane)."""
         return (self.n_samples + 63) // 64
@@ -105,24 +137,26 @@ class LDOperands:
     # plane accessors
 
     def gemm_plane(self) -> Optional[np.ndarray]:
-        """The cached float64 (samples x sites) GEMM operand, or ``None``
-        when it would exceed the plane cap (callers fall back to per-slice
-        conversion via :meth:`gemm_columns`)."""
+        """The cached (samples x sites) GEMM operand of dtype
+        :attr:`gemm_dtype`, or ``None`` when it would exceed the plane cap
+        (callers fall back to per-slice conversion via
+        :meth:`gemm_columns`)."""
         if self._gemm is None:
-            needed = 8 * self.n_samples * self.n_sites
+            dtype = self.gemm_dtype
+            needed = dtype.itemsize * self.n_samples * self.n_sites
             if needed > self._max_gemm_plane_bytes:
                 return None
-            self._gemm = self._alignment.matrix.astype(np.float64)
+            self._gemm = self._alignment.matrix.astype(dtype)
         return self._gemm
 
     def gemm_columns(self, lo: int, hi: int) -> np.ndarray:
-        """float64 operand for site columns ``[lo, hi)`` — a view of the
-        cached plane, or a fresh slice-first conversion above the cap
-        (never a full-matrix ``astype``)."""
+        """GEMM operand for site columns ``[lo, hi)`` — a view of the
+        cached plane, or a fresh slice-first conversion to the same dtype
+        above the cap (never a full-matrix ``astype``)."""
         plane = self.gemm_plane()
         if plane is not None:
             return plane[:, lo:hi]
-        return self._alignment.matrix[:, lo:hi].astype(np.float64)
+        return self._alignment.matrix[:, lo:hi].astype(self.gemm_dtype)
 
     def packed(self) -> PackedAlignment:
         """The bit-packed word plane, packed once on first use (or the
@@ -153,7 +187,9 @@ class LDOperands:
 # ------------------------------------------------------------------ #
 # process-local memo
 
-_CACHE: Dict[int, LDOperands] = {}
+_CACHE: "weakref.WeakValueDictionary[int, LDOperands]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 def operands_for(
@@ -161,19 +197,21 @@ def operands_for(
 ) -> LDOperands:
     """The process-local :class:`LDOperands` for ``alignment``.
 
-    Keyed by object identity (cheap, and alignments are immutable); the
-    entry is dropped when the alignment is garbage collected, so a
-    streaming scan's dead chunks do not pin their planes. A ``packed``
-    plane passed on first call seeds the instance (the shared-memory
-    attach path); later calls for the same alignment reuse it.
+    Keyed by object identity (cheap, and alignments are immutable). The
+    memo holds its values weakly: an instance lives exactly as long as a
+    filler, tile store or other caller keeps it, so a streaming scan's
+    finished chunks drop their planes — and the chunk itself — with the
+    filler that used them. A live entry pins its alignment, so the key
+    cannot be reused by another object while the entry exists. A
+    ``packed`` plane passed on first call seeds the instance (the
+    shared-memory attach path); later calls for the same alignment reuse
+    it.
     """
     key = id(alignment)
-    entry = _CACHE.get(key)
-    if entry is not None and entry.alignment is alignment:
-        return entry
-    ops = LDOperands(alignment, packed=packed)
-    _CACHE[key] = ops
-    weakref.finalize(alignment, _CACHE.pop, key, None)
+    ops = _CACHE.get(key)
+    if ops is None:
+        ops = LDOperands(alignment, packed=packed)
+        _CACHE[key] = ops
     return ops
 
 

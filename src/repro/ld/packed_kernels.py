@@ -137,18 +137,14 @@ def r_squared_block_packed(
     to skip the per-call popcount of the whole plane.
     """
     r0, r1, c0, c1 = _block_slices(packed, rows, cols)
-    # Straight to float64 (exact: counts <= n_samples << 2**53) so the
-    # shared r² tail sees the same dtype as the GEMM path and skips an
-    # extra integer-conversion pass over the tile.
-    n11 = cooccurrence_block_packed(
-        packed.words[r0:r1], packed.words[c0:c1]
-    ).astype(np.float64)
+    # The shared r² tail converts the exact uint32 counts to float64 in
+    # its first pass, so no separate conversion pass over the tile.
+    n11 = cooccurrence_block_packed(packed.words[r0:r1], packed.words[c0:c1])
     if counts is None:
         counts = packed.derived_counts()
-    c_i = np.broadcast_to(counts[r0:r1, None], n11.shape)
-    c_j = np.broadcast_to(counts[None, c0:c1], n11.shape)
     return r_squared_from_counts(
-        n11, c_i, c_j, packed.n_samples, strict=strict
+        n11, counts[r0:r1, None], counts[None, c0:c1], packed.n_samples,
+        strict=strict,
     )
 
 

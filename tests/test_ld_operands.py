@@ -7,7 +7,9 @@ kernel is exact on awkward shapes, and the shared packed segment never
 leaks.
 """
 
+import gc
 import glob
+import weakref
 
 import numpy as np
 import pytest
@@ -30,11 +32,12 @@ from repro.datasets.packed import (
     SharedPackedWords,
 )
 from repro.errors import AlignmentError, LDError, ScanConfigError
-from repro.ld.gemm import r_squared_block
+from repro.ld.gemm import cooccurrence_gemm, r_squared_block
 from repro.ld.operands import (
     DEFAULT_MAX_GEMM_PLANE_BYTES,
     LDBackendFiller,
     LDOperands,
+    gemm_plane_dtype,
     operands_for,
 )
 from repro.ld.packed_kernels import (
@@ -110,6 +113,122 @@ class TestLDOperands:
         assert mid > 0
         ops.gemm_plane()
         assert ops.nbytes() > mid
+
+
+class TestOperandsLifetime:
+    """The memo shares an instance while someone holds it, and lets go
+    of it (planes and alignment) once nobody does."""
+
+    def test_memo_does_not_keep_operands_alive(self):
+        aln = random_alignment(10, 30, seed=8)
+        ops = operands_for(aln)
+        ops.gemm_plane()
+        ref = weakref.ref(ops)
+        del ops
+        gc.collect()
+        assert ref() is None
+
+    def test_memo_does_not_keep_alignment_alive(self):
+        aln = random_alignment(10, 30, seed=9)
+        filler = LDBackendFiller(operands_for(aln), "gemm")
+        filler(slice(0, 5), slice(0, 10))
+        ref = weakref.ref(aln)
+        del aln, filler
+        gc.collect()
+        assert ref() is None
+
+    def test_holder_keeps_the_shared_instance(self):
+        aln = random_alignment(10, 30, seed=10)
+        filler = LDBackendFiller(operands_for(aln), "gemm")
+        assert operands_for(aln) is filler.operands
+
+
+def _float64_reference(aln, rows: slice, cols: slice) -> np.ndarray:
+    """r² block from a float64 GEMM and the full-shape broadcast tail,
+    written out here as the reference the float32 plane must match."""
+    a = aln.matrix.astype(np.float64)
+    n11 = a[:, rows].T @ a[:, cols]
+    counts = aln.matrix.sum(axis=0).astype(np.float64)
+    n = float(aln.n_samples)
+    p_i = np.broadcast_to(counts[rows, None], n11.shape) / n
+    p_j = np.broadcast_to(counts[None, cols], n11.shape) / n
+    denom = (p_i * (1.0 - p_i)) * (p_j * (1.0 - p_j))
+    bad = denom <= 0.0
+    num = n11 / n - p_i * p_j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(bad, 0.0, (num * num) / np.where(bad, 1.0, denom))
+    return np.clip(r2, 0.0, 1.0)
+
+
+class _SamplesOnly:
+    """An alignment stand-in with a sample count but no matrix."""
+
+    def __init__(self, n_samples: int, n_sites: int = 100):
+        self.n_samples = n_samples
+        self.n_sites = n_sites
+
+
+class TestFloat32Plane:
+    """Below 2**24 samples the GEMM plane is float32 and every fill is
+    byte-identical to the float64 formulation."""
+
+    @pytest.mark.parametrize("n_samples", [1, 63, 64, 65, 1000])
+    def test_fills_match_float64_reference(self, n_samples):
+        aln = _alignment(n_samples, n_sites=90, seed=n_samples + 40)
+        ops = LDOperands(aln)
+        assert ops.gemm_plane().dtype == np.float32
+        filler = LDBackendFiller(ops, "gemm")
+        for rows, cols in [
+            (slice(0, 90), slice(0, 90)),
+            (slice(10, 16), slice(3, 90)),
+            (slice(40, 41), slice(0, 45)),
+        ]:
+            want = _float64_reference(aln, rows, cols).tobytes()
+            assert filler(rows, cols).tobytes() == want
+            assert r_squared_block(aln, rows, cols).tobytes() == want
+        np.testing.assert_array_equal(
+            cooccurrence_gemm(aln, operands=ops),
+            aln.matrix.T.astype(np.int64) @ aln.matrix.astype(np.int64),
+        )
+
+    def test_over_cap_slices_use_the_plane_dtype(self):
+        aln = _alignment(70, n_sites=50, seed=44)
+        ops = LDOperands(aln, max_gemm_plane_bytes=8)
+        assert ops.gemm_plane() is None
+        assert ops.gemm_columns(5, 25).dtype == np.float32
+        want = _float64_reference(aln, slice(0, 30), slice(20, 50))
+        got = LDBackendFiller(ops, "gemm")(slice(0, 30), slice(20, 50))
+        assert got.tobytes() == want.tobytes()
+
+    @given(
+        n_samples=st.integers(1, 1200),
+        n_sites=st.integers(2, 50),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_matches_float64_reference(
+        self, n_samples, n_sites, seed
+    ):
+        aln = _alignment(n_samples, n_sites=n_sites, seed=seed)
+        rows, cols = slice(0, max(1, n_sites // 2)), slice(n_sites // 3, n_sites)
+        got = LDBackendFiller(LDOperands(aln), "gemm")(rows, cols)
+        assert got.tobytes() == _float64_reference(aln, rows, cols).tobytes()
+
+    def test_dtype_rule_at_the_exactness_limit(self):
+        assert gemm_plane_dtype(2**24) == np.float32
+        assert gemm_plane_dtype(2**24 + 1) == np.float64
+        assert LDOperands(_SamplesOnly(2**24)).gemm_dtype == np.float32
+        assert LDOperands(_SamplesOnly(2**24 + 1)).gemm_dtype == np.float64
+
+    def test_plane_cap_counts_the_plane_dtype(self):
+        # 4 bytes x 2**24 samples x 100 sites is over the default cap:
+        # refused before the (absent) matrix is touched.
+        assert LDOperands(_SamplesOnly(2**24)).gemm_plane() is None
+        small = LDOperands(
+            _alignment(64, n_sites=10, seed=45),
+            max_gemm_plane_bytes=4 * 64 * 10,
+        )
+        assert small.gemm_plane() is not None
 
 
 class TestBlockedPackedKernel:

@@ -250,3 +250,134 @@ class TestDualFreshSegments:
     def test_simulator_dual_fresh_value(self):
         # (20,29) then (10,39): 30^2 minus the relocated 10^2 block.
         assert simulate_fresh_entries([(20, 29), (10, 39)]) == [100, 800]
+
+
+class _CountingBlock:
+    """``block_fn`` over :func:`r_squared_block` that counts its calls."""
+
+    def __init__(self, alignment):
+        self.alignment = alignment
+        self.calls = 0
+
+    def __call__(self, rows, cols):
+        self.calls += 1
+        return r_squared_block(self.alignment, rows, cols)
+
+
+def _cache(aln, source):
+    if source == "counting":
+        return R2RegionCache(aln, block_fn=_CountingBlock(aln))
+    return R2RegionCache(aln, backend=source)
+
+
+class TestFillAhead:
+    """A fill horizon changes how many and how tall the fills are,
+    never the served bytes or the relocation accounting."""
+
+    @staticmethod
+    def _horizon(rng, start, stop, n_sites):
+        kind = rng.choice(["none", "short", "inside", "past", "end"])
+        if kind == "none":
+            return None
+        if kind == "short":  # at or before the region's own stop
+            return int(rng.integers(start, stop + 1))
+        if kind == "inside":  # a few sites ahead, inside the buffer
+            return stop + int(rng.integers(1, 8))
+        if kind == "past":  # beyond the buffer end
+            return stop + int(rng.integers(40, 200))
+        return n_sites + int(rng.integers(0, 50))  # past n_sites - 1
+
+    @pytest.mark.parametrize("source", ["gemm", "packed", "auto", "counting"])
+    def test_random_sequences_with_horizons(self, source):
+        aln = random_alignment(24, 400, seed=19)
+        cache = _cache(aln, source)
+        rng = np.random.default_rng(29)
+        fresh, simulated, segment = [], [], []
+        for request in TestAnchoredViews._requests(rng, aln.n_sites, 400):
+            if request is None:
+                cache.reset()
+                simulated += simulate_fresh_entries(segment)
+                segment = []
+                continue
+            start, stop = request
+            segment.append(request)
+            computed = cache.stats.entries_computed
+            got = cache.region_matrix(
+                start, stop, self._horizon(rng, start, stop, aln.n_sites)
+            )
+            fresh.append(cache.stats.entries_computed - computed)
+            assert not got.flags.writeable
+            want = r_squared_block(
+                aln, slice(start, stop + 1), slice(start, stop + 1)
+            )
+            assert got.tobytes() == want.tobytes()
+        simulated += simulate_fresh_entries(segment)
+        assert fresh == simulated
+        assert cache.stats.regions_served == len(fresh)
+
+    @pytest.mark.parametrize("width,step", [(64, 1), (64, 3), (100, 7)])
+    def test_forward_scan_fills_once_per_slack(self, width, step):
+        """One tall fill per ~W/8 sites of progress: at most
+        ceil(n / (W // 8)) + 1 block calls over a forward scan, where one
+        strip per region would make one call per position."""
+        aln = random_alignment(30, 600, seed=31)
+        source = _CountingBlock(aln)
+        cache = R2RegionCache(aln, block_fn=source)
+        n = aln.n_sites
+        starts = range(0, n - width + 1, step)
+        horizon = n - 1
+        for start in starts:
+            got = cache.region_matrix(start, start + width - 1, horizon)
+            want = r_squared_block(
+                aln, slice(start, start + width), slice(start, start + width)
+            )
+            assert got.tobytes() == want.tobytes()
+        assert source.calls <= -(-n // (width // 8)) + 1
+        assert source.calls < len(starts)
+        regions = [(s, s + width - 1) for s in starts]
+        assert cache.stats.entries_computed == sum(
+            simulate_fresh_entries(regions)
+        )
+
+    def test_fill_stops_at_horizon(self):
+        """No block reaches past the horizon (a streamed chunk's last
+        resident site) or past the alignment."""
+        aln = random_alignment(20, 200, seed=37)
+        reached = []
+
+        def block_fn(rows, cols):
+            reached.append(max(rows.stop, cols.stop) - 1)
+            return r_squared_block(aln, rows, cols)
+
+        cache = R2RegionCache(aln, block_fn=block_fn)
+        for start in range(0, 100, 2):
+            cache.region_matrix(start, start + 39, 150)
+        assert max(reached) <= 150
+        for start in range(100, 160, 2):
+            cache.region_matrix(start, start + 39, 10_000)
+        assert max(reached) == aln.n_sites - 1
+
+    def test_no_horizon_fills_exactly_the_region(self):
+        aln = random_alignment(20, 200, seed=41)
+        reached = []
+
+        def block_fn(rows, cols):
+            reached.append(max(rows.stop, cols.stop) - 1)
+            return r_squared_block(aln, rows, cols)
+
+        cache = R2RegionCache(aln, block_fn=block_fn)
+        for start in range(0, 100, 3):
+            cache.region_matrix(start, start + 39)
+            assert reached[-1] == start + 39
+
+    def test_reset_drops_filled_values(self):
+        aln = random_alignment(20, 200, seed=43)
+        source = _CountingBlock(aln)
+        cache = R2RegionCache(aln, block_fn=source)
+        cache.region_matrix(0, 39, 199)
+        cache.region_matrix(2, 41, 199)
+        calls = source.calls
+        cache.reset()
+        cache.region_matrix(4, 43, 199)
+        assert source.calls == calls + 1
+        assert cache.stats.entries_reused == 38 * 38

@@ -43,6 +43,7 @@ from repro.datasets.streaming import (
 from repro.datasets import vcf as vcf_module
 from repro.datasets.vcf import parse_vcf_text, vcf_text
 from repro.errors import DataFormatError, ScanConfigError, StreamingError
+from repro.ld.operands import gemm_plane_dtype
 
 
 def _shm_entries():
@@ -84,15 +85,23 @@ def _assert_results_equal(streamed, ref, *, reuse=False):
 
 def _assert_counters_match(streamed, ref):
     """A streamed scan's counters equal the in-memory scan's, apart from
-    its own ``stream.*`` ones and ``omega.batches``: each chunk flushes
-    its last partial ω batch, so every yielded part is complete, which
-    can add one batch per chunk after the first."""
+    its own ``stream.*`` ones, ``omega.batches`` and the r² fill-call
+    counts: each chunk flushes its last partial ω batch, so every
+    yielded part is complete, which can add one batch per chunk after
+    the first; and r² fills run ahead only up to the chunk's last
+    region, a horizon never past the in-memory scan's, so the streamed
+    scan makes at least as many (shorter) fill calls."""
     got = dict(streamed.metrics["counters"])
     want = dict(ref.metrics["counters"])
     n_chunks = got.pop("stream.chunks")
     got.pop("stream.chunk_sites")
     extra = got.pop("omega.batches", 0) - want.pop("omega.batches", 0)
     assert 0 <= extra <= n_chunks - 1
+    fills = [
+        sum(c.pop(f"ld.backend_{b}_fills", 0) for b in ("gemm", "packed"))
+        for c in (got, want)
+    ]
+    assert fills[0] >= fills[1]
     assert got == want
 
 
@@ -777,6 +786,40 @@ class TestStreamLeaks:
         # The reader remains usable for a fresh pass.
         again = scan_stream(reader, config, snp_budget=budget)
         assert len(again) == 8
+
+
+class TestStreamedScanWorkingSet:
+    """A sequential streamed scan holds one chunk's LD operand plane at a
+    time: the finished chunk's filler, the only holder of its planes
+    through the weakly keyed operand memo, is dropped before the next
+    chunk is read. The traced peak stays near two chunk planes however
+    many chunks run; a memo that kept every chunk it had seen peaked at
+    about one plane per chunk (25 on this input)."""
+
+    #: Region and DP buffers, ω arenas, chunk copies, lazy imports.
+    ALLOWANCE = 3 << 20
+
+    def test_peak_does_not_grow_with_chunks(self):
+        aln = haplotype_block_alignment(1000, 2400, seed=91)
+        config = OmegaConfig(
+            grid=GridSpec(n_positions=60, max_window=aln.length / 40)
+        )
+        plans = build_plans(aln, config.grid)
+        budget = 2 * _widest(plans)
+        assert len(_plan_stream_chunks(plans, budget)) >= 8
+        plane = budget * aln.n_samples * gemm_plane_dtype(
+            aln.n_samples
+        ).itemsize
+        tracemalloc.start()
+        try:
+            streamed = scan_stream(aln, config, snp_budget=budget)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * plane + self.ALLOWANCE
+        _assert_results_equal(
+            streamed, OmegaPlusScanner(config).scan(aln), reuse=True
+        )
 
 
 class TestChromosomeEnumeration:
