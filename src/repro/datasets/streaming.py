@@ -16,9 +16,16 @@ VCF input in two passes —
    sequence of site ranges, holding at most one chunk's genotypes at a
    time. VCF is site-major, so one forward pass with a sliding buffer
    of decoded genotype batches serves every window; ms is row-major, so
-   each window re-reads the replicate and slices every row (bounded
-   memory — one row plus the chunk — at the price of one file pass per
-   window, the classic double-buffer streaming trade).
+   each window re-reads the replicate's rows (bounded memory at the
+   price of one pass over the rows per window, the classic
+   double-buffer streaming trade). ms rows are fixed-width, so neither
+   pass parses them in Python: the index pass records their
+   :class:`~repro.datasets.msformat.RowLayout` and each window copies its
+   sites out of whole-row batches
+   (:class:`~repro.datasets.msformat.FixedRows`), holding one batch
+   buffer plus the chunk. A replicate without a layout (padded rows,
+   mixed line ends, ...) is read line by line instead, one row plus the
+   chunk resident.
 
 Chunk positions stay in *global* coordinates
 (:meth:`SNPAlignment.site_slice` semantics), so window arithmetic and
@@ -31,13 +38,25 @@ from __future__ import annotations
 import io
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    BinaryIO,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.datasets.alignment import SNPAlignment
 from repro.datasets.missing import MaskedAlignment
 from repro.datasets.msformat import (
+    FixedRows,
+    RowLayout,
+    locate_replicate,
+    open_ms,
     parse_haplotype_line,
     parse_positions_line,
     parse_segsites_line,
@@ -125,7 +144,7 @@ def enumerate_chromosomes(
     elif format == "vcf":
         fh = open_vcf(path)
     else:
-        fh = open(path, "r", encoding="ascii")
+        fh = open_ms(path)
     with fh:
         if format == "ms":
             return _ms_replicate_census(fh)
@@ -343,6 +362,10 @@ class StreamingAlignmentReader(AlignmentStreamSource):
         self._positions: np.ndarray
         self._n_samples: int
         self._length: float
+        # ms only: a text= source encoded once for the fixed-width
+        # reader, and the replicate's row layout when it has one.
+        self._ms_bytes: Optional[bytes] = None
+        self._layout: Optional[RowLayout] = None
         if format == "ms":
             self._index_ms(1.0 if length is None else float(length))
         else:
@@ -357,7 +380,7 @@ class StreamingAlignmentReader(AlignmentStreamSource):
             return io.StringIO(self._text)
         if self._format == "vcf":
             return open_vcf(self._path)
-        return open(self._path, "r", encoding="ascii")
+        return open_ms(self._path)
 
     def chromosomes(self) -> List[ChromosomeInfo]:
         """Enumerate every scannable unit of the underlying input (all
@@ -392,8 +415,65 @@ class StreamingAlignmentReader(AlignmentStreamSource):
         return _live_windows(self._vcf_windows(checked))
 
     # -------------------------------------------------------------- #
-    # ms route (row-major: per-window re-read, one row resident)
+    # ms route (row-major: per-window re-read of the rows)
     # -------------------------------------------------------------- #
+
+    def _open_bytes(self) -> Optional[BinaryIO]:
+        """The input as bytes for the fixed-width reader, or None for a
+        ``text=`` source that is not ASCII."""
+        if self._path is not None:
+            return open(self._path, "rb")
+        if self._ms_bytes is None:
+            return None
+        return io.BytesIO(self._ms_bytes)
+
+    def _index_ms(self, length: float) -> None:
+        self._ms_bytes = (
+            self._text.encode("ascii")
+            if self._path is None and self._text.isascii()
+            else None
+        )
+        found = None
+        fh = self._open_bytes()
+        if fh is not None:
+            with fh:
+                found = locate_replicate(fh, self._replicate)
+        if found is None:
+            rel, self._n_samples = self._index_ms_lines()
+        else:
+            rel, self._layout = found
+            self._n_samples = self._layout.n_rows
+        self._positions = scale_positions(rel, length)
+        self._length = length
+
+    def _ms_windows(
+        self, ranges: List[Tuple[int, int]]
+    ) -> Iterator[SNPAlignment]:
+        if self._layout is None:
+            return self._ms_line_windows(ranges)
+        layout = self._layout
+
+        def gen() -> Iterator[SNPAlignment]:
+            with self._open_bytes() as fh:
+                rows = FixedRows(fh, layout)
+                for lo, hi in ranges:
+                    matrix = rows.columns(lo, hi)
+                    if matrix is None:
+                        raise StreamingError(
+                            "ms input changed between the index pass and "
+                            f"the chunk pass (indexed {layout.n_rows} "
+                            f"rows of {layout.stride} bytes at byte "
+                            f"{layout.offset})"
+                        )
+                    yield SNPAlignment(
+                        matrix=matrix,
+                        positions=self._positions[lo:hi],
+                        length=self._length,
+                    )
+
+        return gen()
+
+    # The line route, for replicates whose rows have no layout.
 
     def _ms_enter_replicate(
         self, fh: Iterable[str], *, parse_positions: bool
@@ -448,7 +528,9 @@ class StreamingAlignmentReader(AlignmentStreamSource):
 
         return segsites, rel, rows()
 
-    def _index_ms(self, length: float) -> None:
+    def _index_ms_lines(self) -> Tuple[np.ndarray, int]:
+        """Index the replicate line by line; returns its fractional
+        positions and row count."""
         with self._open() as fh:
             segsites, rel, rows = self._ms_enter_replicate(
                 fh, parse_positions=True
@@ -461,11 +543,9 @@ class StreamingAlignmentReader(AlignmentStreamSource):
                 raise DataFormatError(
                     f"replicate {self._replicate}: no haplotype rows"
                 )
-        self._n_samples = n_rows
-        self._positions = scale_positions(rel, length)
-        self._length = length
+        return rel, n_rows
 
-    def _ms_windows(
+    def _ms_line_windows(
         self, ranges: List[Tuple[int, int]]
     ) -> Iterator[SNPAlignment]:
         def gen() -> Iterator[SNPAlignment]:

@@ -101,6 +101,21 @@ class TestScan:
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_non_ascii_input(self, sweep_ms, tmp_path, capsys, stream):
+        bad = tmp_path / "bad.ms"
+        with open(sweep_ms, "rb") as fh:
+            data = bytearray(fh.read())
+        data[data.rindex(b"\n", 0, len(data) - 1) + 3] = 0xE9
+        bad.write_bytes(bytes(data))
+        argv = ["scan", str(bad), "--length", "500000", "--grid", "5",
+                "--maxwin", "200000"]
+        if stream:
+            argv += ["--stream", "--snp-budget", "100000"]
+        rc = main(argv)
+        assert rc == 2
+        assert "error: ms input is not ASCII" in capsys.readouterr().err
+
 
 class TestAccel:
     @pytest.mark.parametrize(

@@ -40,6 +40,7 @@ from repro.datasets.streaming import (
     StreamingAlignmentReader,
     enumerate_chromosomes,
 )
+from repro.datasets import msformat
 from repro.datasets import vcf as vcf_module
 from repro.datasets.vcf import parse_vcf_text, vcf_text
 from repro.errors import DataFormatError, ScanConfigError, StreamingError
@@ -217,6 +218,92 @@ class TestStreamingReaderMs:
         np.testing.assert_array_equal(chunk.positions, ref.positions)
 
 
+class TestMsChunkPass:
+    """The ms chunk pass re-reads the rows the index pass laid out; a file
+    that no longer holds them fails with StreamingError, not with wrong
+    genotypes."""
+
+    @pytest.fixture
+    def ms_file(self, tmp_path):
+        aln = haplotype_block_alignment(12, 40, seed=5)
+        path = tmp_path / "input.ms"
+        path.write_text(ms_text([aln]), encoding="ascii")
+        reader = StreamingAlignmentReader(
+            str(path), format="ms", length=aln.length
+        )
+        return path, reader
+
+    def test_truncated_between_passes(self, ms_file):
+        path, reader = ms_file
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 100])
+        with pytest.raises(StreamingError, match="changed between"):
+            list(reader.windows([(0, 10), (5, reader.n_sites)]))
+
+    def test_truncated_between_windows(self, ms_file):
+        # Cut at a row boundary while the chunk pass is open: the rows
+        # left in its buffer from the first window must not be served.
+        path, reader = ms_file
+        windows = reader.windows([(0, 10), (5, reader.n_sites)])
+        next(windows)
+        data = path.read_bytes()
+        row_ends = [i for i, b in enumerate(data) if b == ord("\n")]
+        path.write_bytes(data[: row_ends[-7] + 1])
+        with pytest.raises(StreamingError, match="changed between"):
+            next(windows)
+
+    def test_terminator_overwritten_between_passes(self, ms_file):
+        path, reader = ms_file
+        data = bytearray(path.read_bytes())
+        row_ends = [i for i, b in enumerate(data) if b == ord("\n")]
+        data[row_ends[-4]] = ord("0")  # joins the 9th and 10th rows
+        path.write_bytes(bytes(data))
+        with pytest.raises(StreamingError, match="changed between"):
+            list(reader.windows([(0, reader.n_sites)]))
+
+
+class TestMsNonAscii:
+    """A non-ASCII byte in an ms file is a DataFormatError on every
+    streaming route: the fixed-width index pass, the line fallback and
+    the replicate census."""
+
+    def _write(self, tmp_path, text, at):
+        data = bytearray(text.encode("ascii"))
+        data[data.index(at.encode("ascii"))] = 0xE9
+        path = tmp_path / "input.ms"
+        path.write_bytes(bytes(data))
+        return str(path)
+
+    def test_reader(self, tmp_path):
+        aln = haplotype_block_alignment(8, 20, seed=1)
+        text = ms_text([aln])
+        row = text.splitlines()[-1]
+        path = self._write(tmp_path, text, row)
+        with pytest.raises(DataFormatError, match="not ASCII"):
+            StreamingAlignmentReader(path, format="ms")
+
+    def test_reader_padded_rows(self, tmp_path):
+        aln = haplotype_block_alignment(8, 20, seed=1)
+        rows = ms_text([aln]).splitlines()
+        text = "\n".join(rows[:-1] + [rows[-1] + "  ", ""])
+        path = self._write(tmp_path, text, rows[-1])
+        with pytest.raises(DataFormatError, match="not ASCII"):
+            StreamingAlignmentReader(path, format="ms")
+
+    def test_census(self, tmp_path):
+        a = haplotype_block_alignment(8, 20, seed=1)
+        b = haplotype_block_alignment(8, 12, seed=2)
+        text = ms_text([a, b])
+        path = self._write(tmp_path, text, "segsites: 12")
+        # Replicate 0 reads; the census reads the whole file.
+        reader = StreamingAlignmentReader(path, format="ms")
+        assert reader.n_samples == 8
+        with pytest.raises(DataFormatError, match="not ASCII"):
+            reader.chromosomes()
+        with pytest.raises(DataFormatError, match="not ASCII"):
+            enumerate_chromosomes(path, format="ms")
+
+
 class TestStreamingReaderVcf:
     @pytest.fixture
     def vcf_pair(self, rng):
@@ -372,6 +459,42 @@ class TestVcfWorkingSet:
                     held = 2 * (chunk.matrix.nbytes + chunk.positions.nbytes)
                     assert peak - base - held < self.BOUND
                     tracemalloc.reset_peak()
+        finally:
+            tracemalloc.stop()
+
+
+class TestMsWorkingSet:
+    """The ms chunk pass holds one batch buffer plus the chunk, on a file
+    many buffers long. (Slicing every row into a list and stacking it
+    held two chunks.)"""
+
+    BUFFER = 64 << 10
+    ALLOWANCE = 64 << 10  # the file object, positions, small temporaries
+
+    def test_peak_is_one_chunk_plus_one_buffer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(msformat, "_BATCH_BYTES", self.BUFFER)
+        aln = haplotype_block_alignment(200, 4000, seed=3)
+        path = tmp_path / "input.ms"
+        path.write_text(ms_text([aln]), encoding="ascii")
+        assert path.stat().st_size >= 8 * self.BUFFER
+        reader = StreamingAlignmentReader(
+            str(path), format="ms", length=aln.length
+        )
+        ranges = [(0, 1500), (1000, 2500), (2500, 4000)]
+        windows = reader.windows(ranges)
+        tracemalloc.start()
+        try:
+            for lo, hi in ranges:
+                base, _peak = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                chunk = next(windows)
+                _current, peak = tracemalloc.get_traced_memory()
+                np.testing.assert_array_equal(
+                    chunk.matrix, aln.matrix[:, lo:hi]
+                )
+                held = chunk.matrix.nbytes + self.BUFFER
+                assert peak - base < held + self.ALLOWANCE
+                del chunk
         finally:
             tracemalloc.stop()
 
