@@ -84,9 +84,17 @@ __all__ = [
 #: Target number of scheduling blocks per worker. More blocks balance the
 #: load better (a worker stuck on high-evaluation positions strands at
 #: most one block); fewer blocks preserve more within-block reuse. Four
-#: per worker keeps the straggler tail under ~25 % of one worker's share
-#: while blocks stay tens of positions long on realistic grids.
+#: per worker keeps the straggler tail under ~25 % of one worker's share.
 BLOCKS_PER_WORKER = 4
+
+#: Shortest default block, in grid positions. Every block starts cold:
+#: its first r² region comes from the tile store, its DP prefix is built
+#: from scratch, its scanner is set up, and its task and result cross the
+#: pool. That costs about as much as 1-4 positions of steady-state work
+#: at regions of 240 and 1 200 sites (``benchmarks/bench_host_dp.py``),
+#: so short grids are cut into fewer, longer blocks instead of
+#: :data:`BLOCKS_PER_WORKER` per worker.
+MIN_BLOCK_POSITIONS = 8
 
 
 def make_blocks(
@@ -97,17 +105,22 @@ def make_blocks(
 ) -> List[Tuple[int, int]]:
     """Cut ``n_positions`` into contiguous [start, stop) scheduling blocks.
 
-    The default block size targets :data:`BLOCKS_PER_WORKER` blocks per
-    worker; pass ``block_size`` to override. Blocks are never empty.
+    By default the grid is cut into ``min(BLOCKS_PER_WORKER · n_workers,
+    ⌈n_positions / MIN_BLOCK_POSITIONS⌉)`` target blocks of
+    ``⌈n_positions / target⌉`` positions each, the last block taking
+    the remainder; pass ``block_size`` to set the length instead. Blocks
+    are never empty, and the partition depends only on the arguments.
     """
     if n_positions < 1:
         raise ScanConfigError(f"n_positions must be >= 1, got {n_positions}")
     if n_workers < 1:
         raise ScanConfigError(f"n_workers must be >= 1, got {n_workers}")
     if block_size is None:
-        block_size = max(
-            1, math.ceil(n_positions / (BLOCKS_PER_WORKER * n_workers))
+        target = min(
+            BLOCKS_PER_WORKER * n_workers,
+            math.ceil(n_positions / MIN_BLOCK_POSITIONS),
         )
+        block_size = math.ceil(n_positions / target)
     if block_size < 1:
         raise ScanConfigError(f"block_size must be >= 1, got {block_size}")
     return [
@@ -505,8 +518,14 @@ class ParallelScanSession(_PoolSession):
         The method is thread-safe: scheduler metrics go to the
         caller-supplied ``registry`` (never the process-global one,
         which ``obs.scoped_metrics`` would make a cross-request race),
-        and the calibration fold is atomic. Results are bitwise-equal to
-        a sequential scan of the same positions.
+        and the calibration fold is atomic.
+
+        The grid is cut by :func:`make_blocks`, which sees only the
+        position count and the block size, so a request returns the same
+        bits on every run and however it interleaves with other requests.
+        Each block re-anchors the window-sum DP, so results agree with a
+        sequential scan of the same positions to about 1e-9 relative, not
+        bitwise.
         """
         self.start()
         if registry is None:
@@ -567,8 +586,9 @@ def parallel_scan(
         Multiprocessing start method (default: platform default, ``fork``
         on Linux).
     block_size:
-        Scheduling-block length in grid positions; default targets
-        :data:`BLOCKS_PER_WORKER` blocks per worker.
+        Scheduling-block length in grid positions; by default
+        :func:`make_blocks` targets :data:`BLOCKS_PER_WORKER` blocks per
+        worker, none shorter than :data:`MIN_BLOCK_POSITIONS`.
 
     The returned breakdown's phase totals sum CPU seconds *across
     workers*; its ``wall_seconds`` holds the true elapsed time of this

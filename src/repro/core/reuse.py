@@ -619,6 +619,13 @@ class SumMatrixCache:
     the columns it has (``_fill_starts`` tracks the first truthfully
     filled row of every column).
 
+    The anchor is allocated uninitialized (``np.empty``); a build or an
+    append writes only the filled ``width + 1`` square, its zero first
+    row and column included, and nothing ever reads past it. Capacity the
+    block never grows into is never touched: with transparent huge pages
+    one touched byte makes 2 MiB resident, and zero-filling a mid-size
+    anchor from reused heap costs a pass over all of it.
+
     With ``reuse=False`` the cache degenerates to a fresh build per
     request — bit-identical arithmetic to ``SumMatrix(r2)`` — which is the
     rebuild-every-position baseline of ``bench_ablation_dp_reuse.py``;
@@ -675,8 +682,9 @@ class SumMatrixCache:
 
     def _rebuild(self, start: int, stop: int, r2: np.ndarray) -> None:
         """Fresh anchored build — the exact arithmetic of
-        ``SumMatrix(r2, assume_symmetric=True)``, placed into a capacity
-        array with room to grow in place."""
+        ``SumMatrix(r2, assume_symmetric=True)``, computed in place in the
+        top-left corner of an uninitialized capacity array with room to
+        grow."""
         width = stop - start + 1
         self._capacity = self._choose_capacity(width)
         self._growth_eff = (
@@ -686,12 +694,18 @@ class SumMatrixCache:
         )
         self.stats.dp_anchor_allocs += 1
         self.stats.dp_anchor_span_total += self._capacity
-        prefix = np.zeros((self._capacity + 1, self._capacity + 1))
-        sym = np.asarray(r2, dtype=np.float64).copy()
-        np.fill_diagonal(sym, 0.0)
-        np.cumsum(sym, axis=0, out=sym)
-        np.cumsum(sym, axis=1, out=sym)
-        prefix[1 : width + 1, 1 : width + 1] = sym
+        prefix = np.empty((self._capacity + 1, self._capacity + 1))
+        prefix[0, : width + 1] = 0.0
+        prefix[1 : width + 1, 0] = 0.0
+        block = prefix[1 : width + 1, 1 : width + 1]
+        block[...] = r2
+        np.fill_diagonal(block, 0.0)
+        # Row by row, the additions of np.cumsum(axis=0) in their order,
+        # without its strided column walk.
+        rows = list(block)
+        for prev, row in zip(rows, rows[1:]):
+            np.add(prev, row, out=row)
+        np.cumsum(block, axis=1, out=block)
         self._prefix = prefix
         self._anchor, self._hi = start, stop
         self._width = width
@@ -702,7 +716,8 @@ class SumMatrixCache:
 
     def _extend(self, start: int, stop: int, r2: np.ndarray) -> None:
         """Append SNPs ``(_hi, stop]``: grow the anchored prefix by their
-        rows and columns only (O(anchored width x fringe))."""
+        rows and columns only (O(anchored width x fringe)), zero first row
+        and column cells included."""
         assert self._prefix is not None and self._hi is not None
         assert self._anchor is not None and self._fill_starts is not None
         width = stop - start + 1
@@ -730,6 +745,8 @@ class SumMatrixCache:
         p[old_w + 1 : new_w + 1, 1 : new_w + 1] = p[
             old_w : old_w + 1, 1 : new_w + 1
         ] + np.cumsum(np.cumsum(cols.T, axis=0), axis=1)
+        p[0, old_w + 1 : new_w + 1] = 0.0
+        p[old_w + 1 : new_w + 1, 0] = 0.0
 
         self._fill_starts = np.concatenate(
             [self._fill_starts, np.full(fringe, start, dtype=np.intp)]

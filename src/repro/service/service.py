@@ -37,7 +37,11 @@ import numpy as np
 import repro.obs as obs
 from repro.core.costmodel import get_cost_model
 from repro.core.grid import PositionPlan
-from repro.core.parallel import ParallelScanSession, plans_for_positions
+from repro.core.parallel import (
+    ParallelScanSession,
+    make_blocks,
+    plans_for_positions,
+)
 from repro.obs.eta import estimate_eta
 from repro.obs.ledger import ProgressLedger
 from repro.core.results import ScanResult
@@ -144,9 +148,17 @@ class AdmissionController:
         *,
         n_workers: int,
         backlog_cost: float = 0.0,
+        block_size: Optional[int] = None,
     ):
         """Price one request; returns ``(grid_positions, plans,
-        RequestEstimate)``."""
+        RequestEstimate)``.
+
+        The request runs on at most as many workers as it has blocks, so
+        its wall-clock price divides the CPU price by
+        ``min(n_workers, blocks)``, the blocks cut by
+        :func:`~repro.core.parallel.make_blocks` with the ``block_size``
+        the session dispatches with.
+        """
         grid_positions = self.grid_positions_for(request)
         plans = plans_for_positions(
             self._alignment.positions, grid_positions, self._config.grid
@@ -154,7 +166,10 @@ class AdmissionController:
         model = get_cost_model()
         total_cost = float(model.position_costs(plans).sum())
         cpu = model.estimate_seconds(total_cost)
-        wall = None if cpu is None else cpu / n_workers
+        n_blocks = len(
+            make_blocks(grid_positions.size, n_workers, block_size=block_size)
+        )
+        wall = None if cpu is None else cpu / min(n_workers, n_blocks)
         backlog = model.estimate_seconds(backlog_cost)
         estimate = RequestEstimate(
             n_positions=int(grid_positions.size),
@@ -190,8 +205,12 @@ class ScanService:
     Lifecycle: ``await start()`` (or ``async with``) forks the shared
     session and the dispatcher tasks; :meth:`submit` admits (or rejects)
     a request and returns its :class:`ScanJob`; ``await job.wait()``
-    yields the :class:`~repro.core.results.ScanResult`, bitwise-equal to
-    a sequential scan of the same grid. ``await close()`` fails pending
+    yields the :class:`~repro.core.results.ScanResult`. A request
+    returns the same bits on every run and whatever other requests share
+    the pool (see
+    :meth:`~repro.core.parallel.ParallelScanSession.scan_positions`),
+    and agrees with a sequential scan of the same grid to about 1e-9
+    relative. ``await close()`` fails pending
     jobs and tears the pool and shared segments down (leak-guarded, as
     the underlying session is).
     """
@@ -225,6 +244,7 @@ class ScanService:
             block_size=block_size,
             block_lru_bytes=block_lru_bytes,
         )
+        self._block_size = block_size
         self.admission = AdmissionController(alignment, config)
         self._queue = JobQueue(queue_limit)
         self._max_concurrent = max_concurrent
@@ -339,6 +359,7 @@ class ScanService:
             request,
             n_workers=self._session.n_workers,
             backlog_cost=self._backlog_cost,
+            block_size=self._block_size,
         )
         try:
             self.admission.check_deadline(request, estimate)

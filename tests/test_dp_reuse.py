@@ -8,6 +8,8 @@ answers differ from fresh ones only by float rounding of the cumulative
 sums (observed ~1e-13 relative); fresh builds are bit-identical.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -395,3 +397,138 @@ class TestDecisionMirror:
         assert simulate_dp_actions(regions, reuse=False) == self._trace(
             full_r2, regions, reuse=False
         )
+
+
+class _ZeroFilledCache(SumMatrixCache):
+    """The zero-filled build and extend the in-place ones replaced, kept
+    verbatim as the bit-level reference."""
+
+    def _rebuild(self, start, stop, r2):
+        width = stop - start + 1
+        self._capacity = self._choose_capacity(width)
+        self._growth_eff = (
+            self._growth
+            if self._growth is not None
+            else max(1.0, self._capacity / width)
+        )
+        self.stats.dp_anchor_allocs += 1
+        self.stats.dp_anchor_span_total += self._capacity
+        prefix = np.zeros((self._capacity + 1, self._capacity + 1))
+        sym = np.asarray(r2, dtype=np.float64).copy()
+        np.fill_diagonal(sym, 0.0)
+        np.cumsum(sym, axis=0, out=sym)
+        np.cumsum(sym, axis=1, out=sym)
+        prefix[1 : width + 1, 1 : width + 1] = sym
+        self._prefix = prefix
+        self._anchor, self._hi = start, stop
+        self._width = width
+        self._fill_starts = np.full(width, start, dtype=np.intp)
+        self.stats.dp_entries_computed += width * width
+        self.stats.dp_builds += 1
+        self.last_action = "build"
+
+    def _extend(self, start, stop, r2):
+        width = stop - start + 1
+        delta = start - self._anchor
+        old_w = self._width
+        fringe = stop - self._hi
+        new_w = old_w + fringe
+        p = self._prefix
+        cols = np.zeros((new_w, fringe))
+        cols[delta:new_w, :] = r2[:, self._hi + 1 - start :]
+        diag = np.arange(fringe)
+        cols[self._hi + 1 - self._anchor + diag, diag] = 0.0
+        col_prefix = np.cumsum(cols, axis=0)
+        p[1 : old_w + 1, old_w + 1 : new_w + 1] = p[
+            1 : old_w + 1, old_w : old_w + 1
+        ] + np.cumsum(col_prefix[:old_w, :], axis=1)
+        p[old_w + 1 : new_w + 1, 1 : new_w + 1] = p[
+            old_w : old_w + 1, 1 : new_w + 1
+        ] + np.cumsum(np.cumsum(cols.T, axis=0), axis=1)
+        self._fill_starts = np.concatenate(
+            [self._fill_starts, np.full(fringe, start, dtype=np.intp)]
+        )
+        self._width = new_w
+        self._hi = stop
+        overlap = width - fringe
+        self.stats.dp_entries_computed += width * width - overlap * overlap
+        self.stats.dp_entries_reused += overlap * overlap
+        self.last_action = "extend"
+
+
+_REAL_EMPTY = np.empty
+
+
+def _nan_empty(shape, dtype=float, *args, **kwargs):
+    """``np.empty`` whose float arrays hold NaN, so a read of any cell
+    nobody wrote poisons the sums it reaches."""
+    out = _REAL_EMPTY(shape, dtype, *args, **kwargs)
+    if out.dtype.kind == "f":
+        out.fill(np.nan)
+    return out
+
+
+def _signed_r2(seed, n_sites):
+    """A symmetric r²-like matrix with exact zeros and negative zeros
+    mixed into its [0, 1) entries."""
+    rng = np.random.default_rng(seed)
+    r2 = rng.random((n_sites, n_sites))
+    r2[rng.random((n_sites, n_sites)) < 0.15] = 0.0
+    r2 = np.triu(r2) + np.triu(r2, 1).T
+    r2[rng.random((n_sites, n_sites)) < 0.1] = -0.0
+    return r2
+
+
+class TestInPlaceBuild:
+    """The anchor is allocated uninitialized and only its filled block
+    (plus that block's zero row and column) is ever written."""
+
+    N_SITES = 420
+
+    def _serve_both(self, r2, regions, growth_factor):
+        new = SumMatrixCache(growth_factor=growth_factor)
+        ref = _ZeroFilledCache(growth_factor=growth_factor)
+        for start, stop in regions:
+            region = r2[start : stop + 1, start : stop + 1]
+            with mock.patch.object(np, "empty", _nan_empty):
+                got = new.region_sums(start, stop, region)
+            want = ref.region_sums(start, stop, region)
+            assert new.last_action == ref.last_action
+            assert got._prefix.tobytes() == want._prefix.tobytes()
+            w = new._width
+            assert np.isnan(new._prefix[w + 1 :, :]).all()
+            assert np.isnan(new._prefix[: w + 1, w + 1 :]).all()
+        return new
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_served_prefixes_bitwise_equal_reference(self, data):
+        n = self.N_SITES
+        r2 = _signed_r2(data.draw(st.integers(0, 2**32 - 1)), n)
+        growth = data.draw(st.sampled_from([None, 1.0, 1.5, 3.0]))
+        start = data.draw(st.integers(0, n - 1))
+        width = data.draw(st.integers(1, min(150, n - start)))
+        regions = [(start, start + width - 1)]
+        for _ in range(data.draw(st.integers(0, 8))):
+            kind = data.draw(
+                st.sampled_from(["forward", "backward", "disjoint"])
+            )
+            if kind == "forward":
+                start = min(n - 1, start + data.draw(st.integers(0, 30)))
+                width = max(1, width + data.draw(st.integers(-5, 40)))
+            elif kind == "backward":
+                start = max(0, start - data.draw(st.integers(1, 60)))
+            else:
+                start = data.draw(st.integers(0, n - 1))
+                width = data.draw(st.integers(1, 150))
+            width = min(width, n - start, 150)
+            regions.append((start, start + width - 1))
+        self._serve_both(r2, regions, growth)
+
+    def test_forward_walk_extends_bitwise(self):
+        """A regions-shaped walk (W = 240, stride 20) extends its anchor
+        and still serves the reference's bits."""
+        r2 = _signed_r2(5, self.N_SITES)
+        regions = [(s, s + 239) for s in range(0, 180, 20)]
+        cache = self._serve_both(r2, regions, None)
+        assert cache.stats.dp_builds < len(regions)

@@ -9,6 +9,7 @@ leaks.
 
 import gc
 import glob
+import mmap
 import weakref
 
 import numpy as np
@@ -72,6 +73,13 @@ class TestLDOperands:
         np.testing.assert_array_equal(
             cols, aln.matrix[:, 10:30].astype(np.float64)
         )
+
+    def test_gemm_plane_lives_on_its_own_mapping(self):
+        # Freed planes go back to the OS instead of leaving heap holes.
+        aln = random_alignment(20, 60, seed=4)
+        plane = LDOperands(aln).gemm_plane()
+        assert isinstance(plane.base, mmap.mmap)
+        assert plane.tobytes() == aln.matrix.astype(plane.dtype).tobytes()
 
     def test_over_cap_falls_back_to_slice_conversion(self):
         aln = random_alignment(20, 60, seed=3)

@@ -1,6 +1,7 @@
 """Tests for the multiprocess scanner."""
 
 import glob
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from repro.core.grid import GridSpec
 from repro.core.parallel import (
+    BLOCKS_PER_WORKER,
+    MIN_BLOCK_POSITIONS,
     ParallelScanSession,
     make_blocks,
     parallel_scan,
@@ -35,10 +38,50 @@ class TestMakeBlocks:
             assert all(b > a for a, b in make_blocks(n, w))
 
     def test_default_targets_blocks_per_worker(self):
-        # 96 positions, 4 workers => 16 blocks of 6 (4 per worker).
+        # 96 positions, 4 workers => 12 blocks of 8: four per worker would
+        # be 16 blocks of 6, shorter than MIN_BLOCK_POSITIONS.
         blocks = make_blocks(96, 4)
-        assert len(blocks) == 16
-        assert all(b - a == 6 for a, b in blocks)
+        assert len(blocks) == 12
+        assert all(b - a == 8 for a, b in blocks)
+
+    def test_short_grid_gets_fewer_longer_blocks(self):
+        assert make_blocks(30, 2) == [(0, 8), (8, 16), (16, 24), (24, 30)]
+        assert make_blocks(8, 2) == [(0, 8)]
+        assert make_blocks(1, 2) == [(0, 1)]
+
+    @given(n=st.integers(1, 3000), w=st.integers(1, 16))
+    @settings(max_examples=300, deadline=None)
+    def test_default_partition_properties(self, n, w):
+        blocks = make_blocks(n, w)
+        assert [k for a, b in blocks for k in range(a, b)] == list(range(n))
+        assert all(b > a for a, b in blocks)
+        target = min(
+            BLOCKS_PER_WORKER * w, math.ceil(n / MIN_BLOCK_POSITIONS)
+        )
+        size = math.ceil(n / target)
+        assert all(b - a == size for a, b in blocks[:-1])
+        assert len(blocks) == math.ceil(n / size) <= target
+        if target == math.ceil(n / MIN_BLOCK_POSITIONS):
+            # The floor governs: exactly the target count.
+            assert len(blocks) == target
+
+    @given(
+        n=st.integers(1, 3000), w=st.integers(1, 16), size=st.integers(1, 40)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_explicit_block_size_overrides_floor(self, n, w, size):
+        assert make_blocks(n, w, block_size=size) == [
+            (lo, min(lo + size, n)) for lo in range(0, n, size)
+        ]
+
+    @given(n=st.integers(57, 20000))
+    @settings(max_examples=300, deadline=None)
+    def test_two_worker_grids_from_57_cut_as_before(self, n):
+        # The rule before the floor: BLOCKS_PER_WORKER blocks per worker.
+        size = math.ceil(n / (BLOCKS_PER_WORKER * 2))
+        assert make_blocks(n, 2) == [
+            (lo, min(lo + size, n)) for lo in range(0, n, size)
+        ]
 
     def test_explicit_block_size(self):
         assert make_blocks(10, 3, block_size=4) == [(0, 4), (4, 8), (8, 10)]

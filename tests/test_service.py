@@ -237,6 +237,26 @@ class TestAdmissionController:
             quiet.predicted_seconds + quiet.wall_seconds
         )
 
+    @pytest.mark.parametrize("n_positions, runs_on", [(1, 1), (8, 1), (64, 2)])
+    def test_wall_price_uses_only_the_workers_blocks_can_fill(
+        self, aln, config, n_positions, runs_on
+    ):
+        # 1 and 8 positions are one block each; 64 are eight blocks.
+        set_cost_model(ScanCostModel(seconds_per_unit=1e-6))
+        ctrl = AdmissionController(aln, config)
+        _gp, _plans, est = ctrl.estimate(
+            ScanRequest(n_positions=n_positions), n_workers=2
+        )
+        assert est.wall_seconds == pytest.approx(est.cpu_seconds / runs_on)
+
+    def test_wall_price_follows_the_session_block_size(self, aln, config):
+        set_cost_model(ScanCostModel(seconds_per_unit=1e-6))
+        ctrl = AdmissionController(aln, config)
+        _gp, _plans, est = ctrl.estimate(
+            ScanRequest(n_positions=8), n_workers=2, block_size=2
+        )
+        assert est.wall_seconds == pytest.approx(est.cpu_seconds / 2)
+
     def test_infeasible_deadline_raises_with_estimate(self, aln, config):
         set_cost_model(ScanCostModel(seconds_per_unit=10.0))
         ctrl = AdmissionController(aln, config)
@@ -399,6 +419,29 @@ class TestScanService:
 
         run_service(body, aln, config, queue_limit=8, max_concurrent=1)
         assert started == [-1, 0, 3, 7]
+
+    def test_short_requests_keep_their_partition_under_concurrency(
+        self, aln, config
+    ):
+        requests = [
+            ScanRequest(start_bp=1000.0, stop_bp=20000.0, n_positions=30),
+            ScanRequest(start_bp=8000.0, stop_bp=28000.0, n_positions=30),
+        ]
+
+        async def body(service):
+            jobs = [await service.submit(r) for r in requests]
+            together = await asyncio.gather(*(j.wait() for j in jobs))
+            alone = [await service.scan(r) for r in requests]
+            return jobs, together, alone
+
+        jobs, together, alone = run_service(body, aln, config)
+        for job, got, want in zip(jobs, together, alone):
+            # 30 positions on 2 workers: blocks of 8, 8, 8 and 6.
+            assert job.metrics["counters"]["scheduler.blocks_dispatched"] == 4
+            assert_results_equal(got, want)
+            assert_results_close(
+                got, sequential_reference(aln, config, job.grid_positions)
+            )
 
     def test_per_request_metrics_are_scoped(self, aln, config):
         async def body(service):
