@@ -4,8 +4,12 @@ the end-to-end benchmark's ``regions_serve`` (W = 240 sites, grid stride
 
 * **DP build + 3 extends** — what one scheduling block's
   :class:`~repro.core.reuse.SumMatrixCache` does over its first four
-  positions: a cold anchored build (no stride history, so capacity 2 W),
-  then three appended fringes.
+  positions: a cold anchored build (no stride history, so a planned span
+  of 2 W), then three appended fringes, all in one prefix buffer of
+  about (W + W / 4)² floats.
+* **DP forward walk** — 60 consecutive positions, as a sequential scan
+  or a long block makes them: the time per appended fringe, and how
+  often the live square moved back to the buffer's origin.
 * **Block cold start in a worker** — a scanner over 4 and over 8
   consecutive grid positions, its r² regions served by a warm shared
   tile store (as in a pool worker). ``t(n) = cold + n · step`` gives the
@@ -24,9 +28,11 @@ The cold start in units of ``step`` is what
 import dataclasses
 import statistics
 import time
+from unittest import mock
 
 import pytest
 
+from repro.core import reuse
 from repro.core.grid import GridSpec, build_plans, fixed_position_spec
 from repro.core.parallel import ParallelScanSession
 from repro.core.reuse import R2RegionCache, SumMatrixCache
@@ -47,10 +53,22 @@ SHAPES = {
 #: Per-worker assembled-block LRU, as the scan service enables it.
 BLOCK_LRU_BYTES = 32 * 1024 * 1024
 
+#: Positions in the DP forward walk: twice a 30-position service request.
+WALK_POSITIONS = 60
 
-def _alignment(shape):
-    n_hap, n_sites, length = SHAPES[shape][:3]
-    return haplotype_block_alignment(n_hap, n_sites, length=length, seed=91)
+
+def _alignment(shape, n_sites=None):
+    n_hap, shape_sites, length = SHAPES[shape][:3]
+    n_sites = n_sites or shape_sites
+    return haplotype_block_alignment(
+        n_hap, n_sites, length=length * n_sites / shape_sites, seed=91
+    )
+
+
+def _buffer(cache):
+    """The DP cache's prefix buffer, described for a report."""
+    side = cache._buf.shape[0]
+    return f"buffer {side} x {side} = {cache._buf.nbytes / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("shape", list(SHAPES))
@@ -69,14 +87,55 @@ def test_dp_build_and_extends(timed, report, shape):
                 start, stop, r2[start : stop + 1, start : stop + 1]
             )
             actions.append(cache.last_action)
-        return actions
+        return actions, cache
 
-    actions, mean = timed(block_start)
+    (actions, cache), mean = timed(block_start)
     report(
         f"host DP: one build + 3 extends, W = {width}, stride {stride}",
-        f"{mean * 1e3:.3f} ms (anchor capacity {2 * width})",
+        f"{mean * 1e3:.3f} ms ({_buffer(cache)})",
     )
     assert actions == ["build", "extend", "extend", "extend"]
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_dp_forward_walk(timed, report, shape):
+    width, stride = SHAPES[shape][5:]
+    n_sites = width + (WALK_POSITIONS - 1) * stride
+    span = slice(0, n_sites)
+    r2 = r_squared_block(_alignment(shape, n_sites), span, span)
+    regions = [
+        (k * stride, k * stride + width - 1) for k in range(WALK_POSITIONS)
+    ]
+    per_extend = []
+
+    def walk():
+        cache = SumMatrixCache()
+        seconds, extends = 0.0, 0
+        for start, stop in regions:
+            region = r2[start : stop + 1, start : stop + 1]
+            t0 = time.perf_counter()
+            cache.region_sums(start, stop, region)
+            if cache.last_action == "extend":
+                seconds += time.perf_counter() - t0
+                extends += 1
+        per_extend.append(seconds / extends)
+        return cache
+
+    timed(walk)
+    ms_per_extend = statistics.median(per_extend) * 1e3
+    with mock.patch.object(
+        reuse, "_move_block_back", wraps=reuse._move_block_back
+    ) as moves:
+        cache = walk()
+    builds = cache.stats.dp_builds
+    report(
+        f"host DP: forward walk of {WALK_POSITIONS} positions, W = {width}, "
+        f"stride {stride}",
+        f"{ms_per_extend:.3f} ms per extend "
+        f"({WALK_POSITIONS - builds} extends, {builds} builds), "
+        f"{moves.call_count} moves, {_buffer(cache)}",
+    )
+    assert builds < WALK_POSITIONS // 4
 
 
 def _grid(shape):

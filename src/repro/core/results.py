@@ -148,7 +148,7 @@ class ScanResult:
             )
         if self.reuse.dp_anchor_allocs > 0:
             lines.append(
-                f"DP anchors: {self.reuse.dp_anchor_allocs} allocated, "
+                f"DP anchors: {self.reuse.dp_anchor_allocs} planned, "
                 f"mean span {self.reuse.mean_anchor_span:.0f} SNPs"
             )
         sched = self._scheduler_summary()

@@ -16,8 +16,10 @@ the same idea at *two* levels:
   for the previous region is *relocated* (served as an offset view — every
   window-sum query is a four-corner rectangle difference, so the prefix
   anchor cancels) and extended with only the rows/columns of newly entered
-  SNPs, making the per-position DP cost proportional to the
-  non-overlapping fringe instead of the full O(W²) rebuild.
+  SNPs over the region, making the per-position DP cost proportional to
+  the non-overlapping fringe instead of the full O(W²) rebuild. Like the
+  r² buffer, its prefix buffer stays region-sized: the live square moves
+  back to the origin in place when an append runs past the edge.
 
 Both caches keep reuse statistics in one :class:`ReuseStats` so the
 benefit is measurable (``tests/test_reuse.py`` asserts the saving; the
@@ -86,9 +88,11 @@ class ReuseStats:
     both in units of one region cell, so ``computed + reused`` equals the
     sum of served region areas at either level.
 
-    ``dp_anchor_*`` record the prefix-anchor allocations the DP cache
-    chose (so the adaptive growth policy is observable: mean span =
-    ``dp_anchor_span_total / dp_anchor_allocs``). ``tile_entries_*``
+    ``dp_anchor_*`` record the anchor spans the DP cache planned, one per
+    build (so the adaptive growth policy is observable: mean span =
+    ``dp_anchor_span_total / dp_anchor_allocs``). A span decides when the
+    cache rebuilds, not what it allocates: its prefix buffer stays
+    region-sized whatever the span. ``tile_entries_*``
     count r² cells a shared tile store computed vs served from
     already-published tiles (multiprocess scans only; zero otherwise).
     """
@@ -118,7 +122,7 @@ class ReuseStats:
 
     @property
     def mean_anchor_span(self) -> float:
-        """Mean SNP capacity of the DP prefix anchors allocated so far."""
+        """Mean planned SNP span of the DP prefix anchors built so far."""
         if self.dp_anchor_allocs == 0:
             return 0.0
         return self.dp_anchor_span_total / self.dp_anchor_allocs
@@ -433,24 +437,21 @@ def _dp_can_serve(
     hi: Optional[int],
     capacity: int,
     growth_eff: float,
-    fill_starts: Optional[np.ndarray],
+    last_start: Optional[int],
 ) -> bool:
     """Serve decision for ``[start, stop]`` against an anchored block
-    (shared by :class:`SumMatrixCache` and :func:`simulate_dp_actions`)."""
-    if anchor is None or hi is None or fill_starts is None:
+    whose previous region started at ``last_start`` (shared by
+    :class:`SumMatrixCache` and :func:`simulate_dp_actions`)."""
+    if anchor is None or hi is None or last_start is None:
         return False
-    if start < anchor or start > hi:
-        return False  # reaches back before the anchor, or disjoint
+    if start < last_start or start > hi:
+        return False  # steps back out of the live square, or disjoint
     if stop - anchor + 1 > capacity:
-        return False  # would outgrow the allocated block
+        return False  # would outgrow the planned span
     width = stop - start + 1
-    if stop - anchor + 1 > growth_eff * width:
-        return False  # re-anchor: keep magnitudes and memory bounded
-    lo = start - anchor
-    hi_col = min(stop, hi) - anchor
-    # Every column the query touches must be truthfully filled from
-    # the query's own start row downwards.
-    return int(fill_starts[lo : hi_col + 1].max()) <= start
+    # Re-anchor once the span outgrows the region: keeps prefix-sum
+    # magnitudes bounded.
+    return stop - anchor + 1 <= growth_eff * width
 
 
 @dataclass(frozen=True)
@@ -538,24 +539,24 @@ def _iter_dp_decisions(regions, *, reuse, growth_factor):
     anchor: Optional[int] = None
     hi: Optional[int] = None
     capacity = 0
-    fill_starts: Optional[np.ndarray] = None
     for start, stop in regions:
         if stop < start:
             raise ScanConfigError(f"bad region ({start}, {stop})")
         width = stop - start + 1
         seed = DpSeed(strides=tuple(strides), last_start=last_start)
-        if last_start is not None and start > last_start:
-            strides.append(start - last_start)
-        last_start = start
-        if not reuse or not _dp_can_serve(
+        serve = reuse and _dp_can_serve(
             start,
             stop,
             anchor=anchor,
             hi=hi,
             capacity=capacity,
             growth_eff=growth_eff,
-            fill_starts=fill_starts,
-        ):
+            last_start=last_start,
+        )
+        if last_start is not None and start > last_start:
+            strides.append(start - last_start)
+        last_start = start
+        if not serve:
             capacity = _dp_choose_capacity(width, strides, growth)
             growth_eff = (
                 growth
@@ -563,13 +564,8 @@ def _iter_dp_decisions(regions, *, reuse, growth_factor):
                 else max(1.0, capacity / width)
             )
             anchor, hi = start, stop
-            fill_starts = np.full(width, start, dtype=np.intp)
             yield "build", seed
         elif stop > hi:  # type: ignore[operator]
-            fringe = stop - hi
-            fill_starts = np.concatenate(
-                [fill_starts, np.full(fringe, start, dtype=np.intp)]
-            )
             hi = stop
             yield "extend", seed
         else:
@@ -580,51 +576,54 @@ class SumMatrixCache:
     """Serve per-region :class:`~repro.core.dp.SumMatrix` structures,
     relocating the previous prefix-sum block across overlapping regions.
 
-    The paper's Fig. 3 data-reuse optimization relocates matrix-M entries
-    between grid positions; our production M is a 2-D prefix sum, so the
-    cache keeps one prefix structure *anchored* at a past region start and
-    grows it in place:
+    The paper's Fig. 3 data-reuse optimization moves matrix-M entries
+    between grid positions so M stays region-sized; our production M is a
+    2-D prefix sum *anchored* at a past region start, held in one compact
+    buffer that keeps only the live square (the prefix rows and columns
+    from the current region start on):
 
     * an overlapping request is served as an offset **view** into the
-      anchored prefix — zero relocation cost, because every window-sum
-      query (:meth:`SumMatrix.pair_sum` and friends) is a four-corner
-      rectangle difference in which the anchor cancels;
+      buffer — zero relocation cost, because every window-sum query
+      (:meth:`SumMatrix.pair_sum` and friends) is a four-corner rectangle
+      difference in which the anchor cancels;
     * SNPs entering on the right are **appended**: their prefix rows and
-      columns are extended from the existing block in O(Wa · F) for F new
-      SNPs, instead of the O(W²) rebuild-from-scratch of the seed scanner;
-    * when the anchored block outgrows its planned span (or the request
-      falls outside it), the cache **re-anchors** with one fresh build, so
-      memory and float magnitudes stay bounded.
+      columns are extended over the region's rows and columns only, in
+      O(W · F) for F new SNPs, instead of the O(W²) rebuild-from-scratch
+      of the seed scanner;
+    * when an append would run past the buffer's edge, the live square
+      **moves** to the origin in place (values move verbatim), so the
+      buffer holds about ``(W + W / SLACK_DIVISOR)²`` floats however far
+      the anchor lies behind;
+    * when the anchored span outgrows its plan (or the request steps back
+      or falls outside it), the cache **re-anchors** with one fresh build
+      at the buffer's origin, so float magnitudes stay bounded.
+
+    Serving is forward-only: a region starting before the previous one
+    rebuilds, because the rows and columns the advancing region left
+    behind are neither appended nor kept. A served ``SumMatrix`` is
+    read-only and valid until the next :meth:`region_sums` or
+    :meth:`reset` call; a caller that keeps one must copy it.
 
     The anchor span is chosen by one of two policies. With an explicit
-    ``growth_factor`` g, capacity is always ``g · width`` (the fixed
-    policy of earlier releases). With the default ``growth_factor=None``
-    the policy is *adaptive to the observed grid stride*: appending a
-    stride-s fringe onto an anchored block of width a costs O(a · s)
-    while a re-anchor costs O(W²), so the cache plans
+    ``growth_factor`` g, the planned span is always ``g · width`` (the
+    fixed policy of earlier releases). With the default
+    ``growth_factor=None`` the policy is *adaptive to the observed grid
+    stride*: appending a stride-s fringe costs O(W · s) while a
+    re-anchor costs O(W²), so the cache plans
     ``n = min(⌊√2·W/s⌋, ⌊W(W−s)/s²⌋)`` appends per anchor (the first
     term balances total append work against the amortized rebuild, the
     second stops planning appends once a single append would cost more
-    than a rebuild) and allocates ``W + n·s``. Small strides therefore
-    get large anchors (many positions amortize one build); strides
-    approaching the region width collapse to rebuild-per-position, which
-    is genuinely cheaper there. Chosen spans are observable through
-    ``ReuseStats.dp_anchor_allocs`` / ``dp_anchor_span_total``.
+    than a rebuild) and plans a span of ``W + n·s``. Small strides
+    therefore get long-lived anchors (many positions amortize one build);
+    strides approaching the region width collapse to
+    rebuild-per-position, which is genuinely cheaper there. Planned spans
+    are observable through ``ReuseStats.dp_anchor_allocs`` /
+    ``dp_anchor_span_total``; they decide when to rebuild, not how much
+    memory the buffer takes.
 
-    Rows of appended columns that precede the current region start were
-    never computed at the r² level (their SNP pairs span wider than any
-    region the scan evaluated); they are stored as zeros. That is sound
-    because a later query only touches SNP pairs inside its own region,
-    and the cache re-anchors whenever a request reaches further back than
-    the columns it has (``_fill_starts`` tracks the first truthfully
-    filled row of every column).
-
-    The anchor is allocated uninitialized (``np.empty``); a build or an
-    append writes only the filled ``width + 1`` square, its zero first
-    row and column included, and nothing ever reads past it. Capacity the
-    block never grows into is never touched: with transparent huge pages
-    one touched byte makes 2 MiB resident, and zero-filling a mid-size
-    anchor from reused heap costs a pass over all of it.
+    The buffer is allocated uninitialized (``np.empty``) and reused by
+    later builds when it fits; a build or an append writes only the cells
+    a served view can reach, and nothing ever reads past them.
 
     With ``reuse=False`` the cache degenerates to a fresh build per
     request — bit-identical arithmetic to ``SumMatrix(r2)`` — which is the
@@ -635,12 +634,17 @@ class SumMatrixCache:
 
     #: Span factor used by the adaptive policy before any stride has been
     #: observed (matches the old fixed default), and hard cap on how far
-    #: beyond the region width an adaptive anchor may plan (bounds both
-    #: memory and prefix-sum float magnitudes).
+    #: beyond the region width an adaptive anchor may plan (bounds
+    #: prefix-sum float magnitudes).
     DEFAULT_GROWTH = 2.0
     MAX_ADAPTIVE_GROWTH = 6.0
     #: How many recent strides inform the adaptive estimate.
     STRIDE_WINDOW = 8
+    #: A fresh buffer spares ``n // SLACK_DIVISOR`` rows and columns
+    #: beyond the ``n = W + 1`` a W-SNP region's prefix needs, so a
+    #: forward walk moves its live square once per ~W / SLACK_DIVISOR
+    #: sites.
+    SLACK_DIVISOR = 4
 
     def __init__(
         self,
@@ -670,21 +674,28 @@ class SumMatrixCache:
         self._anchor: Optional[int] = None
         self._hi: Optional[int] = None
         self._width = 0  # currently filled anchored width
-        self._capacity = 0  # allocated width of the prefix array
-        self._prefix: Optional[np.ndarray] = None
-        self._fill_starts: Optional[np.ndarray] = None
+        self._capacity = 0  # planned anchored span
+        #: The prefix buffer; physical row and column k hold anchored
+        #: prefix index ``_base + k``.
+        self._buf: Optional[np.ndarray] = None
+        self._base = 0
 
     # ------------------------------------------------------------------ #
 
     def _choose_capacity(self, width: int) -> int:
-        """Anchor capacity for a fresh build of ``width`` SNPs."""
+        """Planned anchor span for a fresh build of ``width`` SNPs."""
         return _dp_choose_capacity(width, self._strides, self._growth)
+
+    def _alloc(self, need: int) -> np.ndarray:
+        """A fresh uninitialized buffer for a ``need``-wide prefix square,
+        with slack to append into."""
+        side = need + need // self.SLACK_DIVISOR
+        return np.empty((side, side))
 
     def _rebuild(self, start: int, stop: int, r2: np.ndarray) -> None:
         """Fresh anchored build — the exact arithmetic of
-        ``SumMatrix(r2, assume_symmetric=True)``, computed in place in the
-        top-left corner of an uninitialized capacity array with room to
-        grow."""
+        ``SumMatrix(r2, assume_symmetric=True)``, computed in place at the
+        buffer's origin."""
         width = stop - start + 1
         self._capacity = self._choose_capacity(width)
         self._growth_eff = (
@@ -694,7 +705,9 @@ class SumMatrixCache:
         )
         self.stats.dp_anchor_allocs += 1
         self.stats.dp_anchor_span_total += self._capacity
-        prefix = np.empty((self._capacity + 1, self._capacity + 1))
+        if self._buf is None or self._buf.shape[0] < width + 1:
+            self._buf = self._alloc(width + 1)
+        prefix = self._buf
         prefix[0, : width + 1] = 0.0
         prefix[1 : width + 1, 0] = 0.0
         block = prefix[1 : width + 1, 1 : width + 1]
@@ -706,54 +719,77 @@ class SumMatrixCache:
         for prev, row in zip(rows, rows[1:]):
             np.add(prev, row, out=row)
         np.cumsum(block, axis=1, out=block)
-        self._prefix = prefix
+        self._base = 0
         self._anchor, self._hi = start, stop
         self._width = width
-        self._fill_starts = np.full(width, start, dtype=np.intp)
         self.stats.dp_entries_computed += width * width
         self.stats.dp_builds += 1
         self.last_action = "build"
 
+    def _make_room(self, delta: int, new_w: int) -> None:
+        """Ensure anchored prefix indices ``delta .. new_w`` fit the
+        buffer: move the live square (indices ``delta .. _width``) to the
+        origin, or into a larger buffer when the region outgrew it."""
+        buf = self._buf
+        assert buf is not None
+        side = buf.shape[0]
+        if new_w - self._base < side:
+            return
+        src = delta - self._base
+        live = self._width - delta + 1
+        if new_w - delta < side:
+            _move_block_back(buf, src, 0, live)
+        else:
+            fresh = self._alloc(new_w - delta + 1)
+            fresh[:live, :live] = buf[src : src + live, src : src + live]
+            self._buf = fresh
+        self._base = delta
+
     def _extend(self, start: int, stop: int, r2: np.ndarray) -> None:
-        """Append SNPs ``(_hi, stop]``: grow the anchored prefix by their
-        rows and columns only (O(anchored width x fringe)), zero first row
-        and column cells included."""
-        assert self._prefix is not None and self._hi is not None
-        assert self._anchor is not None and self._fill_starts is not None
+        """Append SNPs ``(_hi, stop]``: grow the prefix by their rows and
+        columns over the region's rows and columns only (O(W x fringe)).
+
+        Bit-for-bit what a full-anchor append computes for those cells:
+        there, every accumulation over the anchored rows or columns first
+        sums ``delta`` exact zeros (the pairs before the region start,
+        never computed at the r² level), which only turns a leading −0.0
+        into +0.0, so the region's first row gets ``+ 0.0`` instead."""
+        assert self._anchor is not None and self._hi is not None
         width = stop - start + 1
         delta = start - self._anchor
         old_w = self._width
-        fringe = stop - self._hi
+        overlap = self._hi + 1 - start
+        fringe = width - overlap
         new_w = old_w + fringe
-        p = self._prefix
+        self._make_room(delta, new_w)
+        p = self._buf
+        assert p is not None
 
-        # Symmetric values of the entering columns over every anchored
-        # row: zeros before the current region (pairs never computed at
-        # the r2 level; they cancel in all legal rectangle queries), the
-        # region's r2 rows elsewhere, and a zeroed diagonal.
-        cols = np.zeros((new_w, fringe))
-        cols[delta:new_w, :] = r2[:, self._hi + 1 - start :]
+        # The entering columns over the region's rows, diagonal zeroed.
+        cols = np.array(r2[:, overlap:], dtype=np.float64)
         diag = np.arange(fringe)
-        cols[self._hi + 1 - self._anchor + diag, diag] = 0.0
+        cols[overlap + diag, diag] = 0.0
+        if delta > 0:
+            cols[0] += 0.0
 
+        # Physical indices: prefix row/column delta is the boundary,
+        # old_w the last filled one.
+        d = delta - self._base
+        o = old_w - self._base
+        n = new_w - self._base
         # Prefix of the entering columns over the old rows ...
-        col_prefix = np.cumsum(cols, axis=0)
-        p[1 : old_w + 1, old_w + 1 : new_w + 1] = p[
-            1 : old_w + 1, old_w : old_w + 1
-        ] + np.cumsum(col_prefix[:old_w, :], axis=1)
+        p[d, o + 1 : n + 1] = p[d, o] + 0.0
+        p[d + 1 : o + 1, o + 1 : n + 1] = p[
+            d + 1 : o + 1, o : o + 1
+        ] + np.cumsum(np.cumsum(cols[:overlap], axis=0), axis=1)
         # ... then the entering rows over every column (symmetry).
-        p[old_w + 1 : new_w + 1, 1 : new_w + 1] = p[
-            old_w : old_w + 1, 1 : new_w + 1
+        p[o + 1 : n + 1, d] = p[o, d] + 0.0
+        p[o + 1 : n + 1, d + 1 : n + 1] = p[
+            o : o + 1, d + 1 : n + 1
         ] + np.cumsum(np.cumsum(cols.T, axis=0), axis=1)
-        p[0, old_w + 1 : new_w + 1] = 0.0
-        p[old_w + 1 : new_w + 1, 0] = 0.0
 
-        self._fill_starts = np.concatenate(
-            [self._fill_starts, np.full(fringe, start, dtype=np.intp)]
-        )
         self._width = new_w
         self._hi = stop
-        overlap = width - fringe
         self.stats.dp_entries_computed += width * width - overlap * overlap
         self.stats.dp_entries_reused += overlap * overlap
         self.last_action = "extend"
@@ -761,8 +797,6 @@ class SumMatrixCache:
     def _can_serve(self, start: int, stop: int) -> bool:
         """True when ``[start, stop]`` can be served from the standing
         anchored block (possibly after appending its right fringe)."""
-        if self._prefix is None:
-            return False
         return _dp_can_serve(
             start,
             stop,
@@ -770,7 +804,7 @@ class SumMatrixCache:
             hi=self._hi,
             capacity=self._capacity,
             growth_eff=self._growth_eff,
-            fill_starts=self._fill_starts,
+            last_start=self._last_start,
         )
 
     # ------------------------------------------------------------------ #
@@ -781,10 +815,10 @@ class SumMatrixCache:
         """Window-sum structure for global sites ``[start .. stop]``
         (inclusive), given the region's r² matrix.
 
-        Returns a :class:`SumMatrix` backed by the anchored prefix (an
-        offset view when relocation applies). The view stays valid after
-        later calls: appends only write cells outside every previously
-        served view, and a re-anchor allocates a new block.
+        Returns a :class:`SumMatrix` backed by a read-only offset view of
+        the cache's prefix buffer, valid until the next call or
+        :meth:`reset`: a later call may move, overwrite or reallocate the
+        buffer. A caller that keeps the sums must copy them.
         """
         if stop < start:
             raise ScanConfigError(f"bad region ({start}, {stop})")
@@ -794,23 +828,23 @@ class SumMatrixCache:
             raise ScanConfigError(
                 f"r2 shape {r2.shape} does not match region width {width}"
             )
+        serve = self._reuse and self._can_serve(start, stop)
         if self._last_start is not None and start > self._last_start:
             # Forward grid stride — the signal the adaptive anchor policy
-            # sizes capacities from (backward jumps rebuild regardless).
+            # sizes spans from (backward jumps rebuild regardless).
             self._strides.append(start - self._last_start)
         self._last_start = start
-        if not self._reuse or not self._can_serve(start, stop):
+        if not serve:
             self._rebuild(start, stop, r2)
         elif stop > self._hi:  # type: ignore[operator]
             self._extend(start, stop, r2)
         else:
             self.stats.dp_entries_reused += width * width
             self.last_action = "view"
-        assert self._prefix is not None and self._anchor is not None
-        delta = start - self._anchor
-        view = self._prefix[
-            delta : delta + width + 1, delta : delta + width + 1
-        ]
+        assert self._buf is not None and self._anchor is not None
+        a = start - self._anchor - self._base
+        view = self._buf[a : a + width + 1, a : a + width + 1]
+        view.flags.writeable = False
         return SumMatrix.from_prefix(view, width)
 
     def seed(self, seed: DpSeed) -> None:
@@ -818,7 +852,7 @@ class SumMatrixCache:
         :func:`dp_replay_seed`), so a scan starting mid-grid sizes its
         anchors — and rounds its window sums — exactly as the full run
         did. Must be applied before the first :meth:`region_sums` call."""
-        if self._prefix is not None:
+        if self._anchor is not None:
             raise ScanConfigError(
                 "seed() must be applied before the first region_sums call"
             )
@@ -828,10 +862,9 @@ class SumMatrixCache:
 
     def reset(self) -> None:
         """Drop the anchored block and stride history (e.g. when jumping
-        to a new chromosome)."""
+        to a new chromosome); the next region is built fresh. The buffer
+        is kept."""
         self._anchor = self._hi = None
-        self._prefix = None
-        self._fill_starts = None
         self._width = self._capacity = 0
         self._strides.clear()
         self._last_start = None

@@ -8,6 +8,8 @@ answers differ from fresh ones only by float rounding of the cumulative
 sums (observed ~1e-13 relative); fresh builds are bit-identical.
 """
 
+import tracemalloc
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -15,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import reuse as reuse_module
 from repro.core.dp import SumMatrix
 from repro.core.reuse import (
     ReuseStats,
     SumMatrixCache,
+    _dp_choose_capacity,
     simulate_dp_actions,
     simulate_fresh_entries,
 )
@@ -140,16 +144,19 @@ class TestIncrementalMatchesFresh:
         fresh = SumMatrix(full_r2[30:40, 30:40], assume_symmetric=True)
         np.testing.assert_array_equal(sums.as_matrix(), fresh.as_matrix())
 
-    def test_earlier_view_survives_extension(self, full_r2):
-        """Appending the fringe must not invalidate a previously returned
-        view (it writes only cells outside every served view)."""
+    def test_served_view_is_read_only(self, full_r2):
+        """A served structure is a read-only view into the cache's buffer
+        (valid until the next call), whatever the action behind it."""
         cache = SumMatrixCache()
-        r2_a = full_r2[:20, :20]
-        sums_a = cache.region_sums(0, 19, r2_a)
-        before = sums_a.as_matrix().copy()
-        cache.region_sums(5, 29, full_r2[5:30, 5:30])
-        assert cache.last_action == "extend"
-        np.testing.assert_array_equal(sums_a.as_matrix(), before)
+        actions = []
+        for start, stop in [(0, 19), (5, 29), (8, 29)]:
+            sums = cache.region_sums(
+                start, stop, full_r2[start : stop + 1, start : stop + 1]
+            )
+            actions.append(cache.last_action)
+            with pytest.raises(ValueError, match="read-only"):
+                sums._prefix[0, 0] = 1.0
+        assert actions == ["build", "extend", "view"]
 
 
 class TestReuseOffBaseline:
@@ -399,13 +406,50 @@ class TestDecisionMirror:
         )
 
 
-class _ZeroFilledCache(SumMatrixCache):
-    """The zero-filled build and extend the in-place ones replaced, kept
-    verbatim as the bit-level reference."""
+class _ZeroFilledCache:
+    """The window-sum cache before its compact buffer, kept verbatim as
+    the bit-level reference: a zero-filled prefix sized to the planned
+    span, appends over every anchored row, and a serve rule that tracks
+    the first truthfully filled row of every column."""
+
+    def __init__(self, *, growth_factor=None):
+        self._growth = growth_factor
+        self._growth_eff = (
+            growth_factor
+            if growth_factor is not None
+            else SumMatrixCache.DEFAULT_GROWTH
+        )
+        self._strides = deque(maxlen=SumMatrixCache.STRIDE_WINDOW)
+        self._last_start = None
+        self.stats = ReuseStats()
+        self.last_action = "build"
+        self._anchor = None
+        self._hi = None
+        self._width = 0
+        self._capacity = 0
+        self._prefix = None
+        self._fill_starts = None
+
+    def _can_serve(self, start, stop):
+        if self._prefix is None:
+            return False
+        anchor, hi = self._anchor, self._hi
+        if start < anchor or start > hi:
+            return False
+        if stop - anchor + 1 > self._capacity:
+            return False
+        width = stop - start + 1
+        if stop - anchor + 1 > self._growth_eff * width:
+            return False
+        lo = start - anchor
+        hi_col = min(stop, hi) - anchor
+        return int(self._fill_starts[lo : hi_col + 1].max()) <= start
 
     def _rebuild(self, start, stop, r2):
         width = stop - start + 1
-        self._capacity = self._choose_capacity(width)
+        self._capacity = _dp_choose_capacity(
+            width, self._strides, self._growth
+        )
         self._growth_eff = (
             self._growth
             if self._growth is not None
@@ -455,6 +499,24 @@ class _ZeroFilledCache(SumMatrixCache):
         self.stats.dp_entries_reused += overlap * overlap
         self.last_action = "extend"
 
+    def region_sums(self, start, stop, r2):
+        width = stop - start + 1
+        if self._last_start is not None and start > self._last_start:
+            self._strides.append(start - self._last_start)
+        self._last_start = start
+        if not self._can_serve(start, stop):
+            self._rebuild(start, stop, r2)
+        elif stop > self._hi:
+            self._extend(start, stop, r2)
+        else:
+            self.stats.dp_entries_reused += width * width
+            self.last_action = "view"
+        delta = start - self._anchor
+        view = self._prefix[
+            delta : delta + width + 1, delta : delta + width + 1
+        ]
+        return SumMatrix.from_prefix(view, width)
+
 
 _REAL_EMPTY = np.empty
 
@@ -480,8 +542,9 @@ def _signed_r2(seed, n_sites):
 
 
 class TestInPlaceBuild:
-    """The anchor is allocated uninitialized and only its filled block
-    (plus that block's zero row and column) is ever written."""
+    """The compact buffer against the full-anchor cache it replaced: on
+    forward sequences both take the same actions and serve byte-equal
+    prefixes, while every cell nobody wrote holds NaN."""
 
     N_SITES = 420
 
@@ -495,9 +558,6 @@ class TestInPlaceBuild:
             want = ref.region_sums(start, stop, region)
             assert new.last_action == ref.last_action
             assert got._prefix.tobytes() == want._prefix.tobytes()
-            w = new._width
-            assert np.isnan(new._prefix[w + 1 :, :]).all()
-            assert np.isnan(new._prefix[: w + 1, w + 1 :]).all()
         return new
 
     @given(data=st.data())
@@ -509,26 +569,79 @@ class TestInPlaceBuild:
         start = data.draw(st.integers(0, n - 1))
         width = data.draw(st.integers(1, min(150, n - start)))
         regions = [(start, start + width - 1)]
-        for _ in range(data.draw(st.integers(0, 8))):
-            kind = data.draw(
-                st.sampled_from(["forward", "backward", "disjoint"])
-            )
-            if kind == "forward":
-                start = min(n - 1, start + data.draw(st.integers(0, 30)))
-                width = max(1, width + data.draw(st.integers(-5, 40)))
-            elif kind == "backward":
-                start = max(0, start - data.draw(st.integers(1, 60)))
-            else:
-                start = data.draw(st.integers(0, n - 1))
-                width = data.draw(st.integers(1, 150))
+        for _ in range(data.draw(st.integers(0, 12))):
+            if data.draw(st.booleans()):
+                step = data.draw(st.integers(0, 30))
+            else:  # past the region's stop
+                step = width + data.draw(st.integers(0, 40))
+            start = min(n - 1, start + step)
+            width = max(1, width + data.draw(st.integers(-5, 40)))
             width = min(width, n - start, 150)
             regions.append((start, start + width - 1))
         self._serve_both(r2, regions, growth)
 
     def test_forward_walk_extends_bitwise(self):
-        """A regions-shaped walk (W = 240, stride 20) extends its anchor
-        and still serves the reference's bits."""
+        """A regions-shaped walk (W = 240, stride 20) extends its anchor,
+        moves the live square back to the origin as it runs past the
+        buffer's edge, and still serves the reference's bits."""
         r2 = _signed_r2(5, self.N_SITES)
         regions = [(s, s + 239) for s in range(0, 180, 20)]
-        cache = self._serve_both(r2, regions, None)
+        with mock.patch.object(
+            reuse_module,
+            "_move_block_back",
+            wraps=reuse_module._move_block_back,
+        ) as moves:
+            cache = self._serve_both(r2, regions, None)
         assert cache.stats.dp_builds < len(regions)
+        assert moves.call_count >= 1
+
+    def test_region_outgrowing_buffer_and_narrow_rebuild(self):
+        """An append whose region no longer fits the buffer copies the
+        live square into a larger one; a later narrower build reuses it."""
+        r2 = _signed_r2(9, self.N_SITES)
+        new = self._serve_both(r2, [(0, 99), (10, 149)], 3.0)
+        assert new.last_action == "extend"
+        assert new._buf.shape == (141 + 141 // 4,) * 2
+        buf = new._buf
+        region = r2[300:350, 300:350]
+        new.region_sums(300, 349, region)
+        assert new.last_action == "build" and new._buf is buf
+
+    def test_step_back_rebuilds(self):
+        """A region starting before the previous one rebuilds, where the
+        full-anchor cache served it as a view, and serves fresh bits."""
+        r2 = _signed_r2(13, self.N_SITES)
+        new = SumMatrixCache()
+        ref = _ZeroFilledCache()
+        for start, stop in [(0, 99), (20, 119), (10, 99)]:
+            region = r2[start : stop + 1, start : stop + 1]
+            got = new.region_sums(start, stop, region)
+            ref.region_sums(start, stop, region)
+        assert (new.last_action, ref.last_action) == ("build", "view")
+        fresh = SumMatrix(region, assume_symmetric=True)
+        assert got._prefix.tobytes() == fresh._prefix.tobytes()
+        assert simulate_dp_actions([(0, 99), (20, 119), (10, 99)])[-1] == (
+            "build"
+        )
+
+
+class TestBufferBound:
+    def test_forward_walk_holds_one_compact_buffer(self):
+        """A 1 200-site, stride-22 walk over 6 000 sites holds at most
+        (W + 1 + (W + 1) // SLACK_DIVISOR)² floats of prefix, however
+        far the anchor lies behind the region, plus O(W x stride) of
+        per-append temporaries."""
+        width, stride, n_sites = 1200, 22, 6000
+        r2 = _signed_r2(3, width)  # the values do not matter here
+        need = width + 1
+        bound = 8 * (need + need // SumMatrixCache.SLACK_DIVISOR) ** 2
+        cache = SumMatrixCache()
+        tracemalloc.start()
+        try:
+            for start in range(0, n_sites - width + 1, stride):
+                cache.region_sums(start, start + width - 1, r2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cache.stats.dp_builds < 30
+        assert peak <= bound + 8 * 8 * width * stride
