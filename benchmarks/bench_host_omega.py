@@ -8,8 +8,12 @@ paper's single-core C code: one NumPy-driven core on 2020s hardware
 should land within an order of magnitude of 60-100 Mscores/s).
 """
 
-import numpy as np
+import time
 
+import numpy as np
+import pytest
+
+from repro.core.batch import BatchedOmegaPlan, omega_max_batch
 from repro.core.dp import SumMatrix
 from repro.core.omega import omega_max_at_split
 from repro.datasets.generators import random_alignment
@@ -71,3 +75,60 @@ def test_dp_matrix_construction(timed, report):
         f"(O(W^2) prefix sums; amortized across all window sums at the "
         f"position)",
     )
+
+
+def _seconds_per_call(fn, number, repeats=5):
+    """Fastest of ``repeats`` means over ``number`` back-to-back calls."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / number)
+    return best
+
+
+@pytest.mark.parametrize(
+    "path, n_sites", [("direct", 240), ("direct", 1200), ("batched", 20)]
+)
+def test_omega_per_position(report, path, n_sites):
+    """Per-position cost of the ω evaluation at scan-plan borders (two-SNP
+    flanks) and the share of it spent preparing operands: the one
+    ``SumMatrix.split_operands`` read on the direct path (240-site
+    regions are ``regions_serve``'s, 1 200-site ones ``balanced_ms``'s),
+    and ``BatchedOmegaPlan.add`` next to its position's share of the
+    batch evaluation on the batched path."""
+    sums = _setup(n_sites)[0]
+    c = n_sites // 2 - 1
+    li = np.arange(0, c, dtype=np.intp)
+    rj = np.arange(c + 2, n_sites, dtype=np.intp)
+    if path == "direct":
+        number = {240: 400, 1200: 10}[n_sites]
+        prep = _seconds_per_call(
+            lambda: sums.split_operands(li, c, rj), number
+        )
+        total = _seconds_per_call(
+            lambda: omega_max_at_split(sums, li, c, rj), number
+        )
+        how = "omega_max_at_split"
+    else:
+        plan = BatchedOmegaPlan()
+        per = plan.max_positions
+
+        def pack():
+            plan.reset()
+            for _ in range(per):
+                plan.add(sums, li, c, rj)
+
+        prep = _seconds_per_call(pack, 30) / per
+        pack()
+        flush = _seconds_per_call(lambda: omega_max_batch(plan), 30)
+        total = prep + flush / per
+        how = f"BatchedOmegaPlan.add + omega_max_batch / {per}"
+    report(
+        f"host omega per position, {path} path, {n_sites}-site region",
+        f"{li.size} x {rj.size} borders ({li.size * rj.size} scores), "
+        f"{how}: {total * 1e6:.1f} us per position; operand preparation "
+        f"{prep * 1e6:.1f} us ({100.0 * prep / total:.0f} %)",
+    )
+    assert 0.0 < prep < total

@@ -41,27 +41,43 @@ import sys
 from typing import List, Optional
 
 import repro.obs as obs
-from repro.accel.fpga.device import ALVEO_U200, ZCU102
-from repro.accel.fpga.engine import FPGAOmegaEngine
-from repro.accel.fpga.pipeline import PipelineModel
-from repro.accel.gpu.device import RADEON_HD8750M, TESLA_K80
-from repro.accel.gpu.omega_gpu import GPUOmegaEngine
 from repro.core.grid import GridSpec
 from repro.core.parallel import parallel_scan
 from repro.core.scan import OmegaConfig, OmegaPlusScanner
-from repro.datasets.msformat import parse_ms, write_ms
+from repro.datasets.msformat import parse_ms
 from repro.errors import ReproError
-from repro.simulate.coalescent import simulate_neutral
-from repro.simulate.sweep import SweepParameters, simulate_sweep
 
 __all__ = ["main", "build_parser"]
 
+#: ``omegascan accel`` platforms: engine kind and device table name. The
+#: engines, device tables and simulator are imported only by the
+#: subcommands that use them, so ``scan``, ``shard-scan`` and ``serve``
+#: processes never load them.
 PLATFORMS = {
-    "gpu-k80": lambda: GPUOmegaEngine(TESLA_K80),
-    "gpu-hd8750m": lambda: GPUOmegaEngine(RADEON_HD8750M),
-    "fpga-zcu102": lambda: FPGAOmegaEngine(PipelineModel(ZCU102)),
-    "fpga-u200": lambda: FPGAOmegaEngine(PipelineModel(ALVEO_U200)),
+    "gpu-k80": ("gpu", "TESLA_K80"),
+    "gpu-hd8750m": ("gpu", "RADEON_HD8750M"),
+    "fpga-zcu102": ("fpga", "ZCU102"),
+    "fpga-u200": ("fpga", "ALVEO_U200"),
 }
+
+
+def _accel_engine(platform: str, *, batch: int = 1, backend=None):
+    """The modelled accelerator engine for ``platform``."""
+    kind, device = PLATFORMS[platform]
+    if kind == "gpu":
+        from repro.accel.gpu import device as gpu_devices
+        from repro.accel.gpu.omega_gpu import GPUOmegaEngine
+
+        return GPUOmegaEngine(
+            getattr(gpu_devices, device),
+            batch_positions=batch,
+            backend=backend,
+        )
+    from repro.accel.fpga import device as fpga_devices
+    from repro.accel.fpga.engine import FPGAOmegaEngine
+    from repro.accel.fpga.pipeline import PipelineModel
+
+    return FPGAOmegaEngine(PipelineModel(getattr(fpga_devices, device)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -776,6 +792,10 @@ def _cmd_top(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.datasets.msformat import write_ms
+    from repro.simulate.coalescent import simulate_neutral
+    from repro.simulate.sweep import SweepParameters, simulate_sweep
+
     replicates = []
     for k in range(args.replicates):
         seed = None if args.seed is None else args.seed + k
@@ -815,18 +835,9 @@ def _cmd_accel(args) -> int:
             "--backend applies to GPU platforms only (the FPGA engine "
             "is a pipeline model)"
         )
-    if args.platform.startswith("gpu-") and (
-        args.batch > 1 or exec_backend is not None
-    ):
-        device = {
-            "gpu-k80": TESLA_K80,
-            "gpu-hd8750m": RADEON_HD8750M,
-        }[args.platform]
-        engine = GPUOmegaEngine(
-            device, batch_positions=args.batch, backend=exec_backend
-        )
-    else:
-        engine = PLATFORMS[args.platform]()
+    engine = _accel_engine(
+        args.platform, batch=args.batch, backend=exec_backend
+    )
     with _maybe_tracing(args):
         result, record = engine.scan(alignment, config)
     print(result.to_tsv())

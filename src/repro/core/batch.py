@@ -9,7 +9,9 @@ handful of (i, j) border combinations. This module is the host-side
 analogue of the device buffer layout:
 
 * :class:`BatchedOmegaPlan` packs the ``left_sums`` / ``right_sums`` /
-  ``cross_sums_grid`` inputs for a whole block of positions into
+  ``cross_sums_grid`` inputs (one
+  :meth:`~repro.core.dp.SumMatrix.split_operands` read per position)
+  for a whole block of positions into
   contiguous ragged arenas — one flat float64 array per input kind plus
   ``intp`` offset tables (CSR-style). The cross-sum arena is the exact
   row-major flattening of each position's ``(R, L)`` score grid, so an
@@ -162,14 +164,18 @@ class BatchedOmegaPlan:
             self._right_borders.append(rj)
             self._arenas = None
             return slot
-        # left_sums/right_sums/cross_sums_grid validate border ranges, so
-        # every packed element has window sizes >= 1 — the checked=False
-        # precondition for the evaluation pass.
-        self._sum_l.append(sums.left_sums(li, c))
-        self._sum_r.append(sums.right_sums(c, rj))
-        self._cross.append(np.ravel(sums.cross_sums_grid(li, c, rj)))
-        self._n_left.append((c - li + 1).astype(np.float64))
-        self._n_right.append((rj - c).astype(np.float64))
+        # split_operands validates border ranges, so every packed element
+        # has window sizes >= 1 — the checked=False precondition for the
+        # evaluation pass.
+        ops = sums.split_operands(li, c, rj)
+        self._sum_l.append(ops.sum_l)
+        self._sum_r.append(ops.sum_r)
+        # Σ_LR evaluated as SumMatrix.cross_sums_grid does.
+        self._cross.append(
+            np.ravel((ops.head[:, None] - ops.block) + ops.tail[None, :])
+        )
+        self._n_left.append(ops.n_left)
+        self._n_right.append(ops.n_right)
         self._left_borders.append(li)
         self._right_borders.append(rj)
         self._n_scores += li.size * rj.size

@@ -32,11 +32,13 @@ bounds its region size.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.errors import ScanConfigError
 
-__all__ = ["build_m_recurrence", "SumMatrix"]
+__all__ = ["build_m_recurrence", "SplitOperands", "SumMatrix"]
 
 
 def build_m_recurrence(r2: np.ndarray) -> np.ndarray:
@@ -65,6 +67,30 @@ def build_m_recurrence(r2: np.ndarray) -> np.ndarray:
         for j in range(i - 2, -1, -1):
             m[i, j] = m[i, j + 1] + m[i - 1, j] - m[i - 1, j + 1] + r2[i, j]
     return m
+
+
+class SplitOperands(NamedTuple):
+    """Every operand Eq. (2) reads at one split ``c``, for ``L`` left and
+    ``R`` right borders (:meth:`SumMatrix.split_operands`).
+
+    ``sum_l`` (L,) and ``sum_r`` (R,) are :meth:`SumMatrix.left_sums` and
+    :meth:`SumMatrix.right_sums`; ``head`` (R,), ``block`` (R, L) and
+    ``tail`` (L,) are :meth:`SumMatrix.cross_sum_terms`, so
+    ``Σ_LR[jj, ii] = (head[jj] - block[jj, ii]) + tail[ii]``; ``n_left``
+    and ``n_right`` are the window sizes in SNPs as float64 and
+    ``pairs_l`` / ``pairs_r`` their pair counts C(n, 2). Any field may be
+    a read-only view.
+    """
+
+    sum_l: np.ndarray
+    sum_r: np.ndarray
+    head: np.ndarray
+    block: np.ndarray
+    tail: np.ndarray
+    n_left: np.ndarray
+    n_right: np.ndarray
+    pairs_l: np.ndarray
+    pairs_r: np.ndarray
 
 
 class SumMatrix:
@@ -220,13 +246,12 @@ class SumMatrix:
         self, left_borders: np.ndarray, c: int, right_borders: np.ndarray
     ) -> tuple:
         """:meth:`cross_sums_grid` unevaluated: ``(head, block, tail)``
-        with ``Σ_LR[jj, ii] = (head[jj] - block[jj, ii]) + tail[ii]``.
+        with ``Σ_LR[jj, ii] = (head[jj] - block[jj, ii]) + tail[ii]``,
+        gathered from the prefix for any border sets (:meth:`run_operands`
+        reads runs of consecutive borders as slices).
 
         Evaluating that expression reproduces :meth:`cross_sums_grid` bit
-        for bit, one row panel at a time if the caller wishes. ``block``
-        is a read-only view of the prefix when both border sets are
-        ascending runs of consecutive sites (every scan plan's are) and
-        a gathered copy otherwise.
+        for bit, one row panel at a time if the caller wishes.
         """
         li = np.asarray(left_borders, dtype=np.intp)
         rj = np.asarray(right_borders, dtype=np.intp)
@@ -235,22 +260,82 @@ class SumMatrix:
                 np.zeros(rj.size), np.zeros((rj.size, li.size)),
                 np.zeros(li.size),
             )
-        run = _is_run(li) and _is_run(rj)
-        if run:  # the end borders bound the set; every read is a slice
-            lo_l, hi_l, lo_r, hi_r = li[0], li[-1], rj[0], rj[-1]
-            rows, cols = slice(lo_r + 1, hi_r + 2), slice(lo_l, hi_l + 1)
-        else:
-            lo_l, hi_l, lo_r, hi_r = li.min(), li.max(), rj.min(), rj.max()
-            rows, cols = rj + 1, li
-        if lo_l < 0 or hi_l > c or lo_r <= c or hi_r >= self._w:
+        if (
+            li.min() < 0 or li.max() > c
+            or rj.min() <= c or rj.max() >= self._w
+        ):
             raise ScanConfigError("borders out of range for cross_sums_grid")
-        p = self._prefix.view()
-        p.flags.writeable = False  # views of it must not alter the sums
+        p = self._prefix
+        rows = rj + 1
         # block(c+1..j, i..c) = P[j+1, c+1] - P[c+1, c+1] - P[j+1, i] + P[c+1, i]
         head = p[rows, c + 1] - p[c + 1, c + 1]
-        tail = p[c + 1, cols]
-        block = p[rows, cols] if run else p[np.ix_(rows, cols)]
-        return head, block, tail
+        return head, p[np.ix_(rows, li)], p[c + 1, li]
+
+    def split_operands(
+        self, left_borders: np.ndarray, c: int, right_borders: np.ndarray
+    ) -> SplitOperands:
+        """All of one split's Eq. (2) operands in one call.
+
+        When both border sets are ascending runs of consecutive sites
+        (every scan plan's are) this is :meth:`run_operands` on their end
+        borders; any other set is gathered by :meth:`left_sums`,
+        :meth:`right_sums` and :meth:`cross_sum_terms`. Both routes give
+        the same bytes.
+        """
+        li = np.asarray(left_borders, dtype=np.intp)
+        rj = np.asarray(right_borders, dtype=np.intp)
+        if li.size and rj.size and _is_run(li) and _is_run(rj):
+            return self.run_operands(
+                int(li[0]), int(li[-1]), c, int(rj[0]), int(rj[-1])
+            )
+        head, block, tail = self.cross_sum_terms(li, c, rj)
+        n_left = (c + 1.0) - li
+        n_right = rj - float(c)
+        return SplitOperands(
+            self.left_sums(li, c), self.right_sums(c, rj), head, block, tail,
+            n_left, n_right, _pairs(n_left), _pairs(n_right),
+        )
+
+    def run_operands(
+        self, l0: int, l1: int, c: int, r0: int, r1: int
+    ) -> SplitOperands:
+        """:meth:`split_operands` for left borders ``l0..l1`` and right
+        borders ``r0..r1`` (inclusive runs), read from the prefix as row,
+        column and diagonal slices: the same IEEE operations on the same
+        prefix entries as the gathering methods, so the same bytes, with
+        no index arrays and one range check. Window sizes and pair counts
+        are read-only slices of shared tables."""
+        if not (0 <= l0 <= l1 <= c < r0 <= r1 < self._w):
+            raise ScanConfigError(
+                f"border runs [{l0}, {l1}] | c={c} | [{r0}, {r1}] out of "
+                f"range for a region of {self._w} sites"
+            )
+        p = self._prefix.view()
+        p.flags.writeable = False  # views of it must not alter the sums
+        diag = p.diagonal()
+        k = c + 1
+        left, right = slice(l0, l1 + 1), slice(r0 + 1, r1 + 2)
+        pkk = p[k, k]
+        tail = p[k, left]  # P[c+1, i]
+        col = p[right, k]  # P[j+1, c+1]
+        up, up_pairs, down, down_pairs = _count_tables(
+            max(k - l0, r1 - c) + 1
+        )
+        # Left sizes run down from k - l0, right sizes up from r0 - c.
+        top = down.size - 1
+        nl = slice(top - (k - l0), top - (k - l1) + 1)
+        nr = slice(r0 - c, r1 - c + 1)
+        return SplitOperands(
+            0.5 * (((pkk - p[left, k]) - tail) + diag[left]),
+            0.5 * (((diag[right] - p[k, right]) - col) + pkk),
+            col - pkk,
+            p[right, left],
+            tail,
+            down[nl],
+            up[nr],
+            down_pairs[nl],
+            up_pairs[nr],
+        )
 
     def cross_sums_pairs(
         self, left_borders: np.ndarray, c: int, right_borders: np.ndarray
@@ -285,9 +370,37 @@ class SumMatrix:
         return m
 
 
+def _pairs(k: np.ndarray) -> np.ndarray:
+    """C(k, 2) of float64 window sizes (the operation order of
+    :func:`repro.core.omega.omega_from_sums`)."""
+    return k * (k - 1.0) / 2.0
+
+
+#: Window sizes as float64 and their pair counts, ascending and
+#: descending, read-only and grown on demand: :meth:`SumMatrix.run_operands`
+#: serves right-flank counts as ascending slices and left-flank counts as
+#: descending ones, both contiguous.
+_COUNTS = (np.zeros(0),) * 4
+
+
+def _count_tables(n: int):
+    """``(up, up_pairs, down, down_pairs)`` of at least ``n`` entries,
+    with ``up[k] = k`` and ``down[k] = up[-1 - k]``."""
+    global _COUNTS
+    tables = _COUNTS
+    if tables[0].size < n:
+        up = np.arange(max(n, 2 * tables[0].size, 1024), dtype=np.float64)
+        down = up[::-1].copy()
+        tables = (up, _pairs(up), down, _pairs(down))
+        for table in tables:
+            table.flags.writeable = False
+        _COUNTS = tables
+    return tables
+
+
 def _is_run(idx: np.ndarray) -> bool:
     """True when ``idx`` is ``idx[0], idx[0] + 1, ...``: strictly
     increasing integers whose span equals their count."""
-    return idx[-1] - idx[0] == idx.size - 1 and bool(
-        (idx[1:] > idx[:-1]).all()
+    return idx[-1] - idx[0] == idx.size - 1 and not np.count_nonzero(
+        idx[1:] <= idx[:-1]
     )

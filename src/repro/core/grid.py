@@ -227,54 +227,48 @@ def build_plans_from_positions(
 
     The plan depends only on positions and window geometry, never on
     genotypes, so a streaming source can plan the whole scan from its
-    index pass before any chunk is materialized.
+    index pass before any chunk is materialized. Each bound is one
+    vectorized ``searchsorted`` over every grid position; only the border
+    arrays (one pair per plan, never shared) are built per position.
     """
     pos = np.asarray(site_positions)
     n_sites = pos.size
-    plans: List[PositionPlan] = []
-    for centre in spec.positions_from(pos):
-        # Split: last SNP at or left of the grid position. Positions at or
-        # beyond the last SNP clamp so a right window can still exist.
-        c = int(np.searchsorted(pos, centre, side="right")) - 1
-        c = max(0, min(c, n_sites - 2))
+    centres = np.asarray(spec.positions_from(pos))
+    # Split: last SNP at or left of the grid position. Positions at or
+    # beyond the last SNP clamp so a right window can still exist.
+    split = np.searchsorted(pos, centres, side="right") - 1
+    split = np.maximum(0, np.minimum(split, n_sites - 2))
 
-        lo = int(np.searchsorted(pos, centre - spec.max_window, side="left"))
-        hi = int(np.searchsorted(pos, centre + spec.max_window, side="right")) - 1
+    lo = np.searchsorted(pos, centres - spec.max_window, side="left")
+    hi = np.searchsorted(pos, centres + spec.max_window, side="right") - 1
 
-        if spec.min_window > 0.0:
-            left_max = (
-                int(np.searchsorted(pos, centre - spec.min_window, side="right"))
-                - 1
-            )
-            right_min = int(
-                np.searchsorted(pos, centre + spec.min_window, side="left")
-            )
-        else:
-            left_max, right_min = c, c + 1
-
-        # Each flank must hold at least min_flank_snps SNPs: border i gives
-        # a left window of (c - i + 1) SNPs; border j gives (j - c).
-        left_max = min(left_max, c - (spec.min_flank_snps - 1))
-        right_min = max(right_min, c + spec.min_flank_snps)
-
-        left_borders = (
-            np.arange(lo, left_max + 1, dtype=np.intp)
-            if left_max >= lo
-            else np.zeros(0, dtype=np.intp)
+    if spec.min_window > 0.0:
+        left_max = (
+            np.searchsorted(pos, centres - spec.min_window, side="right") - 1
         )
-        right_borders = (
-            np.arange(right_min, hi + 1, dtype=np.intp)
-            if hi >= right_min
-            else np.zeros(0, dtype=np.intp)
+        right_min = np.searchsorted(
+            pos, centres + spec.min_window, side="left"
         )
-        plans.append(
-            PositionPlan(
-                grid_position=float(centre),
-                split_index=c,
-                region_start=lo,
-                region_stop=hi,
-                left_borders=left_borders,
-                right_borders=right_borders,
-            )
+    else:
+        left_max, right_min = split, split + 1
+
+    # Each flank must hold at least min_flank_snps SNPs: border i gives
+    # a left window of (c - i + 1) SNPs; border j gives (j - c).
+    left_max = np.minimum(left_max, split - (spec.min_flank_snps - 1))
+    right_min = np.maximum(right_min, split + spec.min_flank_snps)
+
+    return [
+        PositionPlan(
+            grid_position=float(centre),
+            split_index=c,
+            region_start=l0,
+            region_stop=r1,
+            # Empty when the flank cannot hold its minimum.
+            left_borders=np.arange(l0, l1 + 1, dtype=np.intp),
+            right_borders=np.arange(r0, r1 + 1, dtype=np.intp),
         )
-    return plans
+        for centre, c, l0, l1, r0, r1 in zip(
+            centres.tolist(), split.tolist(), lo.tolist(),
+            left_max.tolist(), right_min.tolist(), hi.tolist(),
+        )
+    ]

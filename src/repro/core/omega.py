@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dp import SumMatrix
+from repro.core.dp import SumMatrix, _pairs
 from repro.errors import ScanConfigError
 
 __all__ = [
@@ -59,12 +59,6 @@ DENOMINATOR_OFFSET = 1e-5
 #: Score-grid elements per row panel of :func:`omega_max_at_split`: its
 #: three float64 scratch panels (768 KiB together) fit a per-core L2.
 PANEL_ELEMENTS = 1 << 15
-
-
-def _pairs(k: np.ndarray | int) -> np.ndarray | float:
-    """C(k, 2) for scalars or arrays."""
-    k = np.asarray(k, dtype=np.float64)
-    return k * (k - 1.0) / 2.0
 
 
 def omega_from_sums(
@@ -210,25 +204,22 @@ def omega_max_at_split(
     """Maximize ω over all border combinations at a fixed split ``c``.
 
     Bitwise-equal to ``np.argmax`` over :func:`omega_split_matrix` (the
-    full-matrix reference), evaluated one row panel of the score grid at
-    a time — Kernel II's lanes on the host: each panel is scored with
-    the exact IEEE operations of :func:`omega_from_sums` into three
-    reused scratch panels, yields a first-occurrence (max, argmax), and
-    the panels reduce in row-major order, so ties keep the earliest
-    element and the first NaN wins, as in ``np.argmax``.
+    full-matrix reference). The operands come from one
+    :meth:`~repro.core.dp.SumMatrix.split_operands` read, and the score
+    grid is evaluated one row panel at a time — Kernel II's lanes on the
+    host: each panel is scored with the exact IEEE operations of
+    :func:`omega_from_sums` into three reused scratch panels, yields a
+    first-occurrence (max, argmax), and the panels reduce in row-major
+    order, so ties keep the earliest element and the first NaN wins, as
+    in ``np.argmax``.
     """
     li = np.asarray(left_borders, dtype=np.intp)
     rj = np.asarray(right_borders, dtype=np.intp)
     n_l, n_r = li.size, rj.size
     if n_l == 0 or n_r == 0:
         return OmegaMaximum(0.0, -1, -1, 0)
-    sum_l = sums.left_sums(li, c)
-    sum_r = sums.right_sums(c, rj)
-    head, block, tail = sums.cross_sum_terms(li, c, rj)
-    n_left = (c + 1.0) - li
-    n_right = rj - float(c)
-    pairs_l = _pairs(n_left)
-    pairs_r = _pairs(n_right)
+    (sum_l, sum_r, head, block, tail, n_left, n_right, pairs_l,
+     pairs_r) = sums.split_operands(li, c, rj)
     # Splits with no within-window pair (l = r = 1) score 0 / denominator;
     # omega_from_sums reaches that through np.where, here those cells of
     # the numerator and its divisor are patched before the division.

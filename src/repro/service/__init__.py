@@ -18,6 +18,12 @@ over the one pool, with
 * **a bounded FIFO-with-priority job queue** — lower ``priority`` values
   dispatch first, FIFO within a priority level, and a full queue rejects
   instead of buffering unboundedly;
+* **one block per worker** — each request is cut into at most as many
+  scheduling blocks as there are workers, and at most one per
+  :data:`~repro.core.parallel.MIN_BLOCK_POSITIONS` positions
+  (:func:`~repro.service.service.request_block_size`): concurrent
+  requests keep the pool busy, so more blocks would only add cold
+  starts;
 * **per-request observability** — each request runs against its own
   metrics registry and its spans carry the request id, so one request's
   numbers never bleed into another's;
@@ -48,7 +54,12 @@ from repro.service.model import (
     ServiceError,
 )
 from repro.service.jobqueue import JobQueue
-from repro.service.service import AdmissionController, ScanJob, ScanService
+from repro.service.service import (
+    AdmissionController,
+    ScanJob,
+    ScanService,
+    request_block_size,
+)
 from repro.service.server import serve_unix
 from repro.service.client import request_scan, send_request
 
@@ -63,6 +74,7 @@ __all__ = [
     "ScanRequest",
     "ScanService",
     "ServiceError",
+    "request_block_size",
     "request_scan",
     "send_request",
     "serve_unix",

@@ -59,9 +59,10 @@ class ScanRequest:
     ----------
     start_bp, stop_bp:
         Genomic interval to place the request's grid over. Both ``None``
-        (the default) scans the service's full base grid — bitwise equal
-        to a standalone :func:`~repro.core.parallel.parallel_scan` with
-        the service's config.
+        (the default) scans the service's full base grid, the grid of a
+        standalone :func:`~repro.core.parallel.parallel_scan` with the
+        service's config (cut into other blocks, so its scores agree to
+        about 1e-9 relative).
     n_positions:
         Grid density over the region; defaults to the service config's
         grid size. A single-position grid sits at the region midpoint,

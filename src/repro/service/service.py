@@ -28,6 +28,7 @@ Metric names (all ``service.*``; see ``docs/OBSERVABILITY.md``):
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -38,6 +39,7 @@ import repro.obs as obs
 from repro.core.costmodel import get_cost_model
 from repro.core.grid import PositionPlan
 from repro.core.parallel import (
+    MIN_BLOCK_POSITIONS,
     ParallelScanSession,
     make_blocks,
     plans_for_positions,
@@ -56,12 +58,38 @@ from repro.service.model import (
     ServiceError,
 )
 
-__all__ = ["AdmissionController", "ScanJob", "ScanService"]
+__all__ = [
+    "AdmissionController",
+    "ScanJob",
+    "ScanService",
+    "request_block_size",
+]
 
 #: Default per-worker assembled-block LRU (32 MiB): enough for dozens of
 #: hot multi-tile region assemblies without meaningfully growing a
 #: worker's footprint next to the shared segments it maps anyway.
 DEFAULT_BLOCK_LRU_BYTES = 32 * 1024 * 1024
+
+
+def request_block_size(
+    n_positions: int, n_workers: int, *, block_size: Optional[int] = None
+) -> int:
+    """Scheduling-block length for one service request of
+    ``n_positions`` grid positions: ``block_size`` when set, else
+    ``⌈n_positions / count⌉`` for ``count = min(n_workers,
+    ⌈n_positions / MIN_BLOCK_POSITIONS⌉)`` blocks.
+
+    Admission prices a request with this cut and dispatch scans with it.
+    Unlike a batch scan (:func:`~repro.core.parallel.make_blocks`, four
+    blocks per worker), a request needs no more blocks than workers:
+    concurrent requests already keep the pool busy, so each extra block
+    only adds a cold start (a fresh DP build, a first r² region, a task
+    round trip).
+    """
+    if block_size is not None:
+        return block_size
+    count = min(n_workers, math.ceil(n_positions / MIN_BLOCK_POSITIONS))
+    return math.ceil(n_positions / count)
 
 
 @dataclass
@@ -156,8 +184,8 @@ class AdmissionController:
         The request runs on at most as many workers as it has blocks, so
         its wall-clock price divides the CPU price by
         ``min(n_workers, blocks)``, the blocks cut by
-        :func:`~repro.core.parallel.make_blocks` with the ``block_size``
-        the session dispatches with.
+        :func:`request_block_size` (given the session's ``block_size``),
+        the cut :class:`ScanService` dispatches.
         """
         grid_positions = self.grid_positions_for(request)
         plans = plans_for_positions(
@@ -166,8 +194,15 @@ class AdmissionController:
         model = get_cost_model()
         total_cost = float(model.position_costs(plans).sum())
         cpu = model.estimate_seconds(total_cost)
+        n = int(grid_positions.size)
         n_blocks = len(
-            make_blocks(grid_positions.size, n_workers, block_size=block_size)
+            make_blocks(
+                n,
+                n_workers,
+                block_size=request_block_size(
+                    n, n_workers, block_size=block_size
+                ),
+            )
         )
         wall = None if cpu is None else cpu / min(n_workers, n_blocks)
         backlog = model.estimate_seconds(backlog_cost)
@@ -205,9 +240,10 @@ class ScanService:
     Lifecycle: ``await start()`` (or ``async with``) forks the shared
     session and the dispatcher tasks; :meth:`submit` admits (or rejects)
     a request and returns its :class:`ScanJob`; ``await job.wait()``
-    yields the :class:`~repro.core.results.ScanResult`. A request
-    returns the same bits on every run and whatever other requests share
-    the pool (see
+    yields the :class:`~repro.core.results.ScanResult`. Each request is
+    cut into at most one block per worker (:func:`request_block_size`),
+    so it returns the same bits on every run and whatever other requests
+    share the pool (see
     :meth:`~repro.core.parallel.ParallelScanSession.scan_positions`),
     and agrees with a sequential scan of the same grid to about 1e-9
     relative. ``await close()`` fails pending
@@ -462,6 +498,11 @@ class ScanService:
                 result = self._session.scan_positions(
                     job.grid_positions,
                     plans=job.plans,
+                    block_size=request_block_size(
+                        int(job.grid_positions.size),
+                        self._session.n_workers,
+                        block_size=self._block_size,
+                    ),
                     registry=sched,
                     request_id=job.request_id,
                     progress=writer,

@@ -118,6 +118,99 @@ class TestBitwiseEquivalence:
         assert res.omegas.size == 0
 
 
+class _LegacyPackingPlan(BatchedOmegaPlan):
+    """``BatchedOmegaPlan`` with the per-kind gathers its ``add`` made
+    before one ``split_operands`` read served them (verbatim), as the
+    byte reference for the arenas."""
+
+    def add(self, sums, left_borders, c, right_borders):
+        li = np.asarray(left_borders, dtype=np.intp)
+        rj = np.asarray(right_borders, dtype=np.intp)
+        slot = len(self._sum_l)
+        if li.size == 0 or rj.size == 0:
+            li = li[:0]
+            rj = rj[:0]
+            self._sum_l.append(np.empty(0))
+            self._sum_r.append(np.empty(0))
+            self._cross.append(np.empty(0))
+            self._n_left.append(np.empty(0))
+            self._n_right.append(np.empty(0))
+            self._left_borders.append(li)
+            self._right_borders.append(rj)
+            self._arenas = None
+            return slot
+        self._sum_l.append(sums.left_sums(li, c))
+        self._sum_r.append(sums.right_sums(c, rj))
+        self._cross.append(np.ravel(sums.cross_sums_grid(li, c, rj)))
+        self._n_left.append((c - li + 1).astype(np.float64))
+        self._n_right.append((rj - c).astype(np.float64))
+        self._left_borders.append(li)
+        self._right_borders.append(rj)
+        self._n_scores += li.size * rj.size
+        self._arenas = None
+        return slot
+
+
+_ARENAS = (
+    "left_offsets", "right_offsets", "score_offsets", "left_counts",
+    "right_counts", "left_arena", "right_arena", "cross_arena",
+    "n_left_arena", "n_right_arena", "left_border_arena",
+    "right_border_arena",
+)
+
+
+class TestPackingBytes:
+    """The packed arenas are byte-equal to the packing before
+    ``split_operands``, for run borders (every scan plan's, including the
+    FPGA engine's hardware/software slices) and arbitrary ones."""
+
+    @staticmethod
+    def _assert_arenas_equal(plan, legacy):
+        assert plan.n_scores == legacy.n_scores
+        for name in _ARENAS:
+            got, want = getattr(plan, name), getattr(legacy, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sites=st.integers(2, 60),
+        n_positions=st.integers(1, 12),
+        scramble=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_arenas_match_legacy_packing(
+        self, seed, n_sites, n_positions, scramble
+    ):
+        rng = np.random.default_rng(seed)
+        r2 = rng.random((n_sites, n_sites))
+        r2 = np.triu(r2) + np.triu(r2, 1).T
+        r2[rng.random((n_sites, n_sites)) < 0.1] = -0.0
+        sums = SumMatrix(r2, assume_symmetric=True)
+        plan, legacy = BatchedOmegaPlan(), _LegacyPackingPlan()
+        for _ in range(n_positions):
+            c = int(rng.integers(0, n_sites - 1))
+            l0 = int(rng.integers(0, c + 1))
+            l1 = int(rng.integers(l0 - 1, c + 1))  # l1 < l0: empty
+            r0 = int(rng.integers(c + 1, n_sites))
+            r1 = int(rng.integers(r0, n_sites))
+            li = np.arange(l0, l1 + 1, dtype=np.intp)
+            rj = np.arange(r0, r1 + 1, dtype=np.intp)
+            if scramble:  # the gather route
+                li, rj = rng.permutation(li), rng.permutation(rj)
+            split = int(rng.integers(0, rj.size + 1))
+            for part in (rj[:split], rj[split:]):  # FPGA hw/sw slices
+                plan.add(sums, li, c, part)
+                legacy.add(sums, li, c, part)
+        self._assert_arenas_equal(plan, legacy)
+        res, ref = omega_max_batch(plan), omega_max_batch(legacy)
+        for got, want in zip(
+            (res.omegas, res.left_borders, res.right_borders),
+            (ref.omegas, ref.left_borders, ref.right_borders),
+        ):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestScannerEquivalence:
     @pytest.mark.parametrize("omega_batch", [1, 2, 7, DEFAULT_BATCH_POSITIONS])
     def test_scan_is_batch_size_invariant(self, omega_batch):

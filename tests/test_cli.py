@@ -417,3 +417,32 @@ class TestScanStream:
         ])
         assert rc == 2
         assert "one replicate" in capsys.readouterr().err
+
+
+class TestLazyImports:
+    def test_cli_import_leaves_engines_simulator_and_service_unloaded(self):
+        """``import repro.cli`` (every ``scan``, ``shard-scan`` and
+        ``serve`` process) loads no accelerator engine or device table,
+        no simulator and no service module; the subcommands that use
+        them import them."""
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys, repro.cli\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith("
+            "('repro.accel.gpu', 'repro.accel.fpga', 'repro.simulate', "
+            "'repro.service')))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == []

@@ -173,3 +173,163 @@ class TestSumMatrix:
             a = int(rng.integers(0, n_sites))
             b = int(rng.integers(a, n_sites))
             assert sm.pair_sum(a, b) == pytest.approx(m[b, a], abs=1e-9)
+
+
+def _signed_sym(rng, n_sites):
+    """A symmetric r²-like matrix with exact zeros and negative zeros
+    among its [0, 1) entries."""
+    r2 = rng.random((n_sites, n_sites))
+    r2[rng.random((n_sites, n_sites)) < 0.15] = 0.0
+    r2 = np.triu(r2) + np.triu(r2, 1).T
+    r2[rng.random((n_sites, n_sites)) < 0.1] = -0.0
+    return r2
+
+
+def _gathered_operands(sums, li, c, rj):
+    """The operands by the gathering methods."""
+    return (
+        sums.left_sums(li, c),
+        sums.right_sums(c, rj),
+        *sums.cross_sum_terms(li, c, rj),
+        (c + 1.0) - li,
+        rj - float(c),
+    )
+
+
+def _assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == (
+        np.ascontiguousarray(want).tobytes()
+    )
+
+
+def _check_split(sums, li, c, rj):
+    """``split_operands`` on run borders against the gathering methods,
+    byte for byte, plus the pair counts of ``omega_from_sums``."""
+    from repro.core.dp import _is_run
+
+    assert _is_run(li) and _is_run(rj)
+    ops = sums.split_operands(li, c, rj)
+    direct = sums.run_operands(
+        int(li[0]), int(li[-1]), c, int(rj[0]), int(rj[-1])
+    )
+    for a, b in zip(ops, direct):
+        _assert_same_bytes(a, b)
+    want = _gathered_operands(sums, li, c, rj)
+    names = ("sum_l", "sum_r", "head", "block", "tail", "n_left", "n_right")
+    for name, ref in zip(names, want):
+        _assert_same_bytes(getattr(ops, name), ref)
+    for n, pairs in ((ops.n_left, ops.pairs_l), (ops.n_right, ops.pairs_r)):
+        _assert_same_bytes(pairs, n * (n - 1.0) / 2.0)
+    # Served views must not let a caller write into the prefix.
+    for view in (ops.block, ops.tail, ops.n_left, ops.pairs_r):
+        assert not view.flags.writeable
+    # The gather route of split_operands (non-run borders) agrees too.
+    perm = np.random.default_rng(c).permutation(li.size)
+    gathered = sums.split_operands(li[perm], c, rj)
+    _assert_same_bytes(gathered.sum_l, ops.sum_l[perm])
+    _assert_same_bytes(gathered.block, ops.block[:, perm])
+    _assert_same_bytes(gathered.pairs_l, ops.pairs_l[perm])
+    return ops
+
+
+class TestSplitOperands:
+    """One ``split_operands`` read per position, byte-equal to the
+    gathering methods it replaces on the scan path."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sites=st.integers(3, 160),
+        n_positions=st.integers(1, 40),
+        window_frac=st.floats(0.05, 0.7),
+        min_frac=st.sampled_from([0.0, 0.0, 0.2, 0.6]),
+        flank=st.sampled_from([1, 2]),
+        growth=st.sampled_from([None, 1.0, 3.0]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_scan_plans_through_cache(
+        self, seed, n_sites, n_positions, window_frac, min_frac, flank,
+        growth,
+    ):
+        """Plans of a real grid (ends of the sequence, minimum windows,
+        one- and two-SNP flanks) over prefixes a SumMatrixCache serves:
+        fresh builds, appends, and live squares moved to the origin."""
+        from repro.core.grid import GridSpec, build_plans_from_positions
+        from repro.core.reuse import SumMatrixCache
+
+        rng = np.random.default_rng(seed)
+        r2 = _signed_sym(rng, n_sites)
+        positions = np.sort(rng.integers(0, 4 * n_sites, n_sites)).astype(
+            np.float64
+        )
+        span = positions[-1] - positions[0] + 1.0
+        spec = GridSpec(
+            n_positions=n_positions,
+            max_window=window_frac * span,
+            min_window=min_frac * window_frac * span,
+            min_flank_snps=flank,
+        )
+        cache = SumMatrixCache(growth_factor=growth)
+        for plan in build_plans_from_positions(positions, spec):
+            if not plan.valid:
+                continue
+            lo, hi = plan.region_start, plan.region_stop
+            sums = cache.region_sums(lo, hi, r2[lo : hi + 1, lo : hi + 1])
+            _check_split(
+                sums, plan.left_borders - lo, plan.split_index - lo,
+                plan.right_borders - lo,
+            )
+
+    def test_moved_live_square(self):
+        """A 240-site, stride-20 walk moves the cache's live square back
+        to the origin; the moved prefixes still read byte-equal."""
+        from unittest import mock
+
+        import repro.core.reuse as reuse_module
+        from repro.core.reuse import SumMatrixCache
+
+        r2 = _signed_sym(np.random.default_rng(7), 420)
+        cache = SumMatrixCache()
+        with mock.patch.object(
+            reuse_module, "_move_block_back",
+            wraps=reuse_module._move_block_back,
+        ) as moves:
+            for start in range(0, 180, 20):
+                stop = start + 239
+                sums = cache.region_sums(
+                    start, stop, r2[start : stop + 1, start : stop + 1]
+                )
+                for c, flank in ((119, 1), (119, 2), (1, 1), (237, 2)):
+                    li = np.arange(0, c - flank + 2)
+                    rj = np.arange(c + flank, 240)
+                    _check_split(sums, li, c, rj)
+        assert moves.call_count >= 1
+
+    def test_borders_at_region_ends(self):
+        r2 = _signed_sym(np.random.default_rng(3), 6)
+        sums = SumMatrix(r2, assume_symmetric=True)
+        for c in range(5):
+            for l0 in range(c + 1):
+                for r1 in range(c + 1, 6):
+                    _check_split(
+                        sums, np.arange(l0, c + 1), c, np.arange(c + 1, r1 + 1)
+                    )
+
+    def test_range_checks(self):
+        sums = SumMatrix(np.zeros((6, 6)))
+        for bad in [(-1, 1, 2, 3, 5), (0, 3, 2, 3, 5), (0, 1, 2, 2, 5),
+                    (0, 1, 2, 3, 6), (2, 1, 2, 3, 5), (0, 1, 2, 5, 4)]:
+            with pytest.raises(ScanConfigError):
+                sums.run_operands(*bad)
+        with pytest.raises(ScanConfigError):
+            sums.split_operands(np.arange(0, 4), 2, np.arange(3, 6))
+        with pytest.raises(ScanConfigError):
+            sums.split_operands(np.array([0, 2]), 2, np.array([7, 3]))
+
+    def test_empty_borders(self):
+        sums = SumMatrix(np.zeros((6, 6)))
+        ops = sums.split_operands(np.arange(0), 2, np.arange(3, 6))
+        assert ops.block.shape == (3, 0)
+        assert ops.sum_l.size == 0 and ops.n_left.size == 0

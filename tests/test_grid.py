@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.grid import GridSpec, build_plans
 from repro.datasets.alignment import SNPAlignment
@@ -143,3 +145,159 @@ class TestBuildPlans:
             assert plan.right_borders.max() <= plan.region_stop
             assert (plan.left_borders <= plan.split_index).all()
             assert (plan.right_borders > plan.split_index).all()
+
+
+def _loop_plans(site_positions, spec):
+    """The per-position planning loop that ``build_plans_from_positions``
+    replaced, kept verbatim as the reference: four scalar searchsorted
+    calls per grid position."""
+    from repro.core.grid import PositionPlan
+
+    pos = np.asarray(site_positions)
+    n_sites = pos.size
+    plans = []
+    for centre in spec.positions_from(pos):
+        c = int(np.searchsorted(pos, centre, side="right")) - 1
+        c = max(0, min(c, n_sites - 2))
+
+        lo = int(np.searchsorted(pos, centre - spec.max_window, side="left"))
+        hi = int(np.searchsorted(pos, centre + spec.max_window, side="right")) - 1
+
+        if spec.min_window > 0.0:
+            left_max = (
+                int(np.searchsorted(pos, centre - spec.min_window, side="right"))
+                - 1
+            )
+            right_min = int(
+                np.searchsorted(pos, centre + spec.min_window, side="left")
+            )
+        else:
+            left_max, right_min = c, c + 1
+
+        left_max = min(left_max, c - (spec.min_flank_snps - 1))
+        right_min = max(right_min, c + spec.min_flank_snps)
+
+        left_borders = (
+            np.arange(lo, left_max + 1, dtype=np.intp)
+            if left_max >= lo
+            else np.zeros(0, dtype=np.intp)
+        )
+        right_borders = (
+            np.arange(right_min, hi + 1, dtype=np.intp)
+            if hi >= right_min
+            else np.zeros(0, dtype=np.intp)
+        )
+        plans.append(
+            PositionPlan(
+                grid_position=float(centre),
+                split_index=c,
+                region_start=lo,
+                region_stop=hi,
+                left_borders=left_borders,
+                right_borders=right_borders,
+            )
+        )
+    return plans
+
+
+def _assert_plans_identical(got, want):
+    """Every field equal in value and type, borders in dtype and bytes,
+    and no border array shared between two plans."""
+    assert len(got) == len(want)
+    seen = []
+    for g, w in zip(got, want):
+        for name in ("grid_position", "split_index", "region_start",
+                     "region_stop"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert type(a) is type(b), name
+            assert a == b or (a != a and b != b), name
+        for name in ("left_borders", "right_borders"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+            seen.append(a)
+    for i, a in enumerate(seen):
+        for b in seen[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+class TestVectorizedPlanning:
+    """``build_plans_from_positions`` plans every position with one
+    vectorized ``searchsorted`` per bound; the plans must equal the old
+    per-position loop's in every field."""
+
+    @staticmethod
+    def _positions(draw_ints, scale):
+        # Sorted site positions with ties (duplicate coordinates).
+        return np.sort(np.asarray(draw_ints, dtype=np.float64)) * scale
+
+    @given(
+        sites=st.lists(st.integers(0, 400), min_size=2, max_size=80),
+        scale=st.sampled_from([1.0, 0.37, 125.0]),
+        n_positions=st.integers(1, 40),
+        max_window=st.floats(0.5, 300.0),
+        min_frac=st.sampled_from([0.0, 0.0, 0.1, 0.5, 0.9]),
+        flank=st.integers(1, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equidistant_grid_matches_loop(
+        self, sites, scale, n_positions, max_window, min_frac, flank
+    ):
+        from repro.core.grid import build_plans_from_positions
+
+        pos = self._positions(sites, scale)
+        spec = GridSpec(
+            n_positions=n_positions,
+            max_window=max_window * scale,
+            min_window=min_frac * max_window * scale,
+            min_flank_snps=flank,
+        )
+        _assert_plans_identical(
+            build_plans_from_positions(pos, spec), _loop_plans(pos, spec)
+        )
+
+    @given(
+        sites=st.lists(st.integers(0, 400), min_size=2, max_size=60),
+        points=st.lists(
+            st.floats(-100.0, 500.0, allow_nan=False), min_size=1,
+            max_size=30,
+        ),
+        max_window=st.floats(0.5, 300.0),
+        min_frac=st.sampled_from([0.0, 0.25, 0.75]),
+        flank=st.integers(1, 3),
+        int_sites=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fixed_grid_matches_loop(
+        self, sites, points, max_window, min_frac, flank, int_sites
+    ):
+        """Explicit grids, unsorted and with points outside the sites,
+        over float or integer site coordinates."""
+        from repro.core.grid import (
+            build_plans_from_positions,
+            fixed_position_spec,
+        )
+
+        pos = np.sort(np.asarray(sites, dtype=np.int64))
+        if not int_sites:
+            pos = pos.astype(np.float64)
+        spec = fixed_position_spec(
+            GridSpec(
+                n_positions=1,
+                max_window=max_window,
+                min_window=min_frac * max_window,
+                min_flank_snps=flank,
+            ),
+            np.asarray(points),
+        )
+        _assert_plans_identical(
+            build_plans_from_positions(pos, spec), _loop_plans(pos, spec)
+        )
+
+    def test_alignment_scale_grid_matches_loop(self):
+        aln = random_alignment(8, 3000, seed=4)
+        spec = GridSpec(n_positions=500, max_window=aln.length / 30,
+                        min_window=aln.length / 3000)
+        _assert_plans_identical(
+            build_plans(aln, spec), _loop_plans(aln.positions, spec)
+        )

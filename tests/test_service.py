@@ -11,6 +11,7 @@ defensible estimate, not a guess.
 import asyncio
 import dataclasses
 import json
+import math
 import threading
 
 import numpy as np
@@ -23,7 +24,11 @@ from repro.core.costmodel import (
     set_cost_model,
 )
 from repro.core.grid import GridSpec
-from repro.core.parallel import fixed_position_spec
+from repro.core.parallel import (
+    MIN_BLOCK_POSITIONS,
+    fixed_position_spec,
+    make_blocks,
+)
 from repro.core.scan import OmegaConfig, OmegaPlusScanner
 from repro.datasets.generators import sweep_signature_alignment
 from repro.errors import ScanConfigError
@@ -37,7 +42,7 @@ from repro.service import (
     serve_unix,
 )
 from repro.service.model import RequestEstimate
-from repro.service.service import AdmissionController
+from repro.service.service import AdmissionController, request_block_size
 
 
 @pytest.fixture(autouse=True)
@@ -241,7 +246,7 @@ class TestAdmissionController:
     def test_wall_price_uses_only_the_workers_blocks_can_fill(
         self, aln, config, n_positions, runs_on
     ):
-        # 1 and 8 positions are one block each; 64 are eight blocks.
+        # 1 and 8 positions are one block each; 64 are two.
         set_cost_model(ScanCostModel(seconds_per_unit=1e-6))
         ctrl = AdmissionController(aln, config)
         _gp, _plans, est = ctrl.estimate(
@@ -256,6 +261,58 @@ class TestAdmissionController:
             ScanRequest(n_positions=8), n_workers=2, block_size=2
         )
         assert est.wall_seconds == pytest.approx(est.cpu_seconds / 2)
+
+    @pytest.mark.parametrize(
+        "n_positions, n_workers, block_size, blocks",
+        [
+            (30, 2, None, 2),   # 15 + 15
+            (30, 8, None, 4),   # 8 + 8 + 8 + 6: at most ceil(30 / 8) blocks
+            (30, 3, None, 3),   # 10 + 10 + 10
+            (9, 2, None, 2),    # 5 + 4
+            (8, 8, None, 1),
+            (1, 4, None, 1),
+            (64, 2, None, 2),   # a batch scan would cut 8
+            (30, 2, 4, 8),      # an explicit block size wins
+            (30, 8, 20, 2),
+        ],
+    )
+    def test_request_cut(self, n_positions, n_workers, block_size, blocks):
+        size = request_block_size(
+            n_positions, n_workers, block_size=block_size
+        )
+        cut = make_blocks(n_positions, n_workers, block_size=size)
+        assert len(cut) == blocks
+        assert cut[0][0] == 0 and cut[-1][1] == n_positions
+        if block_size is None:
+            assert len(cut) == min(
+                n_workers, math.ceil(n_positions / MIN_BLOCK_POSITIONS)
+            )
+
+    @pytest.mark.parametrize(
+        "n_workers, block_size, runs_on",
+        [(2, None, 2), (8, None, 4), (3, None, 3), (8, 10, 3), (2, 30, 1)],
+    )
+    def test_wall_price_divides_by_the_request_cut(
+        self, aln, config, n_workers, block_size, runs_on
+    ):
+        """30 positions are priced at cpu / min(n_workers, blocks) for
+        the blocks request_block_size cuts."""
+        set_cost_model(ScanCostModel(seconds_per_unit=1e-6))
+        ctrl = AdmissionController(aln, config)
+        _gp, _plans, est = ctrl.estimate(
+            ScanRequest(n_positions=30), n_workers=n_workers,
+            block_size=block_size,
+        )
+        blocks = len(
+            make_blocks(
+                30, n_workers,
+                block_size=request_block_size(
+                    30, n_workers, block_size=block_size
+                ),
+            )
+        )
+        assert min(n_workers, blocks) == runs_on
+        assert est.wall_seconds == pytest.approx(est.cpu_seconds / runs_on)
 
     def test_infeasible_deadline_raises_with_estimate(self, aln, config):
         set_cost_model(ScanCostModel(seconds_per_unit=10.0))
@@ -436,12 +493,42 @@ class TestScanService:
 
         jobs, together, alone = run_service(body, aln, config)
         for job, got, want in zip(jobs, together, alone):
-            # 30 positions on 2 workers: blocks of 8, 8, 8 and 6.
-            assert job.metrics["counters"]["scheduler.blocks_dispatched"] == 4
+            # 30 positions on 2 workers: two blocks of 15.
+            assert job.metrics["counters"]["scheduler.blocks_dispatched"] == 2
             assert_results_equal(got, want)
             assert_results_close(
                 got, sequential_reference(aln, config, job.grid_positions)
             )
+
+    @pytest.mark.parametrize(
+        "pool_workers, block_size, dispatched",
+        [(2, None, 2), (8, None, 4), (2, 4, 8)],
+    )
+    def test_requests_dispatch_the_request_cut(
+        self, aln, config, pool_workers, block_size, dispatched
+    ):
+        """A 30-position request dispatches the blocks admission priced:
+        2 on 2 workers, 4 on 8 (the service is told it has 8 workers; two
+        processes run them), and an explicit block_size still wins."""
+
+        async def body(service):
+            service._session._n_workers = pool_workers
+            job = await service.submit(
+                ScanRequest(start_bp=1000.0, stop_bp=20000.0, n_positions=30)
+            )
+            result = await job.wait()
+            return job, result
+
+        job, result = run_service(body, aln, config, block_size=block_size)
+        counters = job.metrics["counters"]
+        assert counters["scheduler.blocks_dispatched"] == dispatched
+        assert (
+            job.metrics["histograms"]["scheduler.block_seconds"]["count"]
+            == dispatched
+        )
+        assert_results_close(
+            result, sequential_reference(aln, config, job.grid_positions)
+        )
 
     def test_per_request_metrics_are_scoped(self, aln, config):
         async def body(service):
