@@ -16,12 +16,15 @@ import pytest
 from repro.core.batch import BatchedOmegaPlan, omega_max_batch
 from repro.core.dp import SumMatrix
 from repro.core.omega import omega_max_at_split
-from repro.datasets.generators import random_alignment
+from repro.datasets.generators import (
+    random_alignment,
+    sweep_signature_alignment,
+)
 from repro.ld.gemm import r_squared_matrix
 
 
-def _setup(n_sites):
-    aln = random_alignment(40, n_sites, seed=51)
+def _setup(n_sites, make=random_alignment):
+    aln = make(40, n_sites, seed=51)
     sums = SumMatrix(r_squared_matrix(aln))
     c = n_sites // 2
     li = np.arange(0, c - 1)
@@ -89,16 +92,30 @@ def _seconds_per_call(fn, number, repeats=5):
 
 
 @pytest.mark.parametrize(
-    "path, n_sites", [("direct", 240), ("direct", 1200), ("batched", 20)]
+    "path, n_sites, make",
+    [
+        pytest.param("direct", 240, random_alignment, id="direct-240"),
+        pytest.param("direct", 1200, random_alignment, id="direct-1200"),
+        pytest.param(
+            "direct", 240, sweep_signature_alignment, id="direct-sweep-240"
+        ),
+        pytest.param(
+            "direct", 1200, sweep_signature_alignment, id="direct-sweep-1200"
+        ),
+        pytest.param("batched", 20, random_alignment, id="batched-20"),
+    ],
 )
-def test_omega_per_position(report, path, n_sites):
+def test_omega_per_position(report, path, n_sites, make):
     """Per-position cost of the ω evaluation at scan-plan borders (two-SNP
     flanks) and the share of it spent preparing operands: the one
     ``SumMatrix.split_operands`` read on the direct path (240-site
     regions are ``regions_serve``'s, 1 200-site ones ``balanced_ms``'s),
     and ``BatchedOmegaPlan.add`` next to its position's share of the
-    batch evaluation on the batched path."""
-    sums = _setup(n_sites)[0]
+    batch evaluation on the batched path. The direct path also reports
+    the share of the grid it scored: 1 200-site grids clear the pruning
+    gate, and the sweep input carries the LD that real scans see, where
+    the random input has almost none."""
+    sums = _setup(n_sites, make)[0]
     c = n_sites // 2 - 1
     li = np.arange(0, c, dtype=np.intp)
     rj = np.arange(c + 2, n_sites, dtype=np.intp)
@@ -110,7 +127,11 @@ def test_omega_per_position(report, path, n_sites):
         total = _seconds_per_call(
             lambda: omega_max_at_split(sums, li, c, rj), number
         )
-        how = "omega_max_at_split"
+        res = omega_max_at_split(sums, li, c, rj)
+        how = (
+            f"omega_max_at_split scoring {res.n_scored} "
+            f"({100.0 * res.n_scored / res.n_evaluations:.0f} %)"
+        )
     else:
         plan = BatchedOmegaPlan()
         per = plan.max_positions
@@ -126,7 +147,8 @@ def test_omega_per_position(report, path, n_sites):
         total = prep + flush / per
         how = f"BatchedOmegaPlan.add + omega_max_batch / {per}"
     report(
-        f"host omega per position, {path} path, {n_sites}-site region",
+        f"host omega per position, {path} path, {n_sites}-site "
+        f"{make.__name__} region",
         f"{li.size} x {rj.size} borders ({li.size * rj.size} scores), "
         f"{how}: {total * 1e6:.1f} us per position; operand preparation "
         f"{prep * 1e6:.1f} us ({100.0 * prep / total:.0f} %)",

@@ -162,6 +162,16 @@ class SumMatrix:
         """Region width W."""
         return self._w
 
+    @property
+    def magnitude(self) -> float:
+        """max |P| over the prefix block, read at its two extreme corners:
+        a prefix of non-negative r² is non-decreasing along both axes (in
+        floating point too, since every partial sum adds a value >= 0), so
+        no entry a query reads is larger. A NaN or infinite r² reaches the
+        last corner through the cumulative sums, so it shows here too."""
+        p = self._prefix
+        return float(np.abs(p[[0, -1], [0, -1]]).max())
+
     def _block(self, r0: int, r1: int, c0: int, c1: int) -> float:
         """Rectangle sum of the symmetric r² matrix over rows [r0..r1],
         cols [c0..c1], inclusive indices."""

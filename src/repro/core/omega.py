@@ -30,8 +30,10 @@ Four evaluators live here:
 * :func:`omega_split_matrix` — every split's score at once from a
   :class:`~repro.core.dp.SumMatrix`, as one (R, L) matrix; the reference
   :func:`omega_max_at_split` must reproduce bit for bit.
-* :func:`omega_max_at_split` — the production path: the same scores a
-  cache-sized row panel at a time, reduced to their maximum.
+* :func:`omega_max_at_split` — the production path: the same maximum
+  and first-occurrence argmax, from the scores a cache-sized row panel at
+  a time or, on large grids of run border sets, from only the tiles whose
+  Eq. (2) corner bound can reach the standing maximum.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dp import SumMatrix, _pairs
+from repro.core.dp import SplitOperands, SumMatrix, _is_run, _pairs
 from repro.errors import ScanConfigError
 
 __all__ = [
@@ -59,6 +61,26 @@ DENOMINATOR_OFFSET = 1e-5
 #: Score-grid elements per row panel of :func:`omega_max_at_split`: its
 #: three float64 scratch panels (768 KiB together) fit a per-core L2.
 PANEL_ELEMENTS = 1 << 15
+
+#: Smallest score grid :func:`omega_max_at_split` prunes by tile bounds;
+#: smaller grids (a 240-site region's 119 x 119) scan every panel, where
+#: the bounds and per-band calls cost more than the skipped scores.
+PRUNE_MIN_SCORES = 1 << 15
+
+#: Side of the square tiles whose Eq. (2) corner bound may skip them.
+TILE = 8
+
+#: Tile rows per band: the pruned path raises its standing maximum and
+#: re-tests tile bounds once per band of ``BAND_TILES * TILE`` rows.
+BAND_TILES = 8
+
+#: Dead tiles a run of live tile columns may bridge in one sliced call.
+BRIDGE_TILES = 4
+
+#: The pruned path moves every corner window sum outward by
+#: ``4 * PREFIX_ULPS * max|P|`` (DESIGN §5 derives it from the prefix's
+#: rounding error).
+PREFIX_ULPS = 2.0**-30
 
 
 def omega_from_sums(
@@ -183,14 +205,19 @@ class OmegaMaximum:
         Region-local site indices of the maximizing window, or -1 when no
         valid split exists.
     n_evaluations:
-        Number of (i, j) combinations scored — the per-position workload
-        that the GPU dispatch threshold (Eq. 4) inspects.
+        Number of (i, j) combinations the maximum ranges over — the
+        per-position workload that the GPU dispatch threshold (Eq. 4)
+        inspects and the device models charge.
+    n_scored:
+        Scores actually evaluated on the host: ``n_evaluations`` unless
+        tile bounds skipped part of the grid (seed samples included).
     """
 
     omega: float
     left_border: int
     right_border: int
     n_evaluations: int
+    n_scored: int
 
 
 def omega_max_at_split(
@@ -205,21 +232,42 @@ def omega_max_at_split(
 
     Bitwise-equal to ``np.argmax`` over :func:`omega_split_matrix` (the
     full-matrix reference). The operands come from one
-    :meth:`~repro.core.dp.SumMatrix.split_operands` read, and the score
-    grid is evaluated one row panel at a time — Kernel II's lanes on the
-    host: each panel is scored with the exact IEEE operations of
-    :func:`omega_from_sums` into three reused scratch panels, yields a
-    first-occurrence (max, argmax), and the panels reduce in row-major
-    order, so ties keep the earliest element and the first NaN wins, as
+    :meth:`~repro.core.dp.SumMatrix.split_operands` read. Every score is
+    computed with the exact IEEE operations of :func:`omega_from_sums`,
+    and ties keep the earliest element in row-major order.
+
+    When both border sets are ascending runs, ``eps > 0`` and the grid
+    holds at least ``PRUNE_MIN_SCORES`` scores, not every pair is scored:
+    one Eq. (2) evaluation at each ``TILE`` x ``TILE`` tile's corner
+    operands bounds every score in it (the window sums are sums of
+    non-negative r² over nested windows, as every r² matrix of
+    :mod:`repro.ld` gives), and a tile is skipped only when its bound is
+    strictly below a score already found (DESIGN §5).
+    ``n_scored`` counts the scores evaluated; ``n_evaluations`` is still
+    the full grid. Otherwise the grid is evaluated one row panel at a
+    time — Kernel II's lanes on the host: each panel is scored into three
+    reused scratch panels, yields a first-occurrence (max, argmax), and
+    the panels reduce in row-major order, so the first NaN wins too, as
     in ``np.argmax``.
     """
     li = np.asarray(left_borders, dtype=np.intp)
     rj = np.asarray(right_borders, dtype=np.intp)
     n_l, n_r = li.size, rj.size
     if n_l == 0 or n_r == 0:
-        return OmegaMaximum(0.0, -1, -1, 0)
-    (sum_l, sum_r, head, block, tail, n_left, n_right, pairs_l,
-     pairs_r) = sums.split_operands(li, c, rj)
+        return OmegaMaximum(0.0, -1, -1, 0, 0)
+    ops = sums.split_operands(li, c, rj)
+    if (
+        eps > 0 and n_l * n_r >= PRUNE_MIN_SCORES
+        and _is_run(li) and _is_run(rj)
+    ):
+        margin = _rounding_margin(sums)
+        if math.isfinite(margin):
+            best, best_at, n_scored = _pruned_max(ops, margin, eps)
+            jj, ii = divmod(best_at, n_l)
+            return OmegaMaximum(
+                best, int(li[ii]), int(rj[jj]), n_l * n_r, n_scored
+            )
+    sum_l, sum_r, head, block, tail, n_left, n_right, pairs_l, pairs_r = ops
     # Splits with no within-window pair (l = r = 1) score 0 / denominator;
     # omega_from_sums reaches that through np.where, here those cells of
     # the numerator and its divisor are patched before the division.
@@ -259,4 +307,126 @@ def omega_max_at_split(
         left_border=int(li[ii]),
         right_border=int(rj[jj]),
         n_evaluations=n_l * n_r,
+        n_scored=n_l * n_r,
     )
+
+
+def _rounding_margin(sums: SumMatrix) -> float:
+    """How far the pruned path moves each corner window sum outward:
+    ``4·δ`` with ``δ = PREFIX_ULPS·max|P|``, which covers twice the
+    rounding error of any window sum read from the prefix (DESIGN §5)."""
+    return 4.0 * PREFIX_ULPS * sums.magnitude
+
+
+def _score_slice(scratch, ops: SplitOperands, rows: slice, cols: slice, eps):
+    """Scores of the grid cells ``[rows, cols]`` with the panel loop's
+    IEEE operations, into views of the three rows of ``scratch``.
+
+    The border sets are runs, so only the last column (l = 1) and the
+    first row (r = 1) can hold an empty window; their corner cell is the
+    l = r = 1 split, patched as the panel loop patches it.
+    """
+    sum_l, sum_r, head, block, tail, n_left, n_right, pairs_l, pairs_r = ops
+    pl, pr = pairs_l[cols], pairs_r[rows, None]
+    n_rows, n_cols = pr.shape[0], pl.shape[0]
+    den, num, tmp = scratch[:, : n_rows * n_cols].reshape(3, n_rows, n_cols)
+    np.subtract(head[rows, None], block[rows, cols], out=den)
+    np.add(den, tail[cols], out=den)  # Σ_LR
+    np.multiply(n_left[cols], n_right[rows, None], out=tmp)
+    np.divide(den, tmp, out=den)
+    np.add(den, eps, out=den)
+    np.add(sum_l[cols], sum_r[rows, None], out=num)
+    np.add(pl, pr, out=tmp)
+    if pl[-1] == 0.0 and pr[0, 0] == 0.0:
+        num[0, -1] = 0.0
+        tmp[0, -1] = 1.0
+    np.divide(num, tmp, out=num)
+    np.divide(num, den, out=num)
+    return num
+
+
+def _tile_bounds(ops: SplitOperands, margin: float, eps: float) -> np.ndarray:
+    """Upper bound of every computed score in each ``TILE`` x ``TILE``
+    tile of the (R, L) grid: one Eq. (2) evaluation at the tile's corner
+    operands, each window sum moved outward by ``margin`` (DESIGN §5)."""
+    sum_l, sum_r, head, block, tail, n_left, n_right, pairs_l, pairs_r = ops
+    wide_l = np.arange(0, sum_l.size, TILE)  # widest left window per tile
+    narrow_l = np.minimum(wide_l + TILE, sum_l.size) - 1
+    narrow_r = slice(None, None, TILE)  # narrowest right window
+    wide_r = np.minimum(np.arange(TILE - 1, sum_r.size + TILE - 1, TILE),
+                        sum_r.size - 1)
+    bound = np.add((sum_r[wide_r] + margin)[:, None], sum_l[wide_l] + margin)
+    div = np.add(pairs_r[narrow_r, None], pairs_l[narrow_l])
+    np.maximum(div, 1.0, out=div)
+    bound /= div
+    cross = np.subtract(head[narrow_r, None], block[narrow_r][:, narrow_l])
+    cross += tail[narrow_l]
+    cross -= margin
+    # The lowest a cell's Σ_LR / (l·r) can round to: the lowered sum over
+    # the widest l·r when it is >= 0, else the sum itself (l·r >= 1).
+    np.multiply(n_right[wide_r, None], n_left[wide_l], out=div)
+    np.minimum(cross, np.divide(cross, div, out=div), out=cross)
+    cross += eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound /= cross
+    bound[cross <= 0.0] = np.inf
+    return bound
+
+
+def _pruned_max(ops: SplitOperands, margin: float, eps: float):
+    """``(max, row-major argmax, scores evaluated)`` over the grid of run
+    border sets, skipping every tile whose bound is below the standing
+    maximum (DESIGN §5).
+
+    The maximum starts at the best of one real score per tile (rows and
+    columns 0, TILE, 2·TILE, …), then of the whole first tile row when
+    half its tiles outlive that: the bound is loosest there, where the
+    right windows are narrowest and l·r varies most across a tile. It
+    rises band by band. A tile is skipped only when its bound is
+    *strictly* below an actual score, so no skipped cell can equal the
+    maximum, and ties between scored cells keep the smaller row-major
+    index, as ``np.argmax`` does.
+    """
+    n_l, n_r = ops.sum_l.size, ops.sum_r.size
+    bounds = _tile_bounds(ops, margin, eps)
+    n_tr, n_tc = bounds.shape
+    scratch = np.empty((3, max(BAND_TILES * TILE * n_l, bounds.size)))
+    step = slice(None, None, TILE)
+    seed = _score_slice(scratch, ops, step, step, eps)
+    k = int(seed.argmax())
+    row, col = divmod(k, n_tc)
+    best, best_at = seed.item(k), row * TILE * n_l + col * TILE
+    n_scored = seed.size
+
+    def take(j0, j1, i0, i1):
+        """Score rows j0..j1-1 x columns i0..i1-1 into the maximum."""
+        nonlocal best, best_at, n_scored
+        rows, cols = slice(j0, j1), slice(i0, i1)
+        scores = _score_slice(scratch, ops, rows, cols, eps)
+        k = int(scores.argmax())
+        value = scores.item(k)
+        jj, ii = divmod(k, i1 - i0)
+        at = (j0 + jj) * n_l + i0 + ii
+        if value > best or (value == best and at < best_at):
+            best, best_at = value, at
+        n_scored += scores.size
+
+    if np.count_nonzero(bounds[0] >= best) * 2 >= n_tc:
+        take(0, min(TILE, n_r), 0, n_l)
+        bounds[0] = -np.inf
+    for t0 in range(0, n_tr, BAND_TILES):
+        live = bounds[t0 : t0 + BAND_TILES] >= best
+        cols = np.flatnonzero(live.any(axis=0)).tolist()
+        # Runs of live tile columns, bridging short gaps of dead ones.
+        while cols:
+            c0 = c1 = cols.pop(0)
+            while cols and cols[0] - c1 <= BRIDGE_TILES + 1:
+                c1 = cols.pop(0)
+            rows = np.flatnonzero(live[:, c0 : c1 + 1].any(axis=1))
+            take(
+                (t0 + int(rows[0])) * TILE,
+                min((t0 + int(rows[-1]) + 1) * TILE, n_r),
+                c0 * TILE,
+                min((c1 + 1) * TILE, n_l),
+            )
+    return best, best_at, n_scored

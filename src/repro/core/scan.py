@@ -183,6 +183,7 @@ class _OmegaBatchSink:
         self._batches = registry.counter("omega.batches")
         self._batched_positions = registry.counter("omega.batched_positions")
         self._direct_positions = registry.counter("omega.direct_positions")
+        self._scored = registry.counter("omega.scored")
         self._batch_fill = registry.histogram("omega.batch_positions")
         # Live progress ledger: resolved once per sink; None (a single
         # attribute check per position) unless this process bound a slot.
@@ -241,12 +242,14 @@ class _OmegaBatchSink:
                     int(res.left_borders[0]), int(res.right_borders[0]),
                     int(res.n_evaluations[0]),
                 )
+                self._scored.inc(int(res.n_evaluations[0]))
                 return
             res = omega_max_at_split(sums, li, c, rj, eps=self._eps)
             self._store(
                 out_idx, off, res.omega, res.left_border,
                 res.right_border, res.n_evaluations,
             )
+            self._scored.inc(res.n_scored)
             return
         self._plan.add(sums, li, c, rj)
         self._pending.append((out_idx, off))
@@ -263,6 +266,7 @@ class _OmegaBatchSink:
             res = omega_max_batch(self._plan, eps=self._eps)
         self._batches.inc()
         self._batched_positions.inc(len(self._pending))
+        self._scored.inc(int(res.n_evaluations.sum()))
         self._batch_fill.observe(len(self._pending))
         for slot, (out_idx, off) in enumerate(self._pending):
             self._store(

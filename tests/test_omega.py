@@ -16,7 +16,13 @@ from repro.core.omega import (
     omega_max_at_split,
     omega_split_matrix,
 )
-from repro.datasets.generators import random_alignment, sweep_signature_alignment
+from repro.core.reuse import SumMatrixCache
+from repro.datasets.alignment import SNPAlignment
+from repro.datasets.generators import (
+    haplotype_block_alignment,
+    random_alignment,
+    sweep_signature_alignment,
+)
 from repro.errors import ScanConfigError
 from repro.ld.gemm import r_squared_matrix
 
@@ -262,3 +268,209 @@ class TestPanelKernel:
         with patch.object(omega_mod, "PANEL_ELEMENTS", panel):
             for eps in (DENOMINATOR_OFFSET, 0.0):
                 _kernel_matches_reference(sums, li, c, rj, eps=eps)
+
+
+def _linked_sums(w, blocks):
+    """SumMatrix over r² = 1 within each inclusive site range of
+    ``blocks`` and 0 elsewhere: exact sums with long flat stretches."""
+    r2 = np.zeros((w, w))
+    for a, b in blocks:
+        r2[a : b + 1, a : b + 1] = 1.0
+    return SumMatrix(r2)
+
+
+def _anchored_sums(rng, w):
+    """Linked blocks read far from the prefix anchor: the block prefix
+    sits on a large constant plus row and column terms (r² between
+    earlier sites and the region), so every window sum rounds, and flat
+    stretches and zero cross sums come out a few ulps apart."""
+    r2 = np.zeros((w, w))
+    for _ in range(int(rng.integers(1, 5))):
+        a = int(rng.integers(0, w - 2))
+        rows, cols = rng.integers(2, 11, size=2)
+        r2[a : a + rows, a : a + cols] = 1.0
+    r2 = np.maximum(r2, r2.T)
+    np.fill_diagonal(r2, 0.0)
+    prefix = np.zeros((w + 1, w + 1))
+    prefix[1:, 1:] = r2.cumsum(axis=0).cumsum(axis=1)
+    k = np.arange(w + 1.0)
+    prefix += 2.0**20 + rng.random() + rng.random() * (k[:, None] + k)
+    return SumMatrix.from_prefix(prefix, w)
+
+
+def _block_ld_sums(rng, w):
+    """r² of an alignment whose sites repeat a few random columns in
+    runs: 1 within a run, random values between runs."""
+    base = rng.integers(0, 2, size=(24, w)).astype(np.uint8)
+    cuts = np.sort(rng.choice(np.arange(1, w), size=w // 6, replace=False))
+    matrix = base[:, np.repeat(np.r_[0, cuts], np.diff(np.r_[0, cuts, w]))]
+    matrix[0] = 1 - matrix[1]  # every column polymorphic
+    aln = SNPAlignment(matrix, np.arange(w) * 10.0 + 1.0, length=10.0 * w)
+    return SumMatrix(r_squared_matrix(aln))
+
+
+def _cache_served_sums(rng, w):
+    """Views a SumMatrixCache serves on a stride-3 walk of 40-site regions
+    (a build, appends, and a live square moved to the origin)."""
+    aln = haplotype_block_alignment(30, w + 60, block_size=15, seed=rng)
+    r2 = r_squared_matrix(aln)
+    cache = SumMatrixCache(growth_factor=4.0)
+    for start in range(0, 61, 3):
+        stop = start + w - 1
+        region = r2[start : stop + 1, start : stop + 1]
+        yield cache.region_sums(start, stop, region)
+
+
+def _pruned_cases(kind, seed):
+    """``(sums, left borders, c, right borders)`` runs over 20-80-site
+    regions, one- and two-SNP minimum flanks alternating."""
+    rng = np.random.default_rng(seed)
+    w = int(rng.integers(20, 81))
+    if kind == "block_ld":
+        sums = [_block_ld_sums(rng, w)]
+        sums.append(SumMatrix(r_squared_matrix(
+            haplotype_block_alignment(30, w, block_size=8, seed=seed)
+        )))
+    elif kind == "zero":
+        sums = [SumMatrix(np.zeros((w, w)))]
+    elif kind == "one":
+        sums = [SumMatrix(np.ones((w, w)))]
+    elif kind == "anchored":
+        sums = [_anchored_sums(rng, w) for _ in range(3)]
+    elif kind == "dyadic":
+        sums = [_dyadic_sums(rng, w) for _ in range(3)]
+    elif kind == "cache":  # each view is read before the next is served
+        w = 40
+        sums = _cache_served_sums(rng, w)
+    for k, s in enumerate(sums):
+        c = int(rng.integers(w // 4, 3 * w // 4))
+        flank = 1 + (seed + k) % 2
+        lo = int(rng.integers(0, c // 2 + 1))
+        hi = int(rng.integers(c + flank + (w - c) // 2, w))
+        yield s, np.arange(lo, c + 2 - flank), c, np.arange(c + flank, hi)
+
+
+_KINDS = ["block_ld", "zero", "one", "dyadic", "cache", "anchored"]
+
+
+class TestPrunedKernel:
+    """The tile-bound pruned path against the full-matrix reference. The
+    gate is patched down so that 20-80-site grids take it, in 8 x 8 tiles
+    and 64-row bands, or small tiles and bands so that tile and band
+    edges fall inside those grids."""
+
+    @pytest.fixture(
+        autouse=True,
+        params=[(8, 8), (3, 1), (4, 2)],
+        ids=lambda p: f"{p[0]}x{p[1]}",
+    )
+    def geometry(self, request, monkeypatch):
+        tile, band = request.param
+        monkeypatch.setattr(omega_mod, "PRUNE_MIN_SCORES", 1)
+        monkeypatch.setattr(omega_mod, "TILE", tile)
+        monkeypatch.setattr(omega_mod, "BAND_TILES", band)
+        real = omega_mod._pruned_max
+        self.pruned = 0
+
+        def spy(*args):
+            self.pruned += 1
+            return real(*args)
+
+        monkeypatch.setattr(omega_mod, "_pruned_max", spy)
+
+    def _matches(self, sums, li, c, rj, eps=DENOMINATOR_OFFSET):
+        before = self.pruned
+        jj, ii = _kernel_matches_reference(sums, li, c, rj, eps=eps)
+        assert self.pruned == before + 1
+        return jj, ii
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference(self, kind, seed):
+        for sums, li, c, rj in _pruned_cases(kind, seed):
+            self._matches(sums, li, c, rj)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_score_exceeds_its_tile_bound(self, kind, seed):
+        t = omega_mod.TILE
+        for sums, li, c, rj in _pruned_cases(kind, seed):
+            ops = sums.split_operands(li, c, rj)
+            bounds = omega_mod._tile_bounds(
+                ops, omega_mod._rounding_margin(sums), DENOMINATOR_OFFSET
+            )
+            scores = omega_split_matrix(sums, li, c, rj)
+            n_r, n_l = scores.shape
+            tiles = np.full((bounds.shape[0] * t, bounds.shape[1] * t), -1.0)
+            tiles[:n_r, :n_l] = scores
+            tiles = tiles.reshape(bounds.shape[0], t, bounds.shape[1], t)
+            assert (tiles.max(axis=(1, 3)) <= bounds).all()
+
+    def test_ties_across_tile_and_band_edges(self):
+        """Linked left and right blocks without cross LD: every split
+        whose windows stay inside the blocks scores exactly 1 / ε. With
+        blocks over the whole region the first element must win over
+        ties in every tile and band; with shorter blocks the first tie
+        sits inside a tile, mostly off the seed sample."""
+        li, rj = np.arange(0, 30), np.arange(31, 60)
+        sums = _linked_sums(60, [(0, 30), (31, 59)])
+        assert self._matches(sums, li, 30, rj) == (0, 0)
+        for edge in (4, 9, 17):
+            sums = _linked_sums(60, [(30 - edge, 30), (31, 31 + edge)])
+            self._matches(sums, li, 30, rj)
+        rng = np.random.default_rng(11)
+        li, rj = np.arange(0, 25), np.arange(25, 50)
+        for _ in range(20):
+            self._matches(_dyadic_sums(rng, 50), li, 24, rj)
+
+    def test_bound_equal_to_maximum_is_kept(self, monkeypatch):
+        """A tile whose bound equals the standing maximum may hold an
+        earlier tie, so only a bound strictly below it is skipped.
+
+        Sites 14..19 are linked and so are 20 and 21; the sums are exact,
+        so the margin can be 0 and tile bounds meet scores. Every split
+        with a two-SNP right window and a left window inside the block
+        scores 1 / ε. The seed samples the tie at column 15; the first
+        one, column 14, ends a tile whose bound is exactly 1 / ε."""
+        monkeypatch.setattr(omega_mod, "TILE", 3)
+        monkeypatch.setattr(omega_mod, "BAND_TILES", 1)
+        monkeypatch.setattr(omega_mod, "PREFIX_ULPS", 0.0)
+        sums = _linked_sums(40, [(14, 19), (20, 21)])
+        li, rj = np.arange(0, 19), np.arange(21, 40)
+        assert self._matches(sums, li, 19, rj) == (0, 14)
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_single_snp_flanks(self, row):
+        """min_flank_snps=1: the l = r = 1 split is the grid's top-right
+        cell, in the seed sample, the first-row strip or a band."""
+        rng = np.random.default_rng(row)
+        for sums in (_dyadic_sums(rng, 60), _linked_sums(60, [(10, 50)])):
+            li, rj = np.arange(row, 31), np.arange(31, 60 - row)
+            self._matches(sums, li, 30, rj)
+        # Only the patched numerator keeps that split at ω = 0 here.
+        prefix = np.zeros((61, 61))
+        prefix[30:, 30:] = 1.0
+        prefix[32:, 32:] = 2.0
+        li, rj = np.arange(0, 31), np.arange(31, 60)
+        self._matches(SumMatrix.from_prefix(prefix, 60), li, 30, rj)
+
+    @pytest.mark.parametrize(
+        "shape", ["permuted", "subsampled", "duplicated", "eps0"]
+    )
+    def test_other_border_sets_stay_exhaustive(self, shape):
+        rng = np.random.default_rng(4)
+        sums = _dyadic_sums(rng, 60)
+        li, rj, eps = np.arange(0, 30), np.arange(30, 60), DENOMINATOR_OFFSET
+        if shape == "permuted":
+            li = rng.permutation(li)
+        elif shape == "subsampled":
+            rj = rj[::2]
+        elif shape == "duplicated":
+            li = np.r_[li, li[-1]]
+        else:
+            eps = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = omega_max_at_split(sums, li, 29, rj, eps=eps)
+        assert self.pruned == 0
+        assert got.n_scored == got.n_evaluations == li.size * rj.size
+        _kernel_matches_reference(sums, li, 29, rj, eps=eps)
