@@ -50,9 +50,6 @@ SHAPES = {
     "highomega": (128, 2000, 200_000, 60_000, 800_000 / 359, 1200, 22),
 }
 
-#: Per-worker assembled-block LRU, as the scan service enables it.
-BLOCK_LRU_BYTES = 32 * 1024 * 1024
-
 #: Positions in the DP forward walk: twice a 30-position service request.
 WALK_POSITIONS = 60
 
@@ -166,7 +163,6 @@ def tile_scan(request):
     store = SharedR2TileStore.create(
         aln, max_pair_span=R2RegionCache.fill_span(max_width)
     )
-    store.enable_block_lru(BLOCK_LRU_BYTES)
 
     def scan(n):
         config = dataclasses.replace(
@@ -210,8 +206,7 @@ def test_block_cold_start_in_pool(timed, report, shape):
     positions, config = _grid(shape)
     runs = {(4, 4): [], (8, 8): [], (8, 4): []}  # (positions, block size)
     with ParallelScanSession(
-        _alignment(shape), config, n_workers=1,
-        block_lru_bytes=BLOCK_LRU_BYTES,
+        _alignment(shape), config, n_workers=1
     ) as session:
 
         def all_runs():

@@ -212,9 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="max queued requests before rejection")
     serve_p.add_argument("--max-concurrent", type=int, default=4,
                          help="requests dispatched into the pool at once")
-    serve_p.add_argument("--lru-mb", type=float, default=32.0,
-                         help="per-worker assembled r2 block LRU (MiB; "
-                         "0 disables)")
     serve_p.add_argument("--trace", default=None, metavar="FILE",
                          help="write a Chrome-trace/Perfetto JSONL span "
                          "trace covering the daemon and its workers")
@@ -882,7 +879,6 @@ def _cmd_serve(args) -> int:
         n_workers=args.workers,
         queue_limit=args.queue_limit,
         max_concurrent=args.max_concurrent,
-        block_lru_bytes=int(args.lru_mb * 1024 * 1024),
         # `omegascan top <socket>` reads live per-request progress from
         # this ledger via the daemon's status op.
         ledger_path=args.socket + ".ledger",

@@ -150,18 +150,10 @@ _WORKER: dict = {}
 
 
 def _init_worker(
-    config: OmegaConfig,
-    obs_spec: Optional[obs.ObsSpec],
-    block_lru_bytes: int,
+    config: OmegaConfig, obs_spec: Optional[obs.ObsSpec]
 ) -> None:
     obs.configure_worker(obs_spec)
-    _WORKER.update(
-        config=config,
-        block_lru_bytes=block_lru_bytes,
-        name=None,
-        segments=None,
-        store=None,
-    )
+    _WORKER.update(config=config, name=None, segments=None, store=None)
 
 
 def _attached(alignment_spec, tile_spec):
@@ -178,12 +170,9 @@ def _attached(alignment_spec, tile_spec):
             segments = SharedAlignmentSegments.attach(alignment_spec)
             state["segments"] = segments
             if tile_spec is not None:
-                store = SharedR2TileStore.attach(
+                state["store"] = SharedR2TileStore.attach(
                     tile_spec, segments.alignment
                 )
-                state["store"] = store
-                if state["block_lru_bytes"] > 0:
-                    store.enable_block_lru(state["block_lru_bytes"])
         except Exception as exc:
             raise RuntimeError(
                 "shared-memory worker failed to attach its segments"
@@ -248,18 +237,12 @@ class _PoolSession:
         *,
         n_workers: int,
         mp_context: Optional[str] = None,
-        block_lru_bytes: int = 0,
     ):
         if n_workers < 1:
             raise ScanConfigError(f"n_workers must be >= 1, got {n_workers}")
         self._config = config
         self._n_workers = n_workers
         self._mp_context = mp_context
-        #: Capacity of each worker's private LRU of assembled multi-tile
-        #: r² blocks (0 disables). Long-lived service sessions turn this
-        #: on so repeated scans of hot regions stop re-memcpying
-        #: assemblies.
-        self._block_lru_bytes = block_lru_bytes
         self._pool = None
         self._segments: Optional[SharedAlignmentSegments] = None
         self._store: Optional[SharedR2TileStore] = None
@@ -273,7 +256,7 @@ class _PoolSession:
         self._pool = ctx.Pool(
             processes=self._n_workers,
             initializer=_init_worker,
-            initargs=(self._config, obs.current_spec(), self._block_lru_bytes),
+            initargs=(self._config, obs.current_spec()),
         )
 
     def _publish(self, alignment: SNPAlignment, max_width: int) -> None:
@@ -443,14 +426,8 @@ class ParallelScanSession(_PoolSession):
         n_workers: int,
         mp_context: Optional[str] = None,
         block_size: Optional[int] = None,
-        block_lru_bytes: int = 0,
     ):
-        super().__init__(
-            config,
-            n_workers=n_workers,
-            mp_context=mp_context,
-            block_lru_bytes=block_lru_bytes,
-        )
+        super().__init__(config, n_workers=n_workers, mp_context=mp_context)
         self._alignment = alignment
         self._block_size = block_size
         self._grid_positions: Optional[np.ndarray] = None

@@ -180,11 +180,12 @@ class R2RegionCache:
         against each other in tests.
     block_fn:
         Optional override for the fresh-block source: a callable
-        ``(rows, cols) -> ndarray`` with :func:`~repro.ld.gemm.
-        r_squared_block` semantics. The multiprocess scanner injects a
-        shared-memory tile store here so fresh entries one worker
-        computes are served to every other worker; ``backend`` is ignored
-        when set.
+        ``(rows, cols, *, out) -> out`` with :func:`~repro.ld.gemm.
+        r_squared_block` semantics that writes the block into ``out``,
+        a view of the cache's buffer, so every fill lands in place. The
+        multiprocess scanner injects a shared-memory tile store here so
+        fresh entries one worker computes are served to every other
+        worker; ``backend`` is ignored when set.
     n_sites:
         Global site count when ``alignment`` is ``None`` — the streaming
         scanner addresses regions in global coordinates while only the
@@ -209,7 +210,7 @@ class R2RegionCache:
         *,
         backend: str = "gemm",
         max_region_bytes: Optional[int] = None,
-        block_fn: Optional[Callable[[slice, slice], np.ndarray]] = None,
+        block_fn: Optional[Callable[..., np.ndarray]] = None,
         n_sites: Optional[int] = None,
     ):
         if alignment is None:
@@ -236,8 +237,8 @@ class R2RegionCache:
             # cache: the GEMM plane / packed words are materialized once
             # per alignment, and "auto" picks per block from the
             # calibrated cost-model crossover.
-            self._block: Callable[[slice, slice], np.ndarray] = (
-                LDBackendFiller(operands_for(alignment), backend)
+            self._block: Callable[..., np.ndarray] = LDBackendFiller(
+                operands_for(alignment), backend
             )
         else:
             raise ScanConfigError(
@@ -373,16 +374,23 @@ class R2RegionCache:
         self, r_lo: int, r_hi: int, c_lo: int, c_hi: Optional[int] = None
     ) -> None:
         """Compute r² for global rows ``[r_lo, r_hi]`` x columns
-        ``[c_lo, c_hi]`` (``c_hi`` defaults to ``r_hi``) in one block and
-        write it, and its transpose, into the buffer."""
+        ``[c_lo, c_hi]`` (``c_hi`` defaults to ``r_hi``; the row range
+        lies inside the column range) straight into the buffer, then
+        mirror the columns outside the row range. The rows' own square
+        is computed in both triangles, which are bitwise equal
+        (:func:`~repro.ld.correlation.r_squared_from_counts` is
+        symmetric under a pair swap)."""
         if c_hi is None:
             c_hi = r_hi
-        rows = self._block(slice(r_lo, r_hi + 1), slice(c_lo, c_hi + 1))
-        r = slice(r_lo - self._anchor, r_hi - self._anchor + 1)
-        c = slice(c_lo - self._anchor, c_hi - self._anchor + 1)
-        self._buf[r, c] = rows  # type: ignore[index]
-        if (r_lo, r_hi) != (c_lo, c_hi):
-            self._buf[c, r] = rows.T  # type: ignore[index]
+        a = self._anchor
+        buf = self._buf
+        r = slice(r_lo - a, r_hi - a + 1)
+        block = buf[r, c_lo - a : c_hi - a + 1]  # type: ignore[index]
+        self._block(slice(r_lo, r_hi + 1), slice(c_lo, c_hi + 1), out=block)
+        if c_lo < r_lo:
+            buf[c_lo - a : r_lo - a, r] = block[:, : r_lo - c_lo].T
+        if c_hi > r_hi:
+            buf[r_hi - a + 1 : c_hi - a + 1, r] = block[:, r_hi - c_lo + 1 :].T
 
     def reset(self) -> None:
         """Drop the cached values and the served region (e.g. when

@@ -576,6 +576,27 @@ def _plan_stream_chunks(
     return groups
 
 
+class _ChunkBlocks:
+    """Fresh r² blocks requested in global site coordinates, computed
+    from the resident chunk (whose first site is global site ``lo``)
+    into the caller's ``out``. The chunk always covers the open group's
+    site range, so the translation never misses."""
+
+    def __init__(self) -> None:
+        self.lo = 0
+        self.filler: Optional[LDBackendFiller] = None
+
+    def __call__(
+        self, rows: slice, cols: slice, *, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        lo = self.lo
+        return self.filler(  # type: ignore[misc]
+            slice(rows.start - lo, rows.stop - lo),
+            slice(cols.start - lo, cols.stop - lo),
+            out=out,
+        )
+
+
 def _iter_stream_sequential(
     source: AlignmentStreamSource,
     config: OmegaConfig,
@@ -602,20 +623,11 @@ def _iter_stream_sequential(
         groups = _plan_stream_chunks(plans, snp_budget)
     plan_seconds = _plan_bd.totals["plan"]
 
-    # Fresh r² blocks are requested in global coordinates but computed
-    # from the currently resident chunk; the chunk always covers the open
-    # group's site range, so the translation below never misses.
-    holder: dict = {}
-
-    def block_fn(rows: slice, cols: slice) -> np.ndarray:
-        lo = holder["lo"]
-        r = slice(rows.start - lo, rows.stop - lo)
-        c = slice(cols.start - lo, cols.stop - lo)
-        return holder["filler"](r, c)
+    chunk_blocks = _ChunkBlocks()
 
     def gen() -> Iterator[ScanResult]:
         cache = R2RegionCache(
-            None, block_fn=block_fn, n_sites=positions.size
+            None, block_fn=chunk_blocks, n_sites=positions.size
         )
         dp_cache = SumMatrixCache(reuse=cfg.dp_reuse, stats=cache.stats)
         if dp_seed is not None:
@@ -636,7 +648,7 @@ def _iter_stream_sequential(
                         # the only reference to its operand planes)
                         # before the next one is parsed, so at most one
                         # chunk's planes are resident.
-                        holder.pop("filler", None)
+                        chunk_blocks.filler = None
                         if live is not None:
                             live.set_phase("ingest")
                         with tr.phase(
@@ -650,10 +662,10 @@ def _iter_stream_sequential(
                             site_lo=site_lo, site_hi=site_hi,
                             plan_lo=plan_lo, plan_hi=plan_hi,
                         )
-                        holder["lo"] = site_lo
                         # One operand-plane cache (and backend filler)
                         # per chunk.
-                        holder["filler"] = LDBackendFiller(
+                        chunk_blocks.lo = site_lo
+                        chunk_blocks.filler = LDBackendFiller(
                             operands_for(chunk), cfg.ld_backend
                         )
                     snapshot = dataclasses.replace(cache.stats)

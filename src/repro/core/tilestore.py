@@ -20,8 +20,10 @@ memory by the parent:
   summation order agrees bit-for-bit), two workers racing on the same
   tile write identical bytes — the flag is set only after the data, so
   a reader never sees a half-filled tile as ready;
-* :meth:`SharedR2TileStore.block` assembles any rectangular block of the
-  pair matrix from tiles, bit-identical to computing the block directly.
+* :meth:`SharedR2TileStore.block` copies the tiles of any rectangular
+  block of the pair matrix straight into the caller's buffer (the region
+  cache's), bit-identical to computing the block directly, so a served
+  value is copied once on its way out of shared memory.
 
 The store plugs into :class:`~repro.core.reuse.R2RegionCache` as its
 ``block_fn``, so the region cache's overlap reuse still runs in front of
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import os
 import secrets
-from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Optional, Tuple
@@ -105,9 +106,10 @@ class SharedR2TileStore:
 
     Create once in the parent (:meth:`create`), ship the
     :class:`TileStoreSpec`, attach in each worker (:meth:`attach`). The
-    instance's :meth:`block` has the same signature and bit-exact values
-    as :func:`repro.ld.gemm.r_squared_block`, so it drops into
-    :class:`~repro.core.reuse.R2RegionCache` as ``block_fn``.
+    instance's :meth:`block` takes ``(rows, cols, out)`` like
+    :func:`repro.ld.gemm.r_squared_block` and serves its bit-exact
+    values, so it drops into :class:`~repro.core.reuse.R2RegionCache` as
+    ``block_fn``.
 
     ``tile_entries_computed`` / ``tile_entries_reused`` count the r² cells
     this attachment computed into the store vs served from tiles another
@@ -143,55 +145,6 @@ class SharedR2TileStore:
         )
         self.tile_entries_computed = 0
         self.tile_entries_reused = 0
-        self._lru: Optional[OrderedDict] = None
-        self._lru_capacity_bytes = 0
-        self._lru_bytes = 0
-
-    # -------------------------------------------------------------- #
-    # worker-local assembled-block LRU
-
-    def enable_block_lru(self, capacity_bytes: int) -> None:
-        """Cache multi-tile :meth:`block` assemblies in *this process*.
-
-        Assembling a block that spans several tiles memcpys every tile
-        into a fresh array on every call; a long-lived scan service that
-        replays the same hot regions across requests pays that assembly
-        again and again. The LRU keeps the most recently served
-        assembled blocks (keyed by their exact slice rectangle) up to
-        ``capacity_bytes`` of private memory per attachment. Single-tile
-        views are never cached — they are already zero-copy. Cached
-        blocks are read-only; ``copy=True`` peels off a private copy.
-        ``capacity_bytes <= 0`` disables the cache.
-        """
-        if capacity_bytes <= 0:
-            self._lru = None
-            self._lru_capacity_bytes = 0
-            self._lru_bytes = 0
-            return
-        self._lru = OrderedDict()
-        self._lru_capacity_bytes = int(capacity_bytes)
-        self._lru_bytes = 0
-
-    def _lru_get(self, key: Tuple[int, int, int, int]):
-        assert self._lru is not None
-        cached = self._lru.get(key)
-        if cached is not None:
-            self._lru.move_to_end(key)
-        return cached
-
-    def _lru_put(self, key: Tuple[int, int, int, int], block) -> None:
-        assert self._lru is not None
-        nbytes = int(block.nbytes)
-        if nbytes > self._lru_capacity_bytes:
-            return
-        self._lru[key] = block
-        self._lru_bytes += nbytes
-        registry = obs.get_metrics()
-        while self._lru_bytes > self._lru_capacity_bytes:
-            _, evicted = self._lru.popitem(last=False)
-            self._lru_bytes -= int(evicted.nbytes)
-            registry.counter("tilestore.lru_evictions").inc()
-        registry.gauge("tilestore.lru_bytes").set(self._lru_bytes)
 
     # -------------------------------------------------------------- #
 
@@ -326,9 +279,10 @@ class SharedR2TileStore:
 
     # -------------------------------------------------------------- #
 
-    def _tile_values(self, ti: int, tj: int) -> np.ndarray:
+    def _tile_values(self, ti: int, tj: int) -> Tuple[np.ndarray, bool]:
         """The (possibly edge-trimmed) stored tile ``(ti, tj)`` with
-        ``tj >= ti``, computing and publishing it on first touch."""
+        ``tj >= ti``, computing and publishing it on first touch, and
+        whether it was already published."""
         spec = self.spec
         t = spec.tile
         n = spec.n_sites
@@ -337,12 +291,8 @@ class SharedR2TileStore:
         h, w = r1 - r0, c1 - c0
         slot = ti * (spec.band_tiles + 1) + (tj - ti)
         view = self._data[slot, :h, :w]
-        registry = obs.get_metrics()
         if self._flags[slot]:
-            self.tile_entries_reused += h * w
-            registry.counter("tilestore.hits").inc()
-            registry.counter("tilestore.entries_reused").inc(h * w)
-            return view
+            return view, True
         assert self._filler is not None
         # Resolve the backend before opening the span so the trace tag
         # records which formulation actually filled this tile.
@@ -350,39 +300,37 @@ class SharedR2TileStore:
         with obs.get_tracer().span(
             "tile_fill", "tilestore", args={"ti": ti, "tj": tj, "backend": backend}
         ):
-            values = self._filler(
+            # Compute in private memory and publish by copy: a racing
+            # filler writing into the slot would expose intermediate
+            # values behind a set flag. The copy lands before the flag,
+            # and a concurrent filler copies the identical bytes
+            # (deterministic backends), so the race is benign.
+            view[:] = self._filler(
                 slice(r0, r1), slice(c0, c1), backend=backend
             )
-            view[:] = values
-            # Publish only after the data is in place; a concurrent filler
-            # writes the identical bytes (deterministic backends), so the
-            # race is benign.
             self._flags[slot] = 1
         self.tile_entries_computed += h * w
+        registry = obs.get_metrics()
         registry.counter("tilestore.fills").inc()
         registry.counter("tilestore.entries_computed").inc(h * w)
-        return view
+        return view, False
 
     def block(
-        self, rows: slice, cols: slice, *, copy: bool = False
+        self, rows: slice, cols: slice, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """r² for the rectangular block ``rows x cols`` of the pair
         matrix, served from shared tiles (bit-identical to
         :func:`~repro.ld.gemm.r_squared_block` on the same alignment).
 
-        By default the result is **read-only**: a block that falls inside
-        one stored upper-triangle tile is a zero-copy view straight into
-        the shared segment (no assembly memcpy at all); anything larger is
-        assembled once and returned non-writeable. Consumers that need to
-        mutate the block — or to hold it across :meth:`close` — pass
-        ``copy=True`` for a private writable array. The region cache
-        copies blocks into its own buffer immediately, so the default
-        serves it zero-copy.
+        Each tile, or its transpose for a lower-triangle piece, is copied
+        straight into ``out`` (float64, shaped like the block; the region
+        cache passes a view of its buffer), which is returned; a new
+        array is allocated only when ``out`` is omitted.
 
         Pairs outside the stored band (further apart than the store's
-        ``max_pair_span``) fall back to direct computation — correct, just
-        unshared; the parallel scanner sizes the band so scans never hit
-        this path.
+        ``max_pair_span``) are computed directly into ``out`` — correct,
+        just unshared; the parallel scanner sizes the band so scans never
+        hit this path.
         """
         spec = self.spec
         n = spec.n_sites
@@ -393,71 +341,38 @@ class SharedR2TileStore:
             raise ScanConfigError(
                 "tile store blocks require contiguous (step-1) slices"
             )
-        ti0, ti1 = r0 // t, (r1 - 1) // t
-        tj0, tj1 = c0 // t, (c1 - 1) // t
-        if (
-            r1 > r0
-            and c1 > c0
-            and ti0 == ti1
-            and tj0 == tj1
-            and abs(tj0 - ti0) <= spec.band_tiles
-        ):
-            # Whole block inside one stored tile: serve a view of the
-            # shared segment directly (read-only so a consumer can't
-            # corrupt the published tile; copy=True peels it off).
-            if tj0 >= ti0:
-                tile_vals = self._tile_values(ti0, tj0)
-                sub = tile_vals[
-                    r0 - ti0 * t : r1 - ti0 * t, c0 - tj0 * t : c1 - tj0 * t
-                ]
-            else:
-                tile_vals = self._tile_values(tj0, ti0)
-                sub = tile_vals[
-                    c0 - tj0 * t : c1 - tj0 * t, r0 - ti0 * t : r1 - ti0 * t
-                ].T
-            obs.get_metrics().counter("tilestore.view_serves").inc()
-            if copy:
-                return sub.copy()
-            view = sub.view()
-            view.flags.writeable = False
-            return view
-        if self._lru is not None:
-            key = (r0, r1, c0, c1)
-            cached = self._lru_get(key)
-            if cached is not None:
-                obs.get_metrics().counter("tilestore.lru_hits").inc()
-                return cached.copy() if copy else cached
-        out = np.empty((r1 - r0, c1 - c0))
-        for ti in range(ti0, ti1 + 1):
+        if out is None:
+            out = np.empty((r1 - r0, c1 - c0))
+        hits = reused = 0
+        for ti in range(r0 // t, (r1 - 1) // t + 1):
             i0 = max(r0, ti * t)
             i1 = min(r1, ti * t + t)
-            for tj in range(tj0, tj1 + 1):
+            for tj in range(c0 // t, (c1 - 1) // t + 1):
                 j0 = max(c0, tj * t)
                 j1 = min(c1, tj * t + t)
+                dst = out[i0 - r0 : i1 - r0, j0 - c0 : j1 - c0]
                 if abs(tj - ti) > spec.band_tiles:
                     assert self._filler is not None
-                    out[i0 - r0 : i1 - r0, j0 - c0 : j1 - c0] = self._filler(
-                        slice(i0, i1), slice(j0, j1)
-                    )
+                    self._filler(slice(i0, i1), slice(j0, j1), out=dst)
                     continue
                 if tj >= ti:
-                    tile_vals = self._tile_values(ti, tj)
-                    sub = tile_vals[
+                    tile_vals, hit = self._tile_values(ti, tj)
+                    dst[:] = tile_vals[
                         i0 - ti * t : i1 - ti * t, j0 - tj * t : j1 - tj * t
                     ]
                 else:
-                    tile_vals = self._tile_values(tj, ti)
-                    sub = tile_vals[
+                    tile_vals, hit = self._tile_values(tj, ti)
+                    dst[:] = tile_vals[
                         j0 - tj * t : j1 - tj * t, i0 - ti * t : i1 - ti * t
                     ].T
-                out[i0 - r0 : i1 - r0, j0 - c0 : j1 - c0] = sub
-        if self._lru is not None:
-            obs.get_metrics().counter("tilestore.lru_misses").inc()
-            out.flags.writeable = False
-            self._lru_put(key, out)
-            return out.copy() if copy else out
-        if not copy:
-            out.flags.writeable = False
+                if hit:
+                    hits += 1
+                    reused += tile_vals.size
+        if hits:
+            self.tile_entries_reused += reused
+            registry = obs.get_metrics()
+            registry.counter("tilestore.hits").inc(hits)
+            registry.counter("tilestore.entries_reused").inc(reused)
         return out
 
     # -------------------------------------------------------------- #
@@ -467,9 +382,6 @@ class SharedR2TileStore:
         self._data = None
         self._flags = None
         self._filler = None
-        if self._lru is not None:
-            self._lru.clear()
-            self._lru_bytes = 0
         for shm in self._segments:
             try:
                 shm.close()

@@ -17,6 +17,8 @@ the caller asks for strict behaviour.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.datasets.alignment import SNPAlignment
@@ -32,6 +34,7 @@ def r_squared_from_counts(
     n_samples: int,
     *,
     strict: bool = False,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """r² from sufficient statistics (vectorized).
 
@@ -51,6 +54,10 @@ def r_squared_from_counts(
     strict:
         If True, raise :class:`~repro.errors.LDError` when any pair involves
         a monomorphic site; otherwise those pairs get r² = 0.
+    out:
+        Optional float64 array, shaped like the broadcast inputs, that
+        receives the result; it may be a strided view (a region buffer's
+        block), and is returned.
 
     Returns
     -------
@@ -76,7 +83,15 @@ def r_squared_from_counts(
     # Every cell below sees the same IEEE operations in the same order as
     # the elementwise formula (p_ij − p_i p_j)² / (q_i q_j); only the
     # per-site factors are no longer materialized at full size.
-    r2 = np.empty(shape)
+    if out is None:
+        r2 = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise LDError(
+            f"out must be float64 of shape {shape}, got {out.dtype} "
+            f"{out.shape}"
+        )
+    else:
+        r2 = out
     np.divide(n11, n, out=r2, dtype=np.float64)  # p_ij
     tmp = np.empty(shape)
     np.multiply(p_i, p_j, out=tmp)

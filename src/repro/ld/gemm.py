@@ -26,7 +26,7 @@ MB; whole-chromosome all-pairs use :mod:`repro.ld.tiled` instead.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -119,6 +119,7 @@ def r_squared_block(
     strict: bool = False,
     backend: Union[str, None, object] = None,
     operands=None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """r² for the rectangular block ``rows x cols`` of the pair matrix.
 
@@ -128,7 +129,9 @@ def r_squared_block(
     matrix. Only the requested columns are converted to the GEMM dtype
     (slice first, then ``astype``); pass ``operands``
     (:class:`~repro.ld.operands.LDOperands`) to serve the conversion from
-    the per-alignment cached plane instead.
+    the per-alignment cached plane instead. ``out`` (float64, shaped
+    like the block, possibly a strided view) receives the r² in place
+    and is returned.
     """
     n_sites = alignment.n_sites
     r0, r1, rstep = rows.indices(n_sites)
@@ -148,5 +151,5 @@ def r_squared_block(
     n11 = _device_gemm(a_rows.T, a_cols, backend)
     return r_squared_from_counts(
         n11, counts[r0:r1, None], counts[None, c0:c1], alignment.n_samples,
-        strict=strict,
+        strict=strict, out=out,
     )

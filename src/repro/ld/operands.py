@@ -299,9 +299,12 @@ class LDBackendFiller:
         cols: slice,
         *,
         backend: Optional[str] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """r² for the block ``rows x cols``; ``backend`` (from a prior
-        :meth:`pick`) skips re-deciding."""
+        """r² for the block ``rows x cols``, written into ``out`` when
+        given (float64, shaped like the block; a view of a caller's
+        buffer) and returned; ``backend`` (from a prior :meth:`pick`)
+        skips re-deciding."""
         ops = self.operands
         n_sites = ops.n_sites
         r0, r1, rstep = rows.indices(n_sites)
@@ -316,9 +319,13 @@ class LDBackendFiller:
         if backend == "packed":
             from repro.ld.packed_kernels import r_squared_block_packed
 
-            return r_squared_block_packed(
+            values = r_squared_block_packed(
                 ops.packed(), rows, cols, counts=ops.derived_counts()
             )
+            if out is None:
+                return values
+            out[...] = values
+            return out
         from repro.ld.gemm import r_squared_block
 
-        return r_squared_block(ops.alignment, rows, cols, operands=ops)
+        return r_squared_block(ops.alignment, rows, cols, operands=ops, out=out)

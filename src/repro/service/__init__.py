@@ -27,11 +27,12 @@ over the one pool, with
 * **per-request observability** — each request runs against its own
   metrics registry and its spans carry the request id, so one request's
   numbers never bleed into another's;
-* **hot-block reuse** — workers keep a private LRU of assembled
-  multi-tile r² blocks (:meth:`SharedR2TileStore.enable_block_lru
-  <repro.core.tilestore.SharedR2TileStore.enable_block_lru>`), so
-  repeated scans of the same region across requests stop re-memcpying
-  multi-tile assemblies.
+* **r² reuse across requests** — a tile one request computed serves
+  every later request from the shared store
+  (:class:`~repro.core.tilestore.SharedR2TileStore`), copied once,
+  straight into the worker's region buffer. Workers keep no private
+  cache of assembled blocks: request grids almost never ask for the
+  same block twice.
 
 Use in-process (tests, notebooks)::
 

@@ -65,11 +65,6 @@ __all__ = [
     "request_block_size",
 ]
 
-#: Default per-worker assembled-block LRU (32 MiB): enough for dozens of
-#: hot multi-tile region assemblies without meaningfully growing a
-#: worker's footprint next to the shared segments it maps anyway.
-DEFAULT_BLOCK_LRU_BYTES = 32 * 1024 * 1024
-
 
 def request_block_size(
     n_positions: int, n_workers: int, *, block_size: Optional[int] = None
@@ -261,7 +256,6 @@ class ScanService:
         queue_limit: int = 32,
         max_concurrent: int = 4,
         block_size: Optional[int] = None,
-        block_lru_bytes: int = DEFAULT_BLOCK_LRU_BYTES,
         ledger_path: Optional[str] = None,
     ):
         if queue_limit < 1:
@@ -278,7 +272,6 @@ class ScanService:
             n_workers=n_workers,
             mp_context=mp_context,
             block_size=block_size,
-            block_lru_bytes=block_lru_bytes,
         )
         self._block_size = block_size
         self.admission = AdmissionController(alignment, config)

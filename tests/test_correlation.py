@@ -51,6 +51,17 @@ class TestRSquaredFromCounts:
         with pytest.raises(LDError):
             r_squared_from_counts(np.array([0]), np.array([0]), np.array([0]), 0)
 
+    @pytest.mark.parametrize(
+        "out", [np.empty((2, 2)), np.empty((3, 2), dtype=np.float32)]
+    )
+    def test_rejects_mismatched_out(self, out):
+        """A wrong-shaped ``out``, or one that would round the float64
+        result, is refused instead of broadcast or cast into."""
+        with pytest.raises(LDError, match="out must be float64"):
+            r_squared_from_counts(
+                np.ones((3, 2)), np.ones((3, 1)), np.ones((1, 2)), 4, out=out
+            )
+
     def test_clipped_to_unit_interval(self):
         rng = np.random.default_rng(0)
         n = 50

@@ -253,15 +253,16 @@ class TestDualFreshSegments:
 
 
 class _CountingBlock:
-    """``block_fn`` over :func:`r_squared_block` that counts its calls."""
+    """``block_fn`` over :func:`r_squared_block` that counts its calls
+    and, like every block source, fills the buffer view it is handed."""
 
     def __init__(self, alignment):
         self.alignment = alignment
         self.calls = 0
 
-    def __call__(self, rows, cols):
+    def __call__(self, rows, cols, *, out):
         self.calls += 1
-        return r_squared_block(self.alignment, rows, cols)
+        return r_squared_block(self.alignment, rows, cols, out=out)
 
 
 def _cache(aln, source):
@@ -345,9 +346,9 @@ class TestFillAhead:
         aln = random_alignment(20, 200, seed=37)
         reached = []
 
-        def block_fn(rows, cols):
+        def block_fn(rows, cols, *, out):
             reached.append(max(rows.stop, cols.stop) - 1)
-            return r_squared_block(aln, rows, cols)
+            return r_squared_block(aln, rows, cols, out=out)
 
         cache = R2RegionCache(aln, block_fn=block_fn)
         for start in range(0, 100, 2):
@@ -361,9 +362,9 @@ class TestFillAhead:
         aln = random_alignment(20, 200, seed=41)
         reached = []
 
-        def block_fn(rows, cols):
+        def block_fn(rows, cols, *, out):
             reached.append(max(rows.stop, cols.stop) - 1)
-            return r_squared_block(aln, rows, cols)
+            return r_squared_block(aln, rows, cols, out=out)
 
         cache = R2RegionCache(aln, block_fn=block_fn)
         for start in range(0, 100, 3):

@@ -4,13 +4,17 @@ import glob
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.obs as obs
+from repro.core.scan import _ChunkBlocks
 from repro.core.tilestore import SharedR2TileStore
 from repro.datasets.alignment import SHM_NAME_PREFIX
 from repro.datasets.generators import haplotype_block_alignment, random_alignment
 from repro.errors import ScanConfigError
 from repro.ld.gemm import r_squared_block
+from repro.ld.operands import LDBackendFiller, operands_for
 
 
 @pytest.fixture
@@ -110,150 +114,142 @@ class TestCooperativeFill:
                 SharedR2TileStore.attach(store.spec, other)
 
 
-class TestZeroCopyViews:
-    def test_single_tile_block_is_a_view(self, aln):
-        """A block inside one tile is served zero-copy from the shared
-        segment: no allocation, read-only, and live (later fills show)."""
+#: Geometry of the shared store the block-source property reads: 8-site
+#: tiles, a band of pairs up to 24 sites apart (3 tile offsets), and the
+#: resident chunk [20, 80) of the streamed source.
+TILE, SPAN, CHUNK = 8, 24, (20, 80)
+
+#: Every r² block source a region cache can be handed: the tile store's
+#: block kinds, the operand-plane filler per LD formulation, and the
+#: streamed scan's chunk source.
+BLOCK_SOURCES = (
+    "single_tile", "multi_tile", "transposed", "out_of_band",
+    "gemm", "packed", "stream",
+)
+
+
+@pytest.fixture(scope="module")
+def block_sources():
+    aln = haplotype_block_alignment(25, 90, seed=31)
+    store = SharedR2TileStore.create(aln, max_pair_span=SPAN, tile=TILE)
+    chunk = _ChunkBlocks()
+    chunk.lo = CHUNK[0]
+    chunk.filler = LDBackendFiller(operands_for(aln.site_slice(*CHUNK)))
+    sources = dict.fromkeys(BLOCK_SOURCES[:4], store.block)
+    sources["gemm"] = LDBackendFiller(operands_for(aln), "gemm")
+    sources["packed"] = LDBackendFiller(operands_for(aln), "packed")
+    sources["stream"] = chunk
+    try:
+        yield aln, sources
+    finally:
+        store.close()
+        store.unlink()
+
+
+def _span(draw, lo, hi):
+    """A non-empty ``[start, stop)`` inside ``[lo, hi)``."""
+    start = draw(st.integers(lo, hi - 1))
+    return start, draw(st.integers(start + 1, hi))
+
+
+@st.composite
+def _block_requests(draw, n_sites=90):
+    """``(source, (r0, r1), (c0, c1))`` shaped for the source's kind."""
+    source = draw(st.sampled_from(BLOCK_SOURCES))
+    last = (n_sites - 1) // TILE
+    band = SharedR2TileStore.band_tiles_for(SPAN, TILE)
+    if source == "single_tile":
+        k = draw(st.integers(0, last))
+        tile = (k * TILE, min(k * TILE + TILE, n_sites))
+        return source, _span(draw, *tile), _span(draw, *tile)
+    if source == "transposed":  # inside one lower-triangle tile
+        kc = draw(st.integers(0, last - 1))
+        kr = draw(st.integers(kc + 1, min(kc + band, last)))
+        rows = _span(draw, kr * TILE, min(kr * TILE + TILE, n_sites))
+        return source, rows, _span(draw, kc * TILE, kc * TILE + TILE)
+    if source == "multi_tile":  # rows cross a tile edge, columns nearby
+        r0 = draw(st.integers(0, n_sites - TILE - 1))
+        r1 = draw(st.integers(r0 + TILE + 1, min(n_sites, r0 + 2 * TILE)))
+        c0 = draw(st.integers(max(0, r0 - TILE), r0 + TILE))
+        return source, (r0, r1), _span(draw, c0, min(n_sites, c0 + SPAN))
+    if source == "out_of_band":  # pairs far past the band
+        return source, _span(draw, 0, 2 * TILE), _span(draw, 60, n_sites)
+    lo, hi = CHUNK if source == "stream" else (0, n_sites)
+    return source, _span(draw, lo, hi), _span(draw, lo, hi)
+
+
+class TestBlockSourcesFillOut:
+    """Every block source writes r² into the caller's ``out`` view and
+    nowhere else, byte-identical to :func:`r_squared_block`."""
+
+    @given(
+        request=_block_requests(),
+        pad=st.tuples(*[st.integers(0, 3)] * 4),
+        col_step=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_writes_exactly_the_view(self, block_sources, request, pad,
+                                     col_step):
+        aln, sources = block_sources
+        source, (r0, r1), (c0, c1) = request
+        top, bottom, left, right = pad
+        h, w = r1 - r0, c1 - c0
+        big = np.full((top + h + bottom, left + col_step * w + right), np.nan)
+        inside = (slice(top, top + h), slice(left, left + col_step * w, col_step))
+        view = big[inside]
+        got = sources[source](slice(r0, r1), slice(c0, c1), out=view)
+        assert got is view
+        want = r_squared_block(aln, slice(r0, r1), slice(c0, c1))
+        assert view.tobytes() == want.tobytes()
+        outside = np.ones(big.shape, dtype=bool)
+        outside[inside] = False
+        assert np.isnan(big[outside]).all()
+
+    def test_tile_fills_compute_in_private_memory(self, aln, monkeypatch):
+        """A tile fill never computes inside the shared segment: it fills
+        private memory and publishes by copy, so no flag can go up over
+        half-written values. Out-of-band pieces do compute into ``out``."""
+        handed = []
+        call = LDBackendFiller.__call__
+
+        def spy(self, rows, cols, **kwargs):
+            handed.append(kwargs.get("out"))
+            return call(self, rows, cols, **kwargs)
+
+        monkeypatch.setattr(LDBackendFiller, "__call__", spy)
         with SharedR2TileStore.create(
-            aln, max_pair_span=30, tile=16
+            aln, max_pair_span=SPAN, tile=TILE
         ) as store:
+            store.block(slice(0, 40), slice(0, 40))
+            store.block(slice(0, 10), slice(60, 90))
+            fills = [out for out in handed if out is None]
+            into_out = [out for out in handed if out is not None]
+            assert len(fills) == store.tile_entries_computed // TILE**2
+            assert into_out  # the out-of-band pieces
+            assert not any(
+                np.shares_memory(out, store._data) for out in into_out
+            )
+
+    def test_hits_counted_per_tile_piece(self, aln):
+        """One call adds every tile piece it served from published tiles
+        (a lower-triangle piece counts on its own)."""
+        with SharedR2TileStore.create(
+            aln, max_pair_span=40, tile=16
+        ) as store:
+            store.block(slice(5, 30), slice(5, 40))
+            reused = store.tile_entries_reused
             with obs.scoped_metrics() as registry:
-                got = store.block(slice(2, 10), slice(2, 10))
+                got = store.block(slice(5, 30), slice(5, 40))
                 snap = registry.snapshot()
-            assert got.base is not None  # a view, not an owned copy
-            assert not got.flags.writeable
-            with pytest.raises(ValueError):
-                got[0, 0] = 0.5
-            assert snap["counters"]["tilestore.view_serves"] >= 1
+            counters = snap["counters"]
+            assert counters["tilestore.hits"] == 6  # 2 x 3 tiles
+            assert counters["tilestore.entries_reused"] == 6 * 16 * 16
+            assert store.tile_entries_reused - reused == 6 * 16 * 16
+            assert "tilestore.fills" not in counters
+            assert got.flags.writeable  # a private array, not a view
             np.testing.assert_array_equal(
-                got, r_squared_block(aln, slice(2, 10), slice(2, 10))
+                got, r_squared_block(aln, slice(5, 30), slice(5, 40))
             )
-
-    def test_transposed_single_tile_view(self, aln):
-        """Lower-triangle requests inside one tile are the transposed
-        view of the stored upper tile — still zero-copy."""
-        with SharedR2TileStore.create(
-            aln, max_pair_span=30, tile=16
-        ) as store:
-            rows, cols = slice(17, 30), slice(2, 14)
-            got = store.block(rows, cols)
-            assert got.base is not None
-            assert not got.flags.writeable
-            np.testing.assert_array_equal(
-                got, r_squared_block(aln, rows, cols)
-            )
-
-    def test_copy_flag_returns_writable_buffer(self, aln):
-        with SharedR2TileStore.create(
-            aln, max_pair_span=30, tile=16
-        ) as store:
-            got = store.block(slice(2, 10), slice(2, 10), copy=True)
-            assert got.flags.writeable
-            ref = got.copy()
-            got[:] = -1.0  # scribbling must not reach the store
-            again = store.block(slice(2, 10), slice(2, 10))
-            np.testing.assert_array_equal(again, ref)
-
-    def test_assembled_block_is_read_only(self, aln):
-        """Multi-tile blocks are assembled (copied) but still handed out
-        non-writeable, so consumers treat every block uniformly."""
-        with SharedR2TileStore.create(
-            aln, max_pair_span=40, tile=16
-        ) as store:
-            got = store.block(slice(5, 30), slice(5, 30))
-            assert not got.flags.writeable
-            writable = store.block(slice(5, 30), slice(5, 30), copy=True)
-            assert writable.flags.writeable
-
-
-class TestBlockLRU:
-    ROWS, COLS = slice(5, 30), slice(5, 30)  # spans multiple 16-tiles
-
-    def test_hit_serves_same_assembly(self, aln):
-        with SharedR2TileStore.create(
-            aln, max_pair_span=40, tile=16
-        ) as store:
-            store.enable_block_lru(1 << 20)
-            with obs.scoped_metrics() as registry:
-                first = store.block(self.ROWS, self.COLS)
-                second = store.block(self.ROWS, self.COLS)
-                snap = registry.snapshot()
-            assert second is first  # the cached array itself, no memcpy
-            assert not second.flags.writeable
-            assert snap["counters"]["tilestore.lru_misses"] == 1
-            assert snap["counters"]["tilestore.lru_hits"] == 1
-            np.testing.assert_array_equal(
-                first, r_squared_block(aln, self.ROWS, self.COLS)
-            )
-
-    def test_copy_flag_peels_private_copy_off_cache(self, aln):
-        with SharedR2TileStore.create(
-            aln, max_pair_span=40, tile=16
-        ) as store:
-            store.enable_block_lru(1 << 20)
-            store.block(self.ROWS, self.COLS)
-            got = store.block(self.ROWS, self.COLS, copy=True)
-            assert got.flags.writeable
-            got[:] = -1.0
-            again = store.block(self.ROWS, self.COLS)
-            np.testing.assert_array_equal(
-                again, r_squared_block(aln, self.ROWS, self.COLS)
-            )
-
-    def test_single_tile_views_bypass_cache(self, aln):
-        with SharedR2TileStore.create(
-            aln, max_pair_span=30, tile=16
-        ) as store:
-            store.enable_block_lru(1 << 20)
-            with obs.scoped_metrics() as registry:
-                got = store.block(slice(2, 10), slice(2, 10))
-                snap = registry.snapshot()
-            assert got.base is not None  # still zero-copy
-            assert "tilestore.lru_misses" not in snap["counters"]
-
-    def test_capacity_evicts_oldest(self, aln):
-        with SharedR2TileStore.create(
-            aln, max_pair_span=40, tile=16
-        ) as store:
-            one = store.block(slice(0, 20), slice(0, 20))
-            # Capacity for ~one assembled block: the second insert must
-            # evict the first (FIFO-oldest).
-            store.enable_block_lru(int(one.nbytes * 1.5))
-            with obs.scoped_metrics() as registry:
-                store.block(slice(0, 20), slice(0, 20))
-                store.block(slice(20, 40), slice(20, 40))
-                store.block(slice(0, 20), slice(0, 20))  # miss again
-                snap = registry.snapshot()
-            assert snap["counters"]["tilestore.lru_evictions"] >= 1
-            assert snap["counters"]["tilestore.lru_misses"] == 3
-            assert snap["gauges"]["tilestore.lru_bytes"]["last"] <= (
-                one.nbytes * 1.5
-            )
-
-    def test_oversized_block_never_cached(self, aln):
-        with SharedR2TileStore.create(
-            aln, max_pair_span=40, tile=16
-        ) as store:
-            store.enable_block_lru(8)  # smaller than any block
-            with obs.scoped_metrics() as registry:
-                store.block(self.ROWS, self.COLS)
-                store.block(self.ROWS, self.COLS)
-                snap = registry.snapshot()
-            assert snap["counters"]["tilestore.lru_misses"] == 2
-            assert "tilestore.lru_hits" not in snap["counters"]
-
-    def test_disable_clears(self, aln):
-        with SharedR2TileStore.create(
-            aln, max_pair_span=40, tile=16
-        ) as store:
-            store.enable_block_lru(1 << 20)
-            store.block(self.ROWS, self.COLS)
-            store.enable_block_lru(0)
-            with obs.scoped_metrics() as registry:
-                store.block(self.ROWS, self.COLS)
-                snap = registry.snapshot()
-            assert "tilestore.lru_hits" not in snap["counters"]
-            assert "tilestore.lru_misses" not in snap["counters"]
 
 
 class TestBackendPlumbing:
