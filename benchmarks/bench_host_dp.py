@@ -9,7 +9,7 @@ the end-to-end benchmark's ``regions_serve`` (W = 240 sites, grid stride
   about (W + W / 4)² floats.
 * **DP forward walk** — 60 consecutive positions, as a sequential scan
   or a long block makes them: the time per appended fringe, and how
-  often the live square moved back to the buffer's origin.
+  often the live triangle moved back to the buffer's origin.
 * **Block cold start in a worker** — a scanner over 4 and over 8
   consecutive grid positions, its r² regions served by a warm shared
   tile store (as in a pool worker). ``t(n) = cold + n · step`` gives the
@@ -121,7 +121,7 @@ def test_dp_forward_walk(timed, report, shape):
     timed(walk)
     ms_per_extend = statistics.median(per_extend) * 1e3
     with mock.patch.object(
-        reuse, "_move_block_back", wraps=reuse._move_block_back
+        reuse, "_copy_lower", wraps=reuse._copy_lower
     ) as moves:
         cache = walk()
     builds = cache.stats.dp_builds

@@ -25,9 +25,9 @@ Two constructions are provided:
   sums of the r² matrix, used by the production scanner. Both agree to
   float round-off; hypothesis tests in ``tests/test_dp.py`` enforce it.
 
-Memory: both hold a dense W x W float64 array for a W-SNP region. The
-scanner bounds W via the maximum-window parameter, exactly as OmegaPlus
-bounds its region size.
+Memory: both hold a dense W x W float64 array for a W-SNP region (the
+prefix, like M, uses only its lower triangle). The scanner bounds W via
+the maximum-window parameter, exactly as OmegaPlus bounds its region size.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import numpy as np
 
 from repro.errors import ScanConfigError
 
-__all__ = ["build_m_recurrence", "SplitOperands", "SumMatrix"]
+__all__ = ["append_prefix_rows", "build_m_recurrence", "SplitOperands",
+           "SumMatrix"]
 
 
 def build_m_recurrence(r2: np.ndarray) -> np.ndarray:
@@ -69,6 +70,46 @@ def build_m_recurrence(r2: np.ndarray) -> np.ndarray:
     return m
 
 
+#: Rows per running-sum call of :func:`append_prefix_rows`; each band stops
+#: at its last row's diagonal, so a W-row build sums ~W²/2 cells, not W².
+CUMSUM_ROWS = 64
+
+
+def append_prefix_rows(p: np.ndarray, rows: np.ndarray, r0: int, c0: int):
+    """Append rows ``r0 + 1 .. r0 + F`` of a lower-triangular window-sum
+    prefix ``p`` in place, over columns ``c0`` to the diagonal. Row ``i``
+    adds site ``i - 1``, whose r² against sites ``c0, c0 + 1, ...`` is
+    ``rows[i - r0 - 1]``; row ``r0`` must be final from column ``c0`` on.
+
+    R, the running sums of the r² rows from ``c0``, is written straight
+    into the new rows (cells right of a row's diagonal are never read).
+    Then ``P[i, i] = (P[i-1, i-1] + R[i, i-1]) + R[i, i-1]`` for all rows
+    in one ``cumsum`` (``P[i-1, i]`` mirrors ``P[i, i-1]``; r²(i, i) counts
+    0), and ``P[i, j] = P[i-1, j] + R[i, j]`` for ``c0 <= j < i``, one
+    ``np.add`` per row; column ``c0`` has ``R = 0``. Each cell adds a
+    non-negative sum to the one above or before it, so for r² >= 0 the
+    triangle is non-decreasing along both axes (DESIGN §5).
+    """
+    f = rows.shape[0]
+    n = r0 + f
+    new = p[r0 + 1 : n + 1]
+    new[:, c0] = 0.0
+    for a in range(0, f, CUMSUM_ROWS):
+        b = min(a + CUMSUM_ROWS, f)
+        m = r0 + b - 1 - c0  # the band's last row stops at its diagonal
+        out = new[a:b, c0 + 1 : c0 + 1 + m]
+        np.cumsum(rows[a:b, :m], axis=1, dtype=np.float64, out=out)
+    at = np.arange(r0 + 1, n + 1)
+    diag = np.empty(2 * f + 1)
+    diag[0] = p[r0, r0]
+    diag[1::2] = diag[2::2] = p[at, at - 1]  # R[i, i-1], twice
+    p[at, at] = np.cumsum(diag, out=diag)[2::2]
+    lines = list(p[r0 : n + 1, c0:n])
+    for k, (above, row) in enumerate(zip(lines, lines[1:]), r0 + 1 - c0):
+        row = row[:k]
+        np.add(above[:k], row, row)
+
+
 class SplitOperands(NamedTuple):
     """Every operand Eq. (2) reads at one split ``c``, for ``L`` left and
     ``R`` right borders (:meth:`SumMatrix.split_operands`).
@@ -96,43 +137,32 @@ class SplitOperands(NamedTuple):
 class SumMatrix:
     """O(1) window sums of r² for one region, built in O(W²) vector ops.
 
-    Internally stores the 2-D inclusive prefix sum P of the *symmetrized*
-    r² matrix (diagonal forced to 0). The sum of r² over all unordered
+    Internally stores the 2-D inclusive prefix sum P of the symmetric r²
+    matrix (diagonal counted as 0). The sum of r² over all unordered
     pairs within ``[a..b]`` is then ``block_sum(a, b) / 2`` where
     ``block_sum`` is the rectangle sum over ``[a..b] x [a..b]``: each
-    off-diagonal pair appears twice in the symmetric matrix and the
-    diagonal contributes nothing.
+    off-diagonal pair appears twice and the diagonal contributes nothing.
+    P is symmetric, so only its lower triangle is computed
+    (:func:`append_prefix_rows`) and read: ``P[i, j]``, ``i < j``, is
+    read as ``P[j, i]``.
     """
 
-    def __init__(self, r2: np.ndarray, *, assume_symmetric: bool = False):
+    def __init__(self, r2: np.ndarray):
         """Build the prefix structure.
 
         Parameters
         ----------
         r2:
-            (W x W) pairwise r² matrix. By default only the strict lower
-            triangle is trusted and the matrix is symmetrized from it.
-        assume_symmetric:
-            Skip the symmetrization (profiling shows it is ~40 % of the
-            construction cost): the caller asserts ``r2`` is symmetric —
-            true for every matrix produced by :mod:`repro.ld` — and only
-            the diagonal is cleared. The scanner uses this path.
+            (W x W) pairwise r² matrix, taken as symmetric: only its
+            strict lower triangle reaches the sums.
         """
         r2 = np.asarray(r2, dtype=np.float64)
         if r2.ndim != 2 or r2.shape[0] != r2.shape[1]:
             raise ScanConfigError(f"r2 must be square, got shape {r2.shape}")
         w = r2.shape[0]
-        if assume_symmetric:
-            sym = r2.copy()
-            np.fill_diagonal(sym, 0.0)
-        else:
-            sym = np.tril(r2, k=-1)
-            sym = sym + sym.T
-        # Pad with a zero row/column so prefix lookups need no branches.
-        p = np.zeros((w + 1, w + 1))
-        np.cumsum(sym, axis=0, out=sym)
-        np.cumsum(sym, axis=1, out=sym)
-        p[1:, 1:] = sym
+        p = np.empty((w + 1, w + 1))
+        p[0, 0] = 0.0
+        append_prefix_rows(p, r2, 0, 0)
         self._prefix = p
         self._w = w
 
@@ -143,8 +173,8 @@ class SumMatrix:
         Used by :class:`~repro.core.reuse.SumMatrixCache` to serve a
         region as an offset view into a larger anchored prefix structure.
         The block does **not** need a zero first row/column: every query
-        below is a four-corner rectangle difference, so a constant shift
-        of the prefix anchor cancels exactly.
+        below is a four-corner rectangle difference, so a shift of the
+        prefix by ``E[i] + E[j]`` (an earlier anchor) cancels exactly.
         """
         prefix = np.asarray(prefix, dtype=np.float64)
         if prefix.shape != (n_sites + 1, n_sites + 1):
@@ -165,10 +195,11 @@ class SumMatrix:
     @property
     def magnitude(self) -> float:
         """max |P| over the prefix block, read at its two extreme corners:
-        a prefix of non-negative r² is non-decreasing along both axes (in
-        floating point too, since every partial sum adds a value >= 0), so
-        no entry a query reads is larger. A NaN or infinite r² reaches the
-        last corner through the cumulative sums, so it shows here too."""
+        the lower triangle of a prefix of non-negative r² is non-decreasing
+        along both axes (in floating point too, since every partial sum
+        adds a value >= 0), so no entry a query reads is larger. A NaN or
+        infinite r² reaches the last corner through the sums, so it shows
+        here too."""
         p = self._prefix
         return float(np.abs(p[[0, -1], [0, -1]]).max())
 
@@ -176,9 +207,9 @@ class SumMatrix:
         """Rectangle sum of the symmetric r² matrix over rows [r0..r1],
         cols [c0..c1], inclusive indices."""
         p = self._prefix
-        return float(
-            p[r1 + 1, c1 + 1] - p[r0, c1 + 1] - p[r1 + 1, c0] + p[r0, c0]
-        )
+        cells = ((r1 + 1, c1 + 1), (r0, c1 + 1), (r1 + 1, c0), (r0, c0))
+        a, b, c, d = (p[max(i, j), min(i, j)] for i, j in cells)  # mirrors
+        return float(a - b - c + d)
 
     def _check(self, a: int, b: int) -> None:
         if not (0 <= a <= b < self._w):
@@ -217,12 +248,8 @@ class SumMatrix:
             raise ScanConfigError("left borders must satisfy 0 <= i <= c < W")
         p = self._prefix
         # block(i..c, i..c) = P[c+1,c+1] - P[i,c+1] - P[c+1,i] + P[i,i]
-        return 0.5 * (
-            p[c + 1, c + 1]
-            - p[borders, c + 1]
-            - p[c + 1, borders]
-            + p[borders, borders]
-        )
+        tail = p[c + 1, borders]
+        return 0.5 * (((p[c + 1, c + 1] - tail) - tail) + p[borders, borders])
 
     def right_sums(self, c: int, borders: np.ndarray) -> np.ndarray:
         """Vector of Σ_R = pair_sum(c + 1, j) for each right border ``j``."""
@@ -233,12 +260,8 @@ class SumMatrix:
         if lo < 0 or borders.min() < lo or borders.max() >= self._w:
             raise ScanConfigError("right borders must satisfy c < j < W")
         p = self._prefix
-        return 0.5 * (
-            p[borders + 1, borders + 1]
-            - p[lo, borders + 1]
-            - p[borders + 1, lo]
-            + p[lo, lo]
-        )
+        col = p[borders + 1, lo]
+        return 0.5 * (((p[borders + 1, borders + 1] - col) - col) + p[lo, lo])
 
     def cross_sums_grid(
         self, left_borders: np.ndarray, c: int, right_borders: np.ndarray
@@ -310,11 +333,11 @@ class SumMatrix:
         self, l0: int, l1: int, c: int, r0: int, r1: int
     ) -> SplitOperands:
         """:meth:`split_operands` for left borders ``l0..l1`` and right
-        borders ``r0..r1`` (inclusive runs), read from the prefix as row,
-        column and diagonal slices: the same IEEE operations on the same
-        prefix entries as the gathering methods, so the same bytes, with
-        no index arrays and one range check. Window sizes and pair counts
-        are read-only slices of shared tables."""
+        borders ``r0..r1`` (inclusive runs), read from the prefix's lower
+        triangle as row, column and diagonal slices: the same IEEE
+        operations on the same prefix entries as the gathering methods, so
+        the same bytes, with no index arrays and one range check. Window
+        sizes and pair counts are read-only slices of shared tables."""
         if not (0 <= l0 <= l1 <= c < r0 <= r1 < self._w):
             raise ScanConfigError(
                 f"border runs [{l0}, {l1}] | c={c} | [{r0}, {r1}] out of "
@@ -336,8 +359,8 @@ class SumMatrix:
         nl = slice(top - (k - l0), top - (k - l1) + 1)
         nr = slice(r0 - c, r1 - c + 1)
         return SplitOperands(
-            0.5 * (((pkk - p[left, k]) - tail) + diag[left]),
-            0.5 * (((diag[right] - p[k, right]) - col) + pkk),
+            0.5 * (((pkk - tail) - tail) + diag[left]),
+            0.5 * (((diag[right] - col) - col) + pkk),
             col - pkk,
             p[right, left],
             tail,

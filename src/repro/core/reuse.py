@@ -15,11 +15,11 @@ the same idea at *two* levels:
   (:class:`~repro.core.dp.SumMatrix`, Eq. 3). The prefix-sum block built
   for the previous region is *relocated* (served as an offset view — every
   window-sum query is a four-corner rectangle difference, so the prefix
-  anchor cancels) and extended with only the rows/columns of newly entered
-  SNPs over the region, making the per-position DP cost proportional to
-  the non-overlapping fringe instead of the full O(W²) rebuild. Like the
-  r² buffer, its prefix buffer stays region-sized: the live square moves
-  back to the origin in place when an append runs past the edge.
+  anchor cancels) and extended with only the rows of newly entered SNPs
+  over the region, making the per-position DP cost proportional to the
+  non-overlapping fringe instead of the full O(W²) rebuild. Like the r²
+  buffer, its prefix buffer stays region-sized: the live lower triangle
+  moves back to the origin in place when an append runs past the edge.
 
 Both caches keep reuse statistics in one :class:`ReuseStats` so the
 benefit is measurable (``tests/test_reuse.py`` asserts the saving; the
@@ -35,7 +35,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.dp import SumMatrix
+from repro.core.dp import SumMatrix, append_prefix_rows
 from repro.datasets.alignment import SNPAlignment
 from repro.errors import ScanConfigError
 from repro.ld.operands import LDBackendFiller, operands_for
@@ -416,6 +416,16 @@ def _move_block_back(buf: np.ndarray, src: int, dst: int, size: int) -> None:
         ]
 
 
+def _copy_lower(dst: np.ndarray, src: np.ndarray, size: int, step: int):
+    """Copy the lower triangle of ``src[:size, :size]`` into ``dst`` in
+    chunks of ``step`` rows, each up to its last row's diagonal. ``src``
+    may be ``dst`` shifted by ``step`` or more rows and columns: as in
+    :func:`_move_block_back`, chunks then copy without a temporary."""
+    for r in range(0, size, step):
+        h = min(step, size - r)
+        dst[r : r + h, : r + h] = src[r : r + h, : r + h]
+
+
 def _dp_choose_capacity(width: int, strides, growth: Optional[float]) -> int:
     """Anchor capacity for a fresh build of ``width`` SNPs (shared by
     :class:`SumMatrixCache` and its pure mirror
@@ -453,7 +463,7 @@ def _dp_can_serve(
     if anchor is None or hi is None or last_start is None:
         return False
     if start < last_start or start > hi:
-        return False  # steps back out of the live square, or disjoint
+        return False  # steps back out of the live triangle, or disjoint
     if stop - anchor + 1 > capacity:
         return False  # would outgrow the planned span
     width = stop - start + 1
@@ -586,19 +596,18 @@ class SumMatrixCache:
 
     The paper's Fig. 3 data-reuse optimization moves matrix-M entries
     between grid positions so M stays region-sized; our production M is a
-    2-D prefix sum *anchored* at a past region start, held in one compact
-    buffer that keeps only the live square (the prefix rows and columns
-    from the current region start on):
+    lower-triangular 2-D prefix sum *anchored* at a past region start,
+    held in one compact buffer that keeps only the live triangle (the
+    prefix rows and columns from the current region start on):
 
     * an overlapping request is served as an offset **view** into the
       buffer — zero relocation cost, because every window-sum query
       (:meth:`SumMatrix.pair_sum` and friends) is a four-corner rectangle
       difference in which the anchor cancels;
-    * SNPs entering on the right are **appended**: their prefix rows and
-      columns are extended over the region's rows and columns only, in
-      O(W · F) for F new SNPs, instead of the O(W²) rebuild-from-scratch
-      of the seed scanner;
-    * when an append would run past the buffer's edge, the live square
+    * SNPs entering on the right are **appended**: their prefix rows are
+      computed over the region's columns only, in O(W · F) for F new
+      SNPs, instead of the O(W²) rebuild-from-scratch of the seed scanner;
+    * when an append would run past the buffer's edge, the live triangle
       **moves** to the origin in place (values move verbatim), so the
       buffer holds about ``(W + W / SLACK_DIVISOR)²`` floats however far
       the anchor lies behind;
@@ -630,7 +639,7 @@ class SumMatrixCache:
     memory the buffer takes.
 
     The buffer is allocated uninitialized (``np.empty``) and reused by
-    later builds when it fits; a build or an append writes only the cells
+    later builds when it fits; a build or an append writes only the rows
     a served view can reach, and nothing ever reads past them.
 
     With ``reuse=False`` the cache degenerates to a fresh build per
@@ -650,7 +659,7 @@ class SumMatrixCache:
     STRIDE_WINDOW = 8
     #: A fresh buffer spares ``n // SLACK_DIVISOR`` rows and columns
     #: beyond the ``n = W + 1`` a W-SNP region's prefix needs, so a
-    #: forward walk moves its live square once per ~W / SLACK_DIVISOR
+    #: forward walk moves its live triangle once per ~W / SLACK_DIVISOR
     #: sites.
     SLACK_DIVISOR = 4
 
@@ -701,9 +710,8 @@ class SumMatrixCache:
         return np.empty((side, side))
 
     def _rebuild(self, start: int, stop: int, r2: np.ndarray) -> None:
-        """Fresh anchored build — the exact arithmetic of
-        ``SumMatrix(r2, assume_symmetric=True)``, computed in place at the
-        buffer's origin."""
+        """Fresh anchored build — the rows of ``SumMatrix(r2)``, byte for
+        byte, appended in place at the buffer's origin."""
         width = stop - start + 1
         self._capacity = self._choose_capacity(width)
         self._growth_eff = (
@@ -715,18 +723,8 @@ class SumMatrixCache:
         self.stats.dp_anchor_span_total += self._capacity
         if self._buf is None or self._buf.shape[0] < width + 1:
             self._buf = self._alloc(width + 1)
-        prefix = self._buf
-        prefix[0, : width + 1] = 0.0
-        prefix[1 : width + 1, 0] = 0.0
-        block = prefix[1 : width + 1, 1 : width + 1]
-        block[...] = r2
-        np.fill_diagonal(block, 0.0)
-        # Row by row, the additions of np.cumsum(axis=0) in their order,
-        # without its strided column walk.
-        rows = list(block)
-        for prev, row in zip(rows, rows[1:]):
-            np.add(prev, row, out=row)
-        np.cumsum(block, axis=1, out=block)
+        self._buf[0, 0] = 0.0
+        append_prefix_rows(self._buf, r2, 0, 0)
         self._base = 0
         self._anchor, self._hi = start, stop
         self._width = width
@@ -736,7 +734,7 @@ class SumMatrixCache:
 
     def _make_room(self, delta: int, new_w: int) -> None:
         """Ensure anchored prefix indices ``delta .. new_w`` fit the
-        buffer: move the live square (indices ``delta .. _width``) to the
+        buffer: move the live triangle (indices ``delta .. _width``) to the
         origin, or into a larger buffer when the region outgrew it."""
         buf = self._buf
         assert buf is not None
@@ -746,22 +744,22 @@ class SumMatrixCache:
         src = delta - self._base
         live = self._width - delta + 1
         if new_w - delta < side:
-            _move_block_back(buf, src, 0, live)
+            _copy_lower(buf, buf[src:, src:], live, src)
         else:
             fresh = self._alloc(new_w - delta + 1)
-            fresh[:live, :live] = buf[src : src + live, src : src + live]
+            _copy_lower(fresh, buf[src:, src:], live, 32)  # any chunk
             self._buf = fresh
         self._base = delta
 
     def _extend(self, start: int, stop: int, r2: np.ndarray) -> None:
-        """Append SNPs ``(_hi, stop]``: grow the prefix by their rows and
-        columns over the region's rows and columns only (O(W x fringe)).
+        """Append SNPs ``(_hi, stop]``: their prefix rows over the region's
+        columns only (O(W x fringe)).
 
-        Bit-for-bit what a full-anchor append computes for those cells:
-        there, every accumulation over the anchored rows or columns first
-        sums ``delta`` exact zeros (the pairs before the region start,
-        never computed at the r² level), which only turns a leading −0.0
-        into +0.0, so the region's first row gets ``+ 0.0`` instead."""
+        Bit-for-bit what an append over every anchored column computes for
+        those cells: there, each running sum first adds ``delta`` exact
+        zeros (pairs before the region start, never computed at the r²
+        level), which only turns a −0.0 partial sum into +0.0, and every
+        prefix cell such a sum meets is +0.0 or larger."""
         assert self._anchor is not None and self._hi is not None
         width = stop - start + 1
         delta = start - self._anchor
@@ -770,32 +768,10 @@ class SumMatrixCache:
         fringe = width - overlap
         new_w = old_w + fringe
         self._make_room(delta, new_w)
-        p = self._buf
-        assert p is not None
-
-        # The entering columns over the region's rows, diagonal zeroed.
-        cols = np.array(r2[:, overlap:], dtype=np.float64)
-        diag = np.arange(fringe)
-        cols[overlap + diag, diag] = 0.0
-        if delta > 0:
-            cols[0] += 0.0
-
-        # Physical indices: prefix row/column delta is the boundary,
-        # old_w the last filled one.
-        d = delta - self._base
-        o = old_w - self._base
-        n = new_w - self._base
-        # Prefix of the entering columns over the old rows ...
-        p[d, o + 1 : n + 1] = p[d, o] + 0.0
-        p[d + 1 : o + 1, o + 1 : n + 1] = p[
-            d + 1 : o + 1, o : o + 1
-        ] + np.cumsum(np.cumsum(cols[:overlap], axis=0), axis=1)
-        # ... then the entering rows over every column (symmetry).
-        p[o + 1 : n + 1, d] = p[o, d] + 0.0
-        p[o + 1 : n + 1, d + 1 : n + 1] = p[
-            o : o + 1, d + 1 : n + 1
-        ] + np.cumsum(np.cumsum(cols.T, axis=0), axis=1)
-
+        assert self._buf is not None
+        append_prefix_rows(
+            self._buf, r2[overlap:], old_w - self._base, delta - self._base
+        )
         self._width = new_w
         self._hi = stop
         self.stats.dp_entries_computed += width * width - overlap * overlap

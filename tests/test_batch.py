@@ -186,7 +186,7 @@ class TestPackingBytes:
         r2 = rng.random((n_sites, n_sites))
         r2 = np.triu(r2) + np.triu(r2, 1).T
         r2[rng.random((n_sites, n_sites)) < 0.1] = -0.0
-        sums = SumMatrix(r2, assume_symmetric=True)
+        sums = SumMatrix(r2)
         plan, legacy = BatchedOmegaPlan(), _LegacyPackingPlan()
         for _ in range(n_positions):
             c = int(rng.integers(0, n_sites - 1))

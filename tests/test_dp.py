@@ -53,14 +53,6 @@ class TestRecurrence:
 
 
 class TestSumMatrix:
-    def test_symmetric_fast_path_identical(self, r2):
-        """The assume_symmetric construction (used by the scanner on the
-        symmetric matrices the LD backends produce) must be numerically
-        identical to the general path."""
-        a = SumMatrix(r2)
-        b = SumMatrix(r2, assume_symmetric=True)
-        np.testing.assert_allclose(a._prefix, b._prefix, atol=1e-12)
-
     def test_pair_sum_matches_recurrence(self, r2):
         sm = SumMatrix(r2)
         m = build_m_recurrence(r2)
@@ -283,7 +275,7 @@ class TestSplitOperands:
             )
 
     def test_moved_live_square(self):
-        """A 240-site, stride-20 walk moves the cache's live square back
+        """A 240-site, stride-20 walk moves the cache's live triangle back
         to the origin; the moved prefixes still read byte-equal."""
         from unittest import mock
 
@@ -293,8 +285,7 @@ class TestSplitOperands:
         r2 = _signed_sym(np.random.default_rng(7), 420)
         cache = SumMatrixCache()
         with mock.patch.object(
-            reuse_module, "_move_block_back",
-            wraps=reuse_module._move_block_back,
+            reuse_module, "_copy_lower", wraps=reuse_module._copy_lower,
         ) as moves:
             for start in range(0, 180, 20):
                 stop = start + 239
@@ -309,7 +300,7 @@ class TestSplitOperands:
 
     def test_borders_at_region_ends(self):
         r2 = _signed_sym(np.random.default_rng(3), 6)
-        sums = SumMatrix(r2, assume_symmetric=True)
+        sums = SumMatrix(r2)
         for c in range(5):
             for l0 in range(c + 1):
                 for r1 in range(c + 1, 6):

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import reuse as reuse_module
-from repro.core.dp import SumMatrix
+from repro.core.dp import SumMatrix, append_prefix_rows
+from repro.core.omega import omega_max_at_split
 from repro.core.reuse import (
     ReuseStats,
     SumMatrixCache,
@@ -26,7 +27,10 @@ from repro.core.reuse import (
     simulate_dp_actions,
     simulate_fresh_entries,
 )
-from repro.datasets.generators import random_alignment
+from repro.datasets.generators import (
+    haplotype_block_alignment,
+    random_alignment,
+)
 from repro.errors import ScanConfigError
 from repro.ld.gemm import r_squared_block
 
@@ -60,7 +64,7 @@ class TestIncrementalMatchesFresh:
         for start, stop in _region_sequence(data.draw):
             r2 = full_r2[start : stop + 1, start : stop + 1]
             sums = cache.region_sums(start, stop, r2)
-            fresh = SumMatrix(r2, assume_symmetric=True)
+            fresh = SumMatrix(r2)
             np.testing.assert_allclose(
                 sums.as_matrix(), fresh.as_matrix(), rtol=1e-9, atol=1e-9
             )
@@ -75,7 +79,7 @@ class TestIncrementalMatchesFresh:
             r2 = full_r2[start : stop + 1, start : stop + 1]
             sums = cache.region_sums(start, stop, r2)
             actions.append(cache.last_action)
-            fresh = SumMatrix(r2, assume_symmetric=True)
+            fresh = SumMatrix(r2)
             np.testing.assert_allclose(
                 sums.as_matrix(), fresh.as_matrix(), rtol=1e-10, atol=1e-12
             )
@@ -91,7 +95,7 @@ class TestIncrementalMatchesFresh:
         r2 = full_r2[start : stop + 1, start : stop + 1]
         sums = cache.region_sums(start, stop, r2)
         assert cache.last_action == "extend"
-        fresh = SumMatrix(r2, assume_symmetric=True)
+        fresh = SumMatrix(r2)
         w = stop - start + 1
         li = np.arange(0, 8)
         rj = np.arange(12, w)
@@ -120,7 +124,7 @@ class TestIncrementalMatchesFresh:
         sums = cache.region_sums(10, 24, r2)
         assert cache.last_action == "view"
         assert cache.stats.dp_entries_computed == computed_before
-        fresh = SumMatrix(r2, assume_symmetric=True)
+        fresh = SumMatrix(r2)
         np.testing.assert_allclose(
             sums.as_matrix(), fresh.as_matrix(), rtol=1e-10, atol=1e-12
         )
@@ -133,7 +137,7 @@ class TestIncrementalMatchesFresh:
         r2 = full_r2[10:30, 10:30]
         sums = cache.region_sums(10, 29, r2)
         assert cache.last_action == "build"
-        fresh = SumMatrix(r2, assume_symmetric=True)
+        fresh = SumMatrix(r2)
         np.testing.assert_array_equal(sums.as_matrix(), fresh.as_matrix())
 
     def test_disjoint_region_rebuilds(self, full_r2):
@@ -141,7 +145,7 @@ class TestIncrementalMatchesFresh:
         cache.region_sums(0, 9, full_r2[:10, :10])
         sums = cache.region_sums(30, 39, full_r2[30:40, 30:40])
         assert cache.last_action == "build"
-        fresh = SumMatrix(full_r2[30:40, 30:40], assume_symmetric=True)
+        fresh = SumMatrix(full_r2[30:40, 30:40])
         np.testing.assert_array_equal(sums.as_matrix(), fresh.as_matrix())
 
     def test_served_view_is_read_only(self, full_r2):
@@ -168,7 +172,7 @@ class TestReuseOffBaseline:
             r2 = full_r2[start : stop + 1, start : stop + 1]
             sums = cache.region_sums(start, stop, r2)
             assert cache.last_action == "build"
-            fresh = SumMatrix(r2, assume_symmetric=True)
+            fresh = SumMatrix(r2)
             np.testing.assert_array_equal(sums.as_matrix(), fresh.as_matrix())
 
     def test_counts_builds(self, full_r2):
@@ -311,7 +315,7 @@ class TestAdaptiveGrowth:
                 stop = start + width - 1
                 r2 = full_r2[start : stop + 1, start : stop + 1]
                 sums = cache.region_sums(start, stop, r2)
-                fresh = SumMatrix(r2, assume_symmetric=True)
+                fresh = SumMatrix(r2)
                 np.testing.assert_allclose(
                     sums.as_matrix(), fresh.as_matrix(), rtol=1e-9, atol=1e-9
                 )
@@ -407,10 +411,11 @@ class TestDecisionMirror:
 
 
 class _ZeroFilledCache:
-    """The window-sum cache before its compact buffer, kept verbatim as
-    the bit-level reference: a zero-filled prefix sized to the planned
-    span, appends over every anchored row, and a serve rule that tracks
-    the first truthfully filled row of every column."""
+    """The window-sum cache before its compact buffer, as the bit-level
+    reference: a zero-filled prefix sized to the planned span, rows
+    appended by the same kernel over every anchored column (r² zero
+    before the region start), and a serve rule that tracks the first
+    truthfully filled column of every row."""
 
     def __init__(self, *, growth_factor=None):
         self._growth = growth_factor
@@ -458,11 +463,7 @@ class _ZeroFilledCache:
         self.stats.dp_anchor_allocs += 1
         self.stats.dp_anchor_span_total += self._capacity
         prefix = np.zeros((self._capacity + 1, self._capacity + 1))
-        sym = np.asarray(r2, dtype=np.float64).copy()
-        np.fill_diagonal(sym, 0.0)
-        np.cumsum(sym, axis=0, out=sym)
-        np.cumsum(sym, axis=1, out=sym)
-        prefix[1 : width + 1, 1 : width + 1] = sym
+        append_prefix_rows(prefix, r2, 0, 0)
         self._prefix = prefix
         self._anchor, self._hi = start, stop
         self._width = width
@@ -477,18 +478,9 @@ class _ZeroFilledCache:
         old_w = self._width
         fringe = stop - self._hi
         new_w = old_w + fringe
-        p = self._prefix
-        cols = np.zeros((new_w, fringe))
-        cols[delta:new_w, :] = r2[:, self._hi + 1 - start :]
-        diag = np.arange(fringe)
-        cols[self._hi + 1 - self._anchor + diag, diag] = 0.0
-        col_prefix = np.cumsum(cols, axis=0)
-        p[1 : old_w + 1, old_w + 1 : new_w + 1] = p[
-            1 : old_w + 1, old_w : old_w + 1
-        ] + np.cumsum(col_prefix[:old_w, :], axis=1)
-        p[old_w + 1 : new_w + 1, 1 : new_w + 1] = p[
-            old_w : old_w + 1, 1 : new_w + 1
-        ] + np.cumsum(np.cumsum(cols.T, axis=0), axis=1)
+        rows = np.zeros((fringe, new_w - 1))
+        rows[:, delta:] = r2[self._hi + 1 - start :, : width - 1]
+        append_prefix_rows(self._prefix, rows, old_w, 0)
         self._fill_starts = np.concatenate(
             [self._fill_starts, np.full(fringe, start, dtype=np.intp)]
         )
@@ -541,10 +533,17 @@ def _signed_r2(seed, n_sites):
     return r2
 
 
+def _lower(prefix):
+    """The cells of a prefix that readers reach (on and below the
+    diagonal), as bytes, with zeros above."""
+    return np.tril(prefix).tobytes()
+
+
 class TestInPlaceBuild:
     """The compact buffer against the full-anchor cache it replaced: on
-    forward sequences both take the same actions and serve byte-equal
-    prefixes, while every cell nobody wrote holds NaN."""
+    forward sequences both take the same actions and serve prefixes
+    byte-equal on and below the diagonal, while every cell nobody wrote
+    holds NaN."""
 
     N_SITES = 420
 
@@ -557,7 +556,7 @@ class TestInPlaceBuild:
                 got = new.region_sums(start, stop, region)
             want = ref.region_sums(start, stop, region)
             assert new.last_action == ref.last_action
-            assert got._prefix.tobytes() == want._prefix.tobytes()
+            assert _lower(got._prefix) == _lower(want._prefix)
         return new
 
     @given(data=st.data())
@@ -582,14 +581,12 @@ class TestInPlaceBuild:
 
     def test_forward_walk_extends_bitwise(self):
         """A regions-shaped walk (W = 240, stride 20) extends its anchor,
-        moves the live square back to the origin as it runs past the
+        moves the live triangle back to the origin as it runs past the
         buffer's edge, and still serves the reference's bits."""
         r2 = _signed_r2(5, self.N_SITES)
         regions = [(s, s + 239) for s in range(0, 180, 20)]
         with mock.patch.object(
-            reuse_module,
-            "_move_block_back",
-            wraps=reuse_module._move_block_back,
+            reuse_module, "_copy_lower", wraps=reuse_module._copy_lower
         ) as moves:
             cache = self._serve_both(r2, regions, None)
         assert cache.stats.dp_builds < len(regions)
@@ -597,7 +594,8 @@ class TestInPlaceBuild:
 
     def test_region_outgrowing_buffer_and_narrow_rebuild(self):
         """An append whose region no longer fits the buffer copies the
-        live square into a larger one; a later narrower build reuses it."""
+        live triangle into a larger one; a later narrower build reuses
+        it."""
         r2 = _signed_r2(9, self.N_SITES)
         new = self._serve_both(r2, [(0, 99), (10, 149)], 3.0)
         assert new.last_action == "extend"
@@ -618,11 +616,97 @@ class TestInPlaceBuild:
             got = new.region_sums(start, stop, region)
             ref.region_sums(start, stop, region)
         assert (new.last_action, ref.last_action) == ("build", "view")
-        fresh = SumMatrix(region, assume_symmetric=True)
-        assert got._prefix.tobytes() == fresh._prefix.tobytes()
+        fresh = SumMatrix(region)
+        assert _lower(got._prefix) == _lower(fresh._prefix)
         assert simulate_dp_actions([(0, 99), (20, 119), (10, 99)])[-1] == (
             "build"
         )
+
+
+def _walk_moves(r2, width=240, stride=20, n_positions=12):
+    """A forward walk of ``width``-site regions at ``stride`` sites: a
+    build, appends and moves of the live triangle to the origin."""
+    for start in range(0, n_positions * stride, stride):
+        stop = start + width - 1
+        yield start, stop, r2[start : stop + 1, start : stop + 1]
+
+
+def _reads(sums):
+    """Everything the scan and the GPU/FPGA packing read from one served
+    region, as bytes: split operands by the run and gather routes, the
+    direct ω maximum, pair and cross sums, and the magnitude."""
+    w = sums.n_sites
+    out = []
+    for c, flank in ((w // 2 - 1, 1), (w // 3, 2), (1, 1), (w - 3, 2)):
+        li, rj = np.arange(0, c - flank + 2), np.arange(c + flank, w)
+        ops = sums.split_operands(li, c, rj)
+        gathered = sums.split_operands(li[::-1], c, rj)
+        best = omega_max_at_split(sums, li, c, rj)
+        out += [np.ascontiguousarray(a).tobytes() for a in ops + gathered]
+        out += [np.float64(best.omega).tobytes(), best.left_border,
+                best.right_border]
+        out += [np.float64(sums.pair_sum(li[0], rj[-1])).tobytes(),
+                np.float64(sums.cross_sum(li[0], c, rj[-1])).tobytes()]
+    out.append(np.float64(sums.magnitude).tobytes())
+    return out
+
+
+class TestLowerTriangle:
+    """The prefix is computed and read on and below its diagonal only."""
+
+    def test_upper_triangle_is_never_read(self):
+        """After every serve, the cells above the buffer's diagonal turn
+        NaN; the walk still serves every read byte-equal to a clean cache
+        (so neither the readers, the row append nor the move read them)."""
+        r2 = _signed_r2(21, 480)
+        clean, poisoned = SumMatrixCache(), SumMatrixCache()
+        actions = []
+        with mock.patch.object(
+            reuse_module, "_copy_lower", wraps=reuse_module._copy_lower
+        ) as moves:
+            for start, stop, region in _walk_moves(r2):
+                want = _reads(clean.region_sums(start, stop, region))
+                got = poisoned.region_sums(start, stop, region)
+                buf = poisoned._buf
+                buf[np.triu_indices(buf.shape[0], 1)] = np.nan
+                assert _reads(got) == want
+                actions.append(poisoned.last_action)
+        assert moves.call_count >= 1
+        assert actions[0] == "build" and "extend" in actions
+
+    @staticmethod
+    def _assert_monotone(p):
+        """P[i, j] <= P[i+1, j] and P[i, j] <= P[i, j+1] for j < i, and
+        P[i, i-1] <= P[i, i] <= P[i+1, i]: the order DESIGN §5's margin
+        needs, exact in floating point."""
+        n = p.shape[0]
+        down = np.tril(np.ones((n - 1, n), dtype=bool), -1)
+        assert np.all(p[:-1][down] <= p[1:][down])
+        right = np.tril(np.ones((n, n - 1), dtype=bool), -1)
+        assert np.all(p[:, :-1][right] <= p[:, 1:][right])
+        diag = np.diagonal(p)
+        assert np.all(np.diagonal(p, -1) <= diag[1:])
+        assert np.all(diag[:-1] <= np.diagonal(p, -1))
+
+    @pytest.mark.parametrize("source", ["signed", "random", "blocks"])
+    def test_lower_triangle_is_monotone(self, source):
+        n_sites = 480
+        if source == "signed":
+            r2 = _signed_r2(17, n_sites)
+        else:
+            make = (
+                random_alignment if source == "random"
+                else haplotype_block_alignment
+            )
+            aln = make(40, n_sites, seed=3)
+            r2 = r_squared_block(aln, slice(0, n_sites), slice(0, n_sites))
+        cache = SumMatrixCache()
+        for start, stop, region in _walk_moves(r2):
+            self._assert_monotone(
+                cache.region_sums(start, stop, region)._prefix
+            )
+            self._assert_monotone(SumMatrix(region)._prefix)
+        assert cache.stats.dp_builds < 12
 
 
 class TestBufferBound:

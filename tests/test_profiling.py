@@ -33,10 +33,11 @@ class TestProfileSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
         # These are wall-clock measurements, so the sweep is set wide
-        # enough that every asserted ordering holds by about 2x in the
-        # median, on the host kernels and under REPRO_BACKEND=numpy alike
-        # (2-core host, 6 sweeps each): LD/ω >= 2.1 at 10 000 samples,
-        # ω/LD >= 1.9 at 15 samples. The 20-position grid keeps the
+        # enough that every asserted ordering holds by 1.5x or more in
+        # the median (2-core host): LD/ω >= 2.1 at 10 000 samples (6
+        # sweeps), ω/LD >= 1.5 at 15 samples (22 sweeps; the least at
+        # 1 200 SNPs, where the window-sum DP the ω phase includes is
+        # largest). The 20-position grid keeps the
         # regions overlapping, so each ω evaluation costs few fresh r²
         # entries, as on the paper's dense grids.
         return profile_sweep(
