@@ -11,11 +11,11 @@ the end-to-end benchmark's ``regions_serve`` (W = 240 sites, grid stride
   or a long block makes them: the time per appended fringe, and how
   often the live triangle moved back to the buffer's origin.
 * **Block cold start in a worker** — a scanner over 4 and over 8
-  consecutive grid positions, its r² regions served by a warm shared
-  tile store (as in a pool worker). ``t(n) = cold + n · step`` gives the
-  per-position step ``(t8 - t4) / 4`` and the cold start
-  ``t4 - 4 · step``: the first r² region, the DP build and the scanner
-  set-up.
+  consecutive grid positions that fills its own r² regions from the
+  alignment's operand planes, held across scans as a pool worker holds
+  them. ``t(n) = cold + n · step`` gives the per-position step
+  ``(t8 - t4) / 4`` and the cold start ``t4 - 4 · step``: the first r²
+  region, the DP build and the scanner set-up.
 * **Block cold start through the pool** — the same 8 positions sent
   through a one-worker :class:`~repro.core.parallel.ParallelScanSession`
   as one block and as two blocks of 4; the difference adds the task's
@@ -35,11 +35,11 @@ import pytest
 from repro.core import reuse
 from repro.core.grid import GridSpec, build_plans, fixed_position_spec
 from repro.core.parallel import ParallelScanSession
-from repro.core.reuse import R2RegionCache, SumMatrixCache
+from repro.core.reuse import SumMatrixCache
 from repro.core.scan import OmegaConfig, OmegaPlusScanner
-from repro.core.tilestore import SharedR2TileStore
 from repro.datasets.generators import haplotype_block_alignment
 from repro.ld.gemm import r_squared_block
+from repro.ld.operands import operands_for
 
 #: name -> (haplotypes, sites, length bp, max window bp, grid stride bp,
 #: region width W and grid stride in sites). SNP density, window and
@@ -152,34 +152,29 @@ def _in_steps(step, cold):
 
 
 @pytest.fixture(scope="module", params=list(SHAPES))
-def tile_scan(request):
+def block_scan(request):
     """``(shape, max region width, scan(n))``: ``scan(n)`` scans the first
-    ``n`` of eight grid positions against a warm shared tile store."""
+    ``n`` of eight grid positions, as one block of a pool worker."""
     shape = request.param
     aln = _alignment(shape)
     positions, base = _grid(shape)
     plans = build_plans(aln, fixed_position_spec(base.grid, positions))
     max_width = max(p.region_width for p in plans if p.valid)
-    store = SharedR2TileStore.create(
-        aln, max_pair_span=R2RegionCache.fill_span(max_width)
-    )
+    operands = operands_for(aln)  # held, as a worker holds its planes
 
     def scan(n):
         config = dataclasses.replace(
             base, grid=fixed_position_spec(base.grid, positions[:n])
         )
-        return OmegaPlusScanner(config, block_fn=store.block).scan(aln)
+        return OmegaPlusScanner(config).scan(aln)
 
-    try:
-        scan(8)  # fill the tiles every block below reads
-        yield shape, max_width, scan
-    finally:
-        store.close()
-        store.unlink()
+    scan(8)  # build the operand planes every block below reads
+    yield shape, max_width, scan
+    del operands
 
 
-def test_block_cold_start(timed, report, tile_scan):
-    shape, max_width, scan = tile_scan
+def test_block_cold_start(timed, report, block_scan):
+    shape, max_width, scan = block_scan
     seconds = {4: [], 8: []}
 
     def both():
@@ -218,7 +213,7 @@ def test_block_cold_start_in_pool(timed, report, shape):
                 runs[n, size].append(time.perf_counter() - t0)
                 assert result.omegas.size == n
 
-        session.scan_positions(positions)  # fill the tiles
+        session.scan_positions(positions)  # warm the worker
         timed(all_runs)
     t4, t8, t8_split = (statistics.median(v) for v in runs.values())
     report(

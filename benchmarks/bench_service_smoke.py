@@ -7,6 +7,8 @@ the service tentpole exists to provide:
 
 * every admitted request completes and answers with a well-formed report
   plus its admission estimate and per-request metrics;
+* a repeated request is served from the shared r² tile band: its metrics
+  count tile hits and no tile fills, and its scores are unchanged;
 * a deliberately impossible deadline is rejected *in-band* with the cost
   model's estimate attached (after the burst has calibrated the model);
 * the daemon exits cleanly on the ``shutdown`` op and leaves no shared
@@ -148,6 +150,24 @@ def main() -> int:
                         f"request {k}: missing per-request metrics"
                     )
 
+            # The daemon keeps a shared r² tile band: the first request
+            # again reads every tile the burst filled and fills none.
+            repeat = one_request(0)
+            counters = repeat.get("metrics", {}).get("counters", {})
+            hits = counters.get("tilestore.hits", 0)
+            fills = counters.get("tilestore.fills", 0)
+            if not repeat.get("ok"):
+                failures.append(f"repeated request failed: {repeat}")
+            elif not (hits > 0 and fills == 0):
+                failures.append(
+                    "repeated request not served from the r2 band: "
+                    f"tilestore.hits {hits}, tilestore.fills {fills}"
+                )
+            elif responses[0].get("ok") and (
+                repeat["omegas"] != responses[0]["omegas"]
+            ):
+                failures.append("repeated request changed its scores")
+
             # The burst calibrated the cost model, so an impossible
             # deadline must now be rejected with a quoted estimate.
             rejected = send_request(
@@ -187,7 +207,8 @@ def main() -> int:
     print(
         f"served {served} requests in {burst_seconds:.2f}s burst wall "
         f"({args.requests} concurrent clients, {args.workers} workers); "
-        f"rejected {status.get('rejected', 0)}"
+        f"rejected {status.get('rejected', 0)}; repeated request "
+        f"{hits} tile hits, {fills} fills"
     )
     emit_bench_metrics(
         "service_throughput",
@@ -211,7 +232,10 @@ def main() -> int:
         for failure in failures:
             print("FAIL:", failure, file=sys.stderr)
         return 1
-    print("OK: all requests served, deadline priced, /dev/shm clean")
+    print(
+        "OK: all requests served, repeat served from the r2 band, "
+        "deadline priced, /dev/shm clean"
+    )
     return 0
 
 

@@ -9,7 +9,8 @@
 * :mod:`repro.core.scan` — the complete CPU scanner (Fig. 3 workflow).
 * :mod:`repro.core.parallel` — zero-copy shared-memory multiprocess scan
   (the paper's multithreaded baseline).
-* :mod:`repro.core.tilestore` — shared r² tile store feeding all workers.
+* :mod:`repro.core.tilestore` — shared r² tile band, the scan service's
+  cache across requests.
 """
 
 from repro.core.batch import (

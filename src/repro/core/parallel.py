@@ -12,16 +12,15 @@ pthreads, arranged to mirror the pthread model:
   the first time a task names the segments. A task carries the segment
   names, its block's grid positions and its block index — a few hundred
   bytes whatever the alignment size.
-* **Shared r² tile store** — fresh r² entries are computed once
-  process-wide into a shared tile band
-  (:class:`~repro.core.tilestore.SharedR2TileStore`) and served to every
-  worker, recovering the region-overlap reuse that scheduling boundaries
-  would otherwise lose. For the packed/auto LD backends the store also
-  publishes the bit-packed word plane as a shared segment
-  (:class:`~repro.datasets.packed.SharedPackedWords`), so workers attach
-  it zero-copy instead of re-packing the alignment per process, and the
-  ``auto`` crossover constants are calibrated in the parent pre-fork so
-  every worker inherits them.
+* **Per-block r²** — each block's :class:`~repro.core.reuse.R2RegionCache`
+  fills its own regions through the worker's operand planes, as the
+  sequential scan does. r² does not depend on history, so a block
+  boundary costs one region's fill and changes no bit, and no worker
+  maps r² storage sized by the alignment's length. Only the scan service
+  also publishes a shared r² band
+  (:class:`~repro.core.tilestore.SharedR2TileStore`): its requests
+  revisit sites. Pools without the band start their workers on one BLAS
+  thread (:func:`~repro.utils.blas.child_blas_threads`).
 * **Dynamic block scheduling** — the grid is cut into many small
   contiguous blocks (contiguity preserves the within-block r²/DP reuse),
   which workers pull from the pool's shared task queue as they free up; a
@@ -41,6 +40,7 @@ the same dispatch routine (:meth:`_PoolSession._dispatch`).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import multiprocessing as mp
@@ -70,6 +70,8 @@ from repro.core.tilestore import SharedR2TileStore
 from repro.datasets.alignment import SharedAlignmentSegments, SNPAlignment
 from repro.datasets.streaming import AlignmentStreamSource
 from repro.errors import ScanConfigError
+from repro.ld.operands import operands_for
+from repro.utils.blas import child_blas_threads
 from repro.utils.timing import TimeBreakdown
 
 __all__ = [
@@ -88,12 +90,13 @@ __all__ = [
 BLOCKS_PER_WORKER = 4
 
 #: Shortest default block, in grid positions. Every block starts cold:
-#: its first r² region comes from the tile store, its DP prefix is built
-#: from scratch, its scanner is set up, and its task and result cross the
-#: pool. That costs about as much as 1-4 positions of steady-state work
-#: at regions of 240 and 1 200 sites (``benchmarks/bench_host_dp.py``),
-#: so short grids are cut into fewer, longer blocks instead of
-#: :data:`BLOCKS_PER_WORKER` per worker.
+#: its first r² region and its DP prefix are built from scratch, its
+#: scanner is set up, and its task and result cross the pool. That costs
+#: about as much as 3-7 positions of steady-state work at regions of 240
+#: sites and 10-15 at 1 200 (``benchmarks/bench_host_dp.py``), so short
+#: grids are cut into fewer, longer blocks instead of
+#: :data:`BLOCKS_PER_WORKER` per worker. Raising the floor would re-cut,
+#: and so move the window-sum bits of, every grid it binds.
 MIN_BLOCK_POSITIONS = 8
 
 
@@ -144,8 +147,8 @@ def plans_for_positions(
 # ---------------------------------------------------------------------- #
 
 #: Per-worker-process state: the pool initializer's arguments plus the
-#: mappings of the last alignment a task named. A task naming another
-#: alignment (the next streamed chunk) swaps the mappings.
+#: mappings of the last alignment a task named and its LD operand planes.
+#: A task naming another alignment (the next streamed chunk) swaps them.
 _WORKER: dict = {}
 
 
@@ -153,7 +156,9 @@ def _init_worker(
     config: OmegaConfig, obs_spec: Optional[obs.ObsSpec]
 ) -> None:
     obs.configure_worker(obs_spec)
-    _WORKER.update(config=config, name=None, segments=None, store=None)
+    _WORKER.update(
+        config=config, name=None, segments=None, store=None, operands=None
+    )
 
 
 def _attached(alignment_spec, tile_spec):
@@ -161,6 +166,7 @@ def _attached(alignment_spec, tile_spec):
     first sight (after releasing the previous alignment's mappings)."""
     state = _WORKER
     if state["name"] != alignment_spec.matrix_name:
+        state["operands"] = None
         for held in ("store", "segments"):
             if state[held] is not None:
                 state[held].close()
@@ -173,6 +179,11 @@ def _attached(alignment_spec, tile_spec):
                 state["store"] = SharedR2TileStore.attach(
                     tile_spec, segments.alignment
                 )
+            else:
+                # Held while the alignment stays attached, so the blocks'
+                # region caches share one GEMM plane (operands_for's memo
+                # is weak).
+                state["operands"] = operands_for(segments.alignment)
         except Exception as exc:
             raise RuntimeError(
                 "shared-memory worker failed to attach its segments"
@@ -231,6 +242,13 @@ class _PoolSession:
     ``/dev/shm`` entries.
     """
 
+    #: Whether :meth:`_publish` also places an r² tile band in shared
+    #: memory. Only the scan service's session sets it: its requests
+    #: revisit sites, while a batch scan's blocks fill each region once.
+    #: Pools without the band fork their workers on one BLAS thread, as
+    #: each worker runs its own GEMM fills.
+    _r2_band = False
+
     def __init__(
         self,
         config: OmegaConfig,
@@ -253,22 +271,28 @@ class _PoolSession:
             if self._mp_context
             else mp.get_context()
         )
-        self._pool = ctx.Pool(
-            processes=self._n_workers,
-            initializer=_init_worker,
-            initargs=(self._config, obs.current_spec()),
-        )
+        with (
+            contextlib.nullcontext()
+            if self._r2_band
+            else child_blas_threads()
+        ):
+            self._pool = ctx.Pool(
+                processes=self._n_workers,
+                initializer=_init_worker,
+                initargs=(self._config, obs.current_spec()),
+            )
 
-    def _publish(self, alignment: SNPAlignment, max_width: int) -> None:
+    def _publish(self, alignment: SNPAlignment, max_width: int = 0) -> None:
         """Place ``alignment`` in shared memory, plus its r² tile band
-        when some ω region (at most ``max_width`` sites) holds a pair of
-        sites. The band spans every pair a region-cache fill can ask
-        for, which runs ahead of the region to its buffer's edge."""
+        when the session keeps one (:attr:`_r2_band`) and some ω region
+        (at most ``max_width`` sites) holds a pair of sites. The band
+        spans every pair a region-cache fill can ask for, which runs
+        ahead of the region to its buffer's edge."""
         with obs.get_tracer().span(
             "shm_publish", "shm", args={"sites": int(alignment.n_sites)}
         ):
             self._segments = SharedAlignmentSegments.create(alignment)
-            if max_width >= 1:
+            if self._r2_band and max_width >= 1:
                 self._store = SharedR2TileStore.create(
                     alignment,
                     max_pair_span=R2RegionCache.fill_span(max_width),
@@ -410,12 +434,12 @@ class _PoolSession:
 class ParallelScanSession(_PoolSession):
     """Persistent shared-memory scan workers over one alignment.
 
-    Creating a session places the alignment (and the r² tile band) in
-    shared memory and forks a worker pool that attaches zero-copy; every
-    :meth:`scan` then only moves small block tasks through the pool's
-    task queue, so repeated scans reuse warm workers *and* the
-    already-computed tiles. Use as a context manager (or call
-    :meth:`close`).
+    Starting a session places the alignment in shared memory and forks a
+    worker pool, on one BLAS thread per worker, that attaches zero-copy;
+    every :meth:`scan` then only moves small block tasks through the
+    pool's task queue, so repeated scans reuse warm workers. Each block
+    fills its own r² regions, as a sequential scan does. Use as a context
+    manager (or call :meth:`close`).
     """
 
     def __init__(
@@ -488,14 +512,14 @@ class ParallelScanSession(_PoolSession):
 
         This is the multi-tenant entry point: the positions travel
         inside the block tasks, so many concurrent requests — each with
-        its own region grid — multiplex over one worker pool, one shared
-        alignment and one shared r² tile store. ``plans`` are the
-        positions' evaluation plans when the caller already has them
-        (:func:`plans_for_positions`); they price and order the blocks.
-        The method is thread-safe: scheduler metrics go to the
-        caller-supplied ``registry`` (never the process-global one,
-        which ``obs.scoped_metrics`` would make a cross-request race),
-        and the calibration fold is atomic.
+        its own region grid — multiplex over one worker pool and one
+        shared alignment (and, in the scan service, one shared r² tile
+        band). ``plans`` are the positions' evaluation plans when the
+        caller already has them (:func:`plans_for_positions`); they price
+        and order the blocks. The method is thread-safe: scheduler
+        metrics go to the caller-supplied ``registry`` (never the
+        process-global one, which ``obs.scoped_metrics`` would make a
+        cross-request race), and the calibration fold is atomic.
 
         The grid is cut by :func:`make_blocks`, which sees only the
         position count and the block size, so a request returns the same
@@ -597,11 +621,11 @@ class StreamingScanSession(_PoolSession):
     """Streaming counterpart of :class:`ParallelScanSession`: one
     persistent worker pool scans a *sequence* of shared-memory chunks.
 
-    Each :meth:`scan_chunk` call publishes the chunk (and its r² tile
-    band) to shared memory exactly once, ships only block tasks to the
-    pool, and unpublishes before returning — so at most one chunk is
-    resident at any time. Workers keep their mapping of the current chunk
-    between blocks and swap it when the next chunk's tasks arrive.
+    Each :meth:`scan_chunk` call publishes the chunk to shared memory
+    exactly once, ships only block tasks to the pool, and unpublishes
+    before returning — so at most one chunk is resident at any time.
+    Workers keep their mapping of the current chunk between blocks and
+    swap it when the next chunk's tasks arrive.
     """
 
     def start(self) -> "StreamingScanSession":
@@ -618,20 +642,18 @@ class StreamingScanSession(_PoolSession):
         plans: Sequence[PositionPlan],
         grid_positions: np.ndarray,
         valid: np.ndarray,
-        max_width: int,
         prefetch=None,
     ):
         """Scan one chunk's grid blocks ``(index, lo, hi)``; returns
         ``(parts, prefetched)``.
 
         ``plans``, ``grid_positions`` and ``valid`` are the scan's global
-        arrays (the chunk covers every ω region of the given blocks, none
-        wider than ``max_width`` sites); ``prefetch`` is as for
-        :meth:`_PoolSession._dispatch`.
+        arrays (the chunk covers every ω region of the given blocks);
+        ``prefetch`` is as for :meth:`_PoolSession._dispatch`.
         """
         self.start()
         try:
-            self._publish(chunk, max_width)
+            self._publish(chunk)
             parts, prefetched = self._dispatch(
                 blocks,
                 plans,
@@ -764,17 +786,6 @@ def _iter_scan_stream_parallel(
             n_evaluations=np.zeros(size, dtype=np.int64),
         )
 
-    def chunk_max_span(data_blocks: List[int]) -> int:
-        return max(
-            (
-                plans[k].region_width
-                for b in data_blocks
-                for k in range(*blocks[b])
-                if plans[k].valid
-            ),
-            default=0,
-        )
-
     def gen():
         window_iter = source.windows(
             [(lo, hi) for lo, hi, _ in chunk_descs]
@@ -805,7 +816,6 @@ def _iter_scan_stream_parallel(
                         plans=plans,
                         grid_positions=grid_positions,
                         valid=valid,
-                        max_width=chunk_max_span(data_blocks),
                         prefetch=prefetch,
                     )
                     registry.counter("stream.chunks").inc()

@@ -94,7 +94,8 @@ class ReuseStats:
     cache rebuilds, not what it allocates: its prefix buffer stays
     region-sized whatever the span. ``tile_entries_*``
     count r² cells a shared tile store computed vs served from
-    already-published tiles (multiprocess scans only; zero otherwise).
+    already-published tiles (scan-service requests only; zero
+    otherwise).
     """
 
     entries_computed: int = 0
@@ -183,9 +184,9 @@ class R2RegionCache:
         ``(rows, cols, *, out) -> out`` with :func:`~repro.ld.gemm.
         r_squared_block` semantics that writes the block into ``out``,
         a view of the cache's buffer, so every fill lands in place. The
-        multiprocess scanner injects a shared-memory tile store here so
-        fresh entries one worker computes are served to every other
-        worker; ``backend`` is ignored when set.
+        scan service's workers inject the shared-memory tile band here,
+        so fresh entries one request computes are served to every later
+        request; ``backend`` is ignored when set.
     n_sites:
         Global site count when ``alignment`` is ``None`` — the streaming
         scanner addresses regions in global coordinates while only the

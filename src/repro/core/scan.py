@@ -298,8 +298,8 @@ class OmegaPlusScanner:
     block_fn:
         Optional fresh-block source handed to the
         :class:`~repro.core.reuse.R2RegionCache` (see its ``block_fn``
-        parameter). The multiprocess scanner injects the shared r² tile
-        store here; the default computes blocks with ``config.ld_backend``.
+        parameter). Scan-service workers inject the shared r² tile band
+        here; the default computes blocks with ``config.ld_backend``.
     valid_mask:
         Optional per-grid-position boolean mask; positions marked False
         are forced invalid (ω = 0, NaN borders) even if local planning

@@ -1,15 +1,16 @@
-"""Shared-memory r² tile store for multiprocess scans.
+"""Shared-memory r² tile store: the scan service's cross-request cache.
 
 The r² between two given SNPs does not depend on which worker, block or
-region asks for it. When the grid is cut into many scheduling blocks, the
-block boundaries lose the region-overlap reuse of
-:class:`~repro.core.reuse.R2RegionCache` — every block start used to
-recompute its first region from scratch, once per worker. This module
-recovers that loss with one band of r² *tiles* placed in POSIX shared
-memory by the parent:
+request asks for it. The scan service's requests revisit sites —
+overlapping regions, repeated grids — so it keeps one band of r² *tiles*
+in POSIX shared memory, placed there by the parent, and a tile one
+request filled serves every later request. Batch scans do without it:
+their blocks fill each region once, through their own
+:class:`~repro.core.reuse.R2RegionCache`, and a band sized by the
+alignment's length would only add shared memory to every worker.
 
-* the band covers every SNP pair closer than the widest block the scan
-  can request (``max_pair_span``: the widest region plus the fill-ahead
+* the band covers every SNP pair closer than the widest region a request
+  can ask for (``max_pair_span``: the widest region plus the fill-ahead
   slack of :class:`~repro.core.reuse.R2RegionCache`), cut into
   ``tile x tile`` squares, with only the upper-triangle offsets stored
   (r² is symmetric);
@@ -209,8 +210,7 @@ class SharedR2TileStore:
                 packed_plane.unlink()
             raise ScanConfigError(
                 f"shared r2 tile store needs {data_bytes / 1e6:.0f} MB "
-                f"(cap {max_store_bytes / 1e6:.0f} MB); reduce max_window, "
-                f"raise max_store_bytes, or disable shared tiles"
+                f"(cap {max_store_bytes / 1e6:.0f} MB); reduce --maxwin"
             )
         segments = []
         try:
@@ -329,7 +329,7 @@ class SharedR2TileStore:
 
         Pairs outside the stored band (further apart than the store's
         ``max_pair_span``) are computed directly into ``out`` — correct,
-        just unshared; the parallel scanner sizes the band so scans never
+        just unshared; the scan service sizes the band so requests never
         hit this path.
         """
         spec = self.spec

@@ -19,10 +19,11 @@ materializes each plane **once per alignment** (lazily, only the planes a
 backend actually touches) and serves column slices from it; the
 process-local :func:`operands_for` memo shares one instance across the
 region cache, tile store and tiled engine of the same alignment while any
-of them holds it. In the multiprocess path the packed plane is published
+of them holds it. The scan service's tile band publishes the packed plane
 to POSIX shared memory (:class:`~repro.datasets.packed.SharedPackedWords`)
-so workers attach zero-copy instead of re-packing — pass that attachment
-in via ``packed=``.
+so its workers attach zero-copy instead of re-packing — pass that
+attachment in via ``packed=``; a batch pool worker packs once per
+alignment it attaches.
 
 :class:`LDBackendFiller` is the block-computation callable the caches and
 the shared tile store plug in: it serves ``r_squared_block`` semantics

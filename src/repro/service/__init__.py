@@ -3,8 +3,8 @@
 The paper's end goal is LD sweep scans fast enough to be routine
 infrastructure. The library side of this repo already amortizes the
 expensive setup — a persistent worker pool attached zero-copy to one
-shared alignment and one cooperatively filled r² tile store
-(:class:`~repro.core.parallel.ParallelScanSession`). This package wraps
+shared alignment (:class:`~repro.core.parallel.ParallelScanSession`).
+This package wraps
 that engine in a thin asyncio front end (the gwdetchar ``wdq``
 wrapper-over-heavy-engine shape): many concurrent scan requests — each
 naming a region, a grid density and optionally a deadline — multiplex
@@ -27,12 +27,14 @@ over the one pool, with
 * **per-request observability** — each request runs against its own
   metrics registry and its spans carry the request id, so one request's
   numbers never bleed into another's;
-* **r² reuse across requests** — a tile one request computed serves
-  every later request from the shared store
-  (:class:`~repro.core.tilestore.SharedR2TileStore`), copied once,
-  straight into the worker's region buffer. Workers keep no private
-  cache of assembled blocks: request grids almost never ask for the
-  same block twice.
+* **r² reuse across requests** — only the service's session keeps a
+  shared r² tile band (:class:`~repro.core.tilestore.SharedR2TileStore`;
+  batch scans fill each region once without one). A tile one request
+  computed serves every later request, copied once, straight into the
+  worker's region buffer. Workers keep no private cache of assembled
+  blocks: request grids almost never ask for the same block twice. A
+  band that would exceed its 1 GiB cap fails at start and names
+  ``--maxwin``, the one remedy a user can reach.
 
 Use in-process (tests, notebooks)::
 

@@ -2,7 +2,8 @@
 
 :class:`ScanService` owns one persistent
 :class:`~repro.core.parallel.ParallelScanSession` (shared alignment
-segments, shared r² tile store, warm worker pool) and multiplexes many
+segments, warm worker pool) that also keeps the shared r² tile band
+(:class:`~repro.core.tilestore.SharedR2TileStore`), and multiplexes many
 concurrent :class:`~repro.service.model.ScanRequest` jobs over it. The
 asyncio front end stays thin: admission and queueing run on the event
 loop; each dispatched job fans its scheduling blocks into the shared
@@ -64,6 +65,15 @@ __all__ = [
     "ScanService",
     "request_block_size",
 ]
+
+
+class _BandSession(ParallelScanSession):
+    """The service's session: it also publishes the shared r² tile band.
+    Requests revisit sites (overlapping regions, repeated grids), so a
+    tile one request filled serves every later request; its workers keep
+    OpenBLAS's default thread count."""
+
+    _r2_band = True
 
 
 def request_block_size(
@@ -266,7 +276,7 @@ class ScanService:
             raise ServiceError(
                 f"max_concurrent must be >= 1, got {max_concurrent}"
             )
-        self._session = ParallelScanSession(
+        self._session = _BandSession(
             alignment,
             config,
             n_workers=n_workers,

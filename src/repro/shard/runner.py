@@ -31,6 +31,7 @@ exactly the bytes an uninterrupted run produces.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import glob
 import os
@@ -56,6 +57,7 @@ from repro.obs.flight import get_flight, write_dump
 from repro.obs.ledger import ProgressLedger, bind_live_slot
 from repro.shard import sidecar
 from repro.shard.manifest import Manifest, ShardRecord, UnitSpec
+from repro.utils.blas import child_blas_threads
 
 __all__ = [
     "ShardRunReport",
@@ -513,7 +515,15 @@ def run_manifest(
         proc = ctx.Process(
             target=_shard_worker, args=(job,), daemon=False
         )
-        proc.start()
+        # A shard with its own pool only coordinates it. Started on one
+        # BLAS thread, it hands that count to the pool's workers, since a
+        # forked process must not set the count itself.
+        with (
+            child_blas_threads()
+            if job.workers_per_shard > 1
+            else contextlib.nullcontext()
+        ):
+            proc.start()
         shard.status = "running"
         shard.pid = proc.pid
         shard.attempts += 1

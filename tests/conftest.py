@@ -45,3 +45,36 @@ def sweep_alignment():
 def tiny_alignment():
     """Minimal alignment exercising edge cases (few sites)."""
     return random_alignment(10, 6, seed=404)
+
+
+@pytest.fixture
+def long_alignment():
+    """128 samples x 100 000 sites, one site every 50 bp: a 30 kb
+    ``max_window`` gives regions of about 1 200 sites, whose shared r²
+    band over the whole alignment would need 1.18 GB."""
+    from repro.datasets.alignment import SNPAlignment
+
+    rng = np.random.default_rng(97)
+    n_sites = 100_000
+    return SNPAlignment(
+        matrix=(rng.random((128, n_sites)) < 0.3).astype(np.uint8),
+        positions=np.arange(n_sites) * 50.0 + 1.0,
+        length=n_sites * 50.0,
+    )
+
+
+@pytest.fixture
+def shm_names(monkeypatch):
+    """Names of the shared-memory segments this process opens from now
+    on, created or attached (worker processes are not seen)."""
+    from multiprocessing import shared_memory
+
+    names = []
+    real_init = shared_memory.SharedMemory.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        names.append(self.name)
+
+    monkeypatch.setattr(shared_memory.SharedMemory, "__init__", init)
+    return names

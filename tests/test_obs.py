@@ -338,9 +338,12 @@ class TestEndToEnd:
         counters = result.metrics["counters"]
         assert counters["scheduler.blocks_dispatched"] == 6
         assert counters["scan.positions_evaluated"] > 0
+        # Batch blocks fill their own r² regions: no tile band, so no
+        # tile-store counters and no summary line for it.
+        assert not any(k.startswith("tilestore.") for k in counters)
         text = result.summary()
         assert "scheduler: 6 blocks dispatched" in text
-        assert "tile store:" in text
+        assert "tile store:" not in text
 
     def test_sequential_scan_metrics(self):
         result = OmegaPlusScanner(_config(self._ALN, 10)).scan(self._ALN)

@@ -16,14 +16,31 @@ from repro.core.parallel import (
     make_blocks,
     parallel_scan,
 )
-from repro.core.scan import OmegaConfig, OmegaPlusScanner
+from repro.core.scan import OmegaConfig, OmegaPlusScanner, scan_stream
 from repro.datasets.alignment import SHM_NAME_PREFIX
 from repro.datasets.generators import haplotype_block_alignment
 from repro.errors import ScanConfigError
 
+#: Name suffixes of the shared r² tile band's segments.
+R2_BAND_SUFFIXES = ("-r2tiles", "-r2flags")
+
 
 def _shm_entries():
     return set(glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}*"))
+
+
+def assert_no_r2_band(shm_names, *results):
+    """The scan published its alignment but no r² tile band, and its
+    results report no tile-store work."""
+    assert shm_names, "no shared segment was opened at all"
+    assert not [n for n in shm_names if n.endswith(R2_BAND_SUFFIXES)]
+    for result in results:
+        counters = result.metrics["counters"]
+        assert not any(
+            v for k, v in counters.items() if k.startswith("tilestore.")
+        )
+        assert result.reuse.tile_entries_computed == 0
+        assert result.reuse.tile_entries_reused == 0
 
 
 class TestMakeBlocks:
@@ -265,10 +282,23 @@ class TestSharedScheduler:
         # bounded by the wall clock — but both must be populated.
         assert par.breakdown.total > 0.0
 
-    def test_tile_store_feeds_workers(self, block_alignment, config):
+    def test_batch_scan_publishes_no_r2_band(
+        self, block_alignment, config, shm_names
+    ):
+        """Each block fills its own r² regions; nothing but the alignment
+        goes to shared memory."""
         par = parallel_scan(block_alignment, config, n_workers=2)
-        tiles = par.reuse.tile_entries_computed + par.reuse.tile_entries_reused
-        assert tiles > 0
+        assert_no_r2_band(shm_names, par)
+
+    def test_streamed_scan_publishes_no_r2_band(
+        self, block_alignment, config, shm_names
+    ):
+        par = scan_stream(
+            block_alignment, config, snp_budget=120, n_workers=2
+        )
+        assert_no_r2_band(shm_names, par)
+        want = parallel_scan(block_alignment, config, n_workers=2)
+        assert par.to_tsv() == want.to_tsv()
 
     def test_no_segments_leak_after_scan(self, block_alignment, config):
         before = _shm_entries()
@@ -323,17 +353,38 @@ class TestParallelScanSession:
             second = session.scan()
         np.testing.assert_array_equal(first.omegas, second.omegas)
 
-    def test_second_scan_computes_no_tiles(self, block_alignment, config):
-        """The tile store persists across scans of one session: the second
-        scan serves every fresh r² entry from already-published tiles."""
+    def test_session_scans_publish_no_r2_band(
+        self, block_alignment, config, shm_names
+    ):
+        """A session's blocks fill their own r² regions, scan after scan,
+        with the same bits."""
         with ParallelScanSession(
             block_alignment, config, n_workers=2
         ) as session:
             first = session.scan()
             second = session.scan()
-        assert first.reuse.tile_entries_computed > 0
-        assert second.reuse.tile_entries_computed == 0
-        assert second.reuse.tile_entries_reused > 0
+            some = session.scan_positions(first.positions[2:7])
+        assert_no_r2_band(shm_names, first, second, some)
+        assert second.to_tsv() == first.to_tsv()
+        # Each scan's blocks fill their regions themselves, the same way.
+        fills = [
+            r.metrics["counters"]["ld.backend_gemm_fills"]
+            for r in (first, second)
+        ]
+        assert fills[0] == fills[1] > 0
+
+    def test_long_alignment_starts_and_scans(self, long_alignment):
+        """A band over the whole alignment would exceed its 1 GiB cap;
+        without one the session starts and scans."""
+        config = OmegaConfig(grid=GridSpec(n_positions=4, max_window=30_000))
+        with ParallelScanSession(
+            long_alignment, config, n_workers=2
+        ) as session:
+            result = session.scan_positions(
+                np.array([1.0e6, 1.0e6 + 500.0, 2.0e6])
+            )
+        assert result.omegas.size == 3
+        assert (result.n_evaluations > 0).all()
 
     def test_exit_removes_segments(self, block_alignment, config):
         before = _shm_entries()

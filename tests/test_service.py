@@ -553,6 +553,48 @@ class TestScanService:
                 == hist["scheduler.block_seconds"]["count"]
             )
 
+    def test_repeated_request_is_served_from_the_band(
+        self, aln, config, shm_names
+    ):
+        """The service keeps the shared r² tile band: a second request
+        over the same region reads every tile the first one filled."""
+        request = ScanRequest(start_bp=2000.0, stop_bp=15000.0, n_positions=9)
+
+        async def body(service):
+            first = await service.submit(request)
+            first_result = await first.wait()
+            second = await service.submit(request)
+            return first, first_result, second, await second.wait()
+
+        first, first_result, second, second_result = run_service(
+            body, aln, config
+        )
+        assert [n for n in shm_names if n.endswith("-r2tiles")]
+        assert first.metrics["counters"]["tilestore.fills"] > 0
+        assert second.metrics["counters"].get("tilestore.fills", 0) == 0
+        assert second.metrics["counters"]["tilestore.hits"] > 0
+        assert_results_equal(second_result, first_result)
+
+    def test_band_over_its_cap_names_only_maxwin(self, long_alignment):
+        """The service's band over this alignment would exceed its
+        1 GiB cap; the error names the one remedy a user can reach."""
+        config = OmegaConfig(grid=GridSpec(n_positions=4, max_window=30_000))
+
+        async def main():
+            service = ScanService(long_alignment, config, n_workers=1)
+            try:
+                with pytest.raises(ScanConfigError) as info:
+                    await service.start()
+            finally:
+                await service.close()
+            return str(info.value)
+
+        message = asyncio.run(main())
+        assert "1178 MB" in message
+        assert "--maxwin" in message
+        assert "max_store_bytes" not in message
+        assert "disable" not in message
+
     def test_submit_after_close_rejected(self, aln, config):
         async def main():
             service = ScanService(aln, config, n_workers=2)
