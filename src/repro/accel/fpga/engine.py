@@ -121,7 +121,7 @@ class FPGAOmegaEngine:
         tr = obs.get_tracer()
         with obs.scoped_metrics() as registry:
             plans = build_plans(alignment, config.grid)
-            cache = R2RegionCache(alignment, backend=config.ld_backend)
+            cache = R2RegionCache(alignment)
             # The host maintains matrix M; reuse it across overlapping
             # regions exactly as the CPU reference scanner does.
             dp_cache = SumMatrixCache(

@@ -20,36 +20,20 @@ dynamic one.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Literal, Optional, Union
+from typing import Literal, Optional
 
 import numpy as np
 
 import repro.obs as obs
-from repro.accel.backend.base import ArrayBackend
-from repro.accel.backend.registry import resolve_backend
-from repro.accel.gpu.device import TESLA_K80, GPUDevice
+from repro.accel.gpu.device import GPUDevice
 from repro.accel.gpu.kernels import KernelI, KernelII, KernelResult
-from repro.core.batch import BatchedOmegaPlan, BatchedOmegaResult
-from repro.core.costmodel import (
-    CalibrationPair,
-    ScanCostModel,
-    get_cost_model,
-    record_calibration_pair,
-)
+from repro.core.costmodel import ScanCostModel, get_cost_model
 from repro.core.dp import SumMatrix
 from repro.core.omega import DENOMINATOR_OFFSET
 from repro.errors import AcceleratorError
 
-__all__ = ["DynamicDispatcher", "KernelChoice", "DEFAULT_EXEC_DEVICE"]
-
-#: Device geometry used when host code needs a dispatcher purely for
-#: *executing* kernels (the scanner's ``--backend`` path): the Eq. 4
-#: threshold then only partitions positions between the two executable
-#: decompositions, so any documented platform works — the Tesla K80 is
-#: the paper's headline GPU.
-DEFAULT_EXEC_DEVICE = TESLA_K80
+__all__ = ["DynamicDispatcher", "KernelChoice"]
 
 KernelChoice = Literal["dynamic", "kernel1", "kernel2"]
 
@@ -72,7 +56,6 @@ class DynamicDispatcher:
         mode: KernelChoice = "dynamic",
         g_s: Optional[int] = None,
         cost_model: Optional[ScanCostModel] = None,
-        backend: Union[ArrayBackend, str, None] = None,
     ):
         if mode not in ("dynamic", "kernel1", "kernel2"):
             raise AcceleratorError(f"unknown dispatch mode {mode!r}")
@@ -85,19 +68,6 @@ class DynamicDispatcher:
         # host block scheduler orders work with (and calibrates), so host
         # and device scheduling predict from one set of constants.
         self._cost_model = cost_model
-        # The executable array backend behind :meth:`run_plan`. ``None``
-        # (or the reserved name "model") keeps the dispatcher a pure
-        # timing model; a name is resolved through the registry with the
-        # usual REPRO_BACKEND/fallback semantics.
-        if backend is None or isinstance(backend, str):
-            self.backend = resolve_backend(backend)
-        else:
-            self.backend = backend
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the executable backend ("model" when none bound)."""
-        return self.backend.name if self.backend is not None else "model"
 
     @property
     def cost_model(self) -> ScanCostModel:
@@ -152,11 +122,7 @@ class DynamicDispatcher:
         obs.get_metrics().counter(f"gpu.{which}_launches").inc()
         tracer = obs.get_tracer()
         if tracer.enabled:
-            args = {
-                "kernel": which,
-                "n_scores": n_scores,
-                "backend": self.backend_name,
-            }
+            args = {"kernel": which, "n_scores": n_scores}
             est = self.estimate_seconds(n_scores, region_width)
             if est is not None:
                 args["est_seconds"] = est
@@ -164,129 +130,6 @@ class DynamicDispatcher:
                 "kernel_dispatch", "dispatch", thread="gpu-model", args=args
             )
         return which, kern
-
-    def run_plan(
-        self,
-        plan: BatchedOmegaPlan,
-        *,
-        eps: float = DENOMINATOR_OFFSET,
-        region_width: int = 0,
-        note: bool = True,
-    ) -> BatchedOmegaResult:
-        """Execute every packed position on the bound array backend.
-
-        Positions are partitioned per Eq. (4) (honouring a forced
-        ``mode``) and each kernel scores its share of the arenas in one
-        :meth:`~repro.accel.gpu.kernels.KernelI.run` pass. The merged
-        result is bitwise-equal to
-        :func:`~repro.core.batch.omega_max_batch` on the NumPy backend.
-
-        Every launch records its model-estimated vs realized wall time:
-        a ``backend.<kernel>_est_seconds`` / ``_realized_seconds``
-        histogram pair and a ``backend.block_est_cost`` /
-        ``backend.block_seconds`` pair (in scan-cost units, feeding the
-        ``seconds_per_unit`` calibration fold), plus a
-        :class:`~repro.core.costmodel.CalibrationPair` in the archive
-        consumed by :meth:`~repro.core.costmodel.ScanCostModel.fit_weights`.
-        With ``note=True`` the per-position dispatch decisions are also
-        counted (stats + ``gpu.kernelN_launches``); the GPU engine passes
-        ``note=False`` because it already notes positions one by one.
-        """
-        if self.backend is None:
-            raise AcceleratorError(
-                "run_plan needs an executable array backend; this "
-                "dispatcher is model-only"
-            )
-        n = plan.n_positions
-        omegas = np.zeros(n, dtype=np.float64)
-        lefts = np.full(n, -1, dtype=np.intp)
-        rights = np.full(n, -1, dtype=np.intp)
-        counts = np.diff(plan.score_offsets)
-        result = BatchedOmegaResult(omegas, lefts, rights, counts)
-        if n == 0 or plan.n_scores == 0:
-            return result
-
-        nonempty = np.flatnonzero(counts > 0)
-        if self.mode == "kernel1":
-            k1_slots, k2_slots = nonempty, nonempty[:0]
-        elif self.mode == "kernel2":
-            k1_slots, k2_slots = nonempty[:0], nonempty
-        else:
-            small = counts[nonempty] < self.device.dispatch_threshold
-            k1_slots, k2_slots = nonempty[small], nonempty[~small]
-
-        metrics = obs.get_metrics()
-        tracer = obs.get_tracer()
-        for which, kern, slots in (
-            ("kernel1", self.kernel1, k1_slots),
-            ("kernel2", self.kernel2, k2_slots),
-        ):
-            if slots.size == 0:
-                continue
-            # Model-predicted device time for the same work: one launch
-            # per position, as the paper's per-position dispatch pays it.
-            est = sum(
-                kern.timing(int(counts[p]), region_width).seconds
-                for p in slots
-            )
-            t0ns = time.perf_counter_ns()
-            res = kern.run(plan, backend=self.backend, slots=slots, eps=eps)
-            self.backend.synchronize()
-            realized = (time.perf_counter_ns() - t0ns) / 1e9
-
-            l_counts = plan.left_counts[slots]
-            best_ii = res.rel_args % l_counts
-            best_jj = res.rel_args // l_counts
-            omegas[slots] = res.omegas
-            lefts[slots] = plan.left_border_arena[
-                plan.left_offsets[:-1][slots] + best_ii
-            ]
-            rights[slots] = plan.right_border_arena[
-                plan.right_offsets[:-1][slots] + best_jj
-            ]
-
-            if note:
-                if which == "kernel1":
-                    self.stats.kernel1_launches += slots.size
-                else:
-                    self.stats.kernel2_launches += slots.size
-                metrics.counter(f"gpu.{which}_launches").inc(slots.size)
-            metrics.histogram(f"backend.{which}_est_seconds").observe(est)
-            metrics.histogram(f"backend.{which}_realized_seconds").observe(
-                realized
-            )
-            model = self.cost_model
-            est_cost = model.eval_weight * float(res.n_scores)
-            metrics.histogram("backend.block_est_cost").observe(est_cost)
-            metrics.histogram("backend.block_seconds").observe(realized)
-            record_calibration_pair(
-                CalibrationPair(
-                    n_evaluations=float(res.n_scores),
-                    region_area=float(region_width) ** 2,
-                    realized_seconds=realized,
-                    est_seconds=est,
-                    kind="kernel",
-                    kernel=which,
-                    backend=self.backend.name,
-                )
-            )
-            if tracer.enabled:
-                tracer.add_complete(
-                    f"{which}_exec",
-                    "backend",
-                    t0ns // 1000,
-                    (time.perf_counter_ns() - t0ns) // 1000,
-                    thread=f"backend-{self.backend.name}",
-                    args={
-                        "kernel": which,
-                        "backend": self.backend.name,
-                        "positions": int(slots.size),
-                        "n_scores": int(res.n_scores),
-                        "est_seconds": est,
-                        "realized_seconds": realized,
-                    },
-                )
-        return result
 
     def launch(
         self,

@@ -36,13 +36,11 @@ two curves is what the dynamic dispatcher exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.accel.backend.base import ArrayBackend
 from repro.accel.gpu.device import GPUDevice
-from repro.core.batch import BatchedOmegaPlan, plan_flat_decode
 from repro.core.dp import SumMatrix
 from repro.core.omega import DENOMINATOR_OFFSET, omega_from_sums
 from repro.errors import AcceleratorError
@@ -52,7 +50,6 @@ __all__ = [
     "UNROLL_FACTOR",
     "KernelResult",
     "KernelTiming",
-    "KernelRunResult",
     "decode_work_items",
     "KernelI",
     "KernelII",
@@ -95,60 +92,6 @@ class KernelResult:
     exec_seconds: float
     bytes_h2d: int
     bytes_d2h: int
-
-
-@dataclass(frozen=True)
-class KernelRunResult:
-    """Outcome of one *executable* kernel pass over packed plan slots.
-
-    ``slots`` are the :class:`~repro.core.batch.BatchedOmegaPlan` slot
-    ids served (non-empty only, in ascending order); ``omegas`` and
-    ``rel_args`` are parallel to it — ``rel_args[i]`` is the winning
-    flat index *within* slot ``i``'s row-major ``(R, L)`` segment, so
-    ``ii = rel % L`` / ``jj = rel // L`` recover the border indices
-    exactly as :func:`~repro.core.batch.omega_max_batch` does.
-    """
-
-    slots: np.ndarray
-    omegas: np.ndarray
-    rel_args: np.ndarray
-    n_scores: int
-
-
-def _segment_scores(
-    plan: BatchedOmegaPlan,
-    backend: ArrayBackend,
-    slots: Optional[np.ndarray],
-    eps: float,
-):
-    """Eq. (2) lane pass over the selected slots' packed segments.
-
-    The lane index space is the packed arena's row-major ``(R, L)``
-    order — the coalesced decode of :func:`plan_flat_decode`, shared
-    with the host batch evaluation so argmax tie-breaking can never
-    differ between paths. Returns ``(slots, seg_counts, scores)`` with
-    ``scores`` on the backend's memory space, slots back to back.
-    """
-    slots, _starts, seg_counts, l_idx, r_idx, c_idx = plan_flat_decode(
-        plan, slots
-    )
-    dl = backend.asarray(np.asarray(l_idx))
-    dr = backend.asarray(np.asarray(r_idx))
-    dc = backend.asarray(np.asarray(c_idx))
-    left = backend.asarray(plan.left_arena)
-    right = backend.asarray(plan.right_arena)
-    cross = backend.asarray(plan.cross_arena)
-    n_left = backend.asarray(plan.n_left_arena)
-    n_right = backend.asarray(plan.n_right_arena)
-    scores = backend.eq2_scores(
-        left[dl],
-        right[dr],
-        cross[dc],
-        n_left[dl],
-        n_right[dr],
-        eps=eps,
-    )
-    return slots, seg_counts, scores
 
 
 def decode_work_items(
@@ -265,42 +208,6 @@ class KernelI:
             bytes_d2h=t.bytes_d2h,
         )
 
-    def run(
-        self,
-        plan: BatchedOmegaPlan,
-        *,
-        backend: ArrayBackend,
-        slots: Optional[np.ndarray] = None,
-        eps: float = DENOMINATOR_OFFSET,
-    ) -> KernelRunResult:
-        """Execute Kernel I over packed plan slots on a real backend.
-
-        One ω score per lane over the coalesced arena decode, the full
-        omega buffer read back, and the per-position maximum reduced on
-        the host — the §IV-B decomposition. On the NumPy backend every
-        score and every argmax tie-break is bitwise-equal to
-        :func:`~repro.core.batch.omega_max_batch`.
-        """
-        slots, seg_counts, dev_scores = _segment_scores(
-            plan, backend, slots, eps
-        )
-        scores = backend.to_host(dev_scores)
-        omegas = np.empty(slots.size, dtype=np.float64)
-        rel = np.empty(slots.size, dtype=np.intp)
-        lo = 0
-        for i, n in enumerate(seg_counts):
-            seg = scores[lo : lo + n]
-            b = int(np.argmax(seg))
-            omegas[i] = seg[b]
-            rel[i] = b
-            lo += n
-        return KernelRunResult(
-            slots=slots,
-            omegas=omegas,
-            rel_args=rel,
-            n_scores=int(seg_counts.sum()),
-        )
-
 
 class KernelII:
     """Kernel optimized for high computational loads (§IV-C)."""
@@ -389,52 +296,4 @@ class KernelII:
             exec_seconds=t.exec_seconds,
             bytes_h2d=t.bytes_h2d,
             bytes_d2h=t.bytes_d2h,
-        )
-
-    def run(
-        self,
-        plan: BatchedOmegaPlan,
-        *,
-        backend: ArrayBackend,
-        slots: Optional[np.ndarray] = None,
-        eps: float = DENOMINATOR_OFFSET,
-    ) -> KernelRunResult:
-        """Execute Kernel II over packed plan slots on a real backend.
-
-        Per position: ``n_items`` lanes each reduce ``WILD``
-        consecutive scores (the 4x-unrolled strided loop of §IV-C,
-        padded with −∞ like the masked tail lanes), writing one
-        ``(max, argmax)`` pair; the host reduces over lanes. Lane chunks
-        cover consecutive row-major elements, so the two-level argmax
-        preserves the global first-occurrence winner (NaN propagates
-        through the lane max exactly as ``np.argmax`` ranks it) — Kernel
-        II results are bitwise-equal to Kernel I's on the same slots.
-        """
-        slots, seg_counts, dev_scores = _segment_scores(
-            plan, backend, slots, eps
-        )
-        xp = backend.xp
-        omegas = np.empty(slots.size, dtype=np.float64)
-        rel = np.empty(slots.size, dtype=np.intp)
-        lo = 0
-        for i, n in enumerate(seg_counts):
-            n = int(n)
-            seg = dev_scores[lo : lo + n]
-            wild = self.wild(n)
-            n_items = -(-n // wild)
-            padded = xp.full(n_items * wild, -xp.inf)
-            padded[:n] = seg
-            per_item = padded.reshape(n_items, wild)
-            item_max = backend.to_host(per_item.max(axis=1))
-            item_arg = backend.to_host(per_item.argmax(axis=1))
-            w = int(np.argmax(item_max))
-            b = w * wild + int(item_arg[w])
-            omegas[i] = backend.to_host(seg[b])
-            rel[i] = b
-            lo += n
-        return KernelRunResult(
-            slots=slots,
-            omegas=omegas,
-            rel_args=rel,
-            n_scores=int(seg_counts.sum()),
         )

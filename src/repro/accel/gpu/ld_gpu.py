@@ -2,7 +2,7 @@
 
 The GPU-accelerated OmegaPlus computes LD by casting SNP comparison into a
 general matrix multiplication (BLIS mapped onto the GPU). Functionally our
-GEMM backend (:mod:`repro.ld.gemm`) *is* that computation; what this
+GEMM formulation (:mod:`repro.ld.gemm`) *is* that computation; what this
 module adds is the cost law used for the Table III / Fig. 14 LD columns.
 
 Per-r²-score cost is modelled with three physically distinct terms::

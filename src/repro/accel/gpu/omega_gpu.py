@@ -4,7 +4,7 @@ The engine batches grid positions per device launch (the paper's future
 work: "minimize data transfers"). Per *batch* it
 
 1. obtains each region's r² sums on the host (LD stage — functionally the
-   GEMM backend; its *GPU* time is charged through
+   GEMM formulation; its *GPU* time is charged through
    :class:`~repro.accel.gpu.ld_gpu.GPULDModel`),
 2. packs every batched position's kernel inputs (the LR/km border data
    and the per-combination TS sums) into one contiguous multi-position
@@ -118,14 +118,6 @@ class GPUOmegaEngine:
         Grid positions packed per device launch; per-launch fixed costs
         (kernel-launch overhead, PCIe round-trip latencies) and buffer
         padding are paid once per batch.
-    backend:
-        Optional array backend name (``"numpy"``, ``"cupy"``,
-        ``"numba"``) or :class:`~repro.accel.backend.ArrayBackend`
-        instance: batches are then *executed* through
-        :meth:`~repro.accel.gpu.dispatch.DynamicDispatcher.run_plan`
-        (realized launch timings recorded next to the modelled ones)
-        instead of the host evaluation. ``None``/"model" defers to
-        ``REPRO_BACKEND`` and otherwise keeps the pure timing model.
     """
 
     def __init__(
@@ -136,7 +128,6 @@ class GPUOmegaEngine:
         ld_model: GPULDModel = BINDER_GEMM_LD,
         overlap_fraction: float = 0.3,
         batch_positions: int = 1,
-        backend=None,
     ):
         if not 0.0 <= overlap_fraction < 1.0:
             raise AcceleratorError(
@@ -147,7 +138,7 @@ class GPUOmegaEngine:
                 f"batch_positions must be >= 1, got {batch_positions}"
             )
         self.device = device
-        self.dispatcher = DynamicDispatcher(device, mode=mode, backend=backend)
+        self.dispatcher = DynamicDispatcher(device, mode=mode)
         self.ld_model = ld_model
         self.overlap_fraction = overlap_fraction
         self.batch_positions = batch_positions
@@ -326,7 +317,7 @@ class GPUOmegaEngine:
         tr = obs.get_tracer()
         with obs.scoped_metrics() as registry:
             plans = build_plans(alignment, config.grid)
-            cache = R2RegionCache(alignment, backend=config.ld_backend)
+            cache = R2RegionCache(alignment)
             # Same two-level reuse as the CPU reference scanner: the host
             # maintains matrix M incrementally across overlapping regions,
             # so the omega report stays identical to the CPU path.
@@ -359,16 +350,7 @@ class GPUOmegaEngine:
                 nonlocal acct, cursor_us, before
                 if not pending:
                     return
-                if self.dispatcher.backend is not None:
-                    # Real execution on the bound backend: per-position
-                    # kernel choice, realized timings recorded. The
-                    # per-position dispatch was already noted above, so
-                    # run_plan must not double-count launches.
-                    res = self.dispatcher.run_plan(
-                        packed, eps=config.eps, note=False
-                    )
-                else:
-                    res = omega_max_batch(packed, eps=config.eps)
+                res = omega_max_batch(packed, eps=config.eps)
                 for slot, (k, off) in enumerate(pending):
                     omegas[k] = res.omegas[slot]
                     evals[k] = res.n_evaluations[slot]

@@ -61,7 +61,7 @@ PLATFORMS = {
 }
 
 
-def _accel_engine(platform: str, *, batch: int = 1, backend=None):
+def _accel_engine(platform: str, *, batch: int = 1):
     """The modelled accelerator engine for ``platform``."""
     kind, device = PLATFORMS[platform]
     if kind == "gpu":
@@ -69,9 +69,7 @@ def _accel_engine(platform: str, *, batch: int = 1, backend=None):
         from repro.accel.gpu.omega_gpu import GPUOmegaEngine
 
         return GPUOmegaEngine(
-            getattr(gpu_devices, device),
-            batch_positions=batch,
-            backend=backend,
+            getattr(gpu_devices, device), batch_positions=batch
         )
     from repro.accel.fpga import device as fpga_devices
     from repro.accel.fpga.engine import FPGAOmegaEngine
@@ -102,17 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="maximum window (bp)")
     scan_p.add_argument("--minwin", type=float, default=0.0,
                         help="minimum window (bp)")
-    scan_p.add_argument("--backend",
-                        choices=("gemm", "packed", "auto",
-                                 "numpy", "cupy", "numba"),
-                        default="gemm",
-                        help="gemm/packed pick the LD computation "
-                        "backend and auto chooses between them per tile "
-                        "from the calibrated cost model (all bitwise "
-                        "identical); numpy/cupy/numba additionally run "
-                        "the omega kernels on that array backend "
-                        "(falling back to numpy when the device stack "
-                        "is unavailable)")
     scan_p.add_argument("--omega-batch", type=int, default=None,
                         metavar="N",
                         help="grid positions packed per batched omega "
@@ -170,12 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     accel_p.add_argument("--batch", type=int, default=1,
                          help="grid positions per GPU kernel launch "
                          "(transfer batching; GPU platforms only)")
-    accel_p.add_argument("--backend",
-                         choices=("model", "numpy", "cupy", "numba"),
-                         default="model",
-                         help="execute the omega kernels on this array "
-                         "backend instead of only modelling them "
-                         "(GPU platforms only)")
     accel_p.add_argument("--trace", default=None, metavar="FILE",
                         help="write a Chrome-trace/Perfetto JSONL trace "
                         "(includes the modelled device track)")
@@ -199,9 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="maximum window (bp)")
     serve_p.add_argument("--minwin", type=float, default=0.0,
                          help="minimum window (bp)")
-    serve_p.add_argument("--backend", choices=("gemm", "packed", "auto"),
-                         default="gemm", help="LD computation backend "
-                         "(auto picks gemm-vs-packed per tile)")
     serve_p.add_argument("--replicate", type=int, default=0,
                          help="replicate index within the ms file")
     serve_p.add_argument("--workers", type=int, default=2,
@@ -353,22 +331,12 @@ def _config(args) -> OmegaConfig:
     kwargs = {}
     if getattr(args, "omega_batch", None) is not None:
         kwargs["omega_batch"] = args.omega_batch
-    # "gemm"/"packed"/"auto" name the LD stage; the array-backend names
-    # keep the default LD stage and bind the omega kernels to that
-    # backend.
-    chosen = getattr(args, "backend", "gemm")
-    if chosen in ("gemm", "packed", "auto"):
-        ld_backend = chosen
-    else:
-        ld_backend = "gemm"
-        kwargs["backend"] = chosen
     return OmegaConfig(
         grid=GridSpec(
             n_positions=args.grid,
             max_window=args.maxwin,
             min_window=args.minwin,
         ),
-        ld_backend=ld_backend,
         **kwargs,
     )
 
@@ -824,17 +792,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_accel(args) -> int:
     alignment = _load_alignment(args)
     config = _config(args)
-    exec_backend = getattr(args, "backend", "model")
-    if exec_backend == "model":
-        exec_backend = None
-    if exec_backend is not None and not args.platform.startswith("gpu-"):
-        raise ReproError(
-            "--backend applies to GPU platforms only (the FPGA engine "
-            "is a pipeline model)"
-        )
-    engine = _accel_engine(
-        args.platform, batch=args.batch, backend=exec_backend
-    )
+    engine = _accel_engine(args.platform, batch=args.batch)
     with _maybe_tracing(args):
         result, record = engine.scan(alignment, config)
     print(result.to_tsv())

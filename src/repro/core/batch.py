@@ -51,7 +51,6 @@ __all__ = [
     "BatchedOmegaPlan",
     "BatchedOmegaResult",
     "omega_max_batch",
-    "plan_flat_decode",
     "DEFAULT_BATCH_POSITIONS",
     "DEFAULT_BATCH_SCORE_BUDGET",
 ]
@@ -265,49 +264,6 @@ def _concat(parts: List[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate([np.asarray(p, dtype=dtype) for p in parts])
 
 
-def plan_flat_decode(
-    plan: BatchedOmegaPlan, slots: Optional[np.ndarray] = None
-):
-    """Decode arena elements of the selected slots to gather indices.
-
-    ``cross_arena`` is each position's ``(R, L)`` grid flattened
-    row-major, so within a segment ``ii = e % L`` (left border index) and
-    ``jj = e // L`` (right border index) — the coalesced ``(outer,
-    inner)`` decode the device kernels use as their lane index space.
-    Returns ``(slots, starts, seg_counts, l_idx, r_idx, c_idx)``:
-
-    * ``slots`` — the requested slot ids restricted to non-empty ones;
-    * ``starts`` / ``seg_counts`` — each slot's arena offset and length;
-    * ``l_idx`` / ``r_idx`` / ``c_idx`` — per-element gather indices into
-      the left/right/cross arenas, slots back to back in slot order.
-
-    Every consumer of the packed layout (the host batch evaluation below
-    and the executable kernel ``run`` paths) shares this one decode, so
-    they can never disagree on which operand a lane reads.
-    """
-    counts = np.diff(plan.score_offsets)
-    if slots is None:
-        slots = np.flatnonzero(counts > 0)
-    else:
-        slots = np.asarray(slots, dtype=np.intp)
-        slots = slots[counts[slots] > 0]
-    starts = plan.score_offsets[:-1][slots]
-    seg_counts = counts[slots]
-    l_counts = plan.left_counts[slots]
-    total = int(seg_counts.sum())
-    local_starts = np.cumsum(seg_counts) - seg_counts
-    within = np.arange(total, dtype=np.intp) - np.repeat(
-        local_starts, seg_counts
-    )
-    l_rep = np.repeat(l_counts, seg_counts)
-    jj = within // l_rep
-    ii = within - jj * l_rep
-    l_idx = np.repeat(plan.left_offsets[:-1][slots], seg_counts) + ii
-    r_idx = np.repeat(plan.right_offsets[:-1][slots], seg_counts) + jj
-    c_idx = np.repeat(starts, seg_counts) + within
-    return slots, starts, seg_counts, l_idx, r_idx, c_idx
-
-
 def omega_max_batch(
     plan: BatchedOmegaPlan,
     *,
@@ -328,9 +284,23 @@ def omega_max_batch(
     if n == 0 or plan.n_scores == 0:
         return BatchedOmegaResult(omegas, lefts, rights, counts)
 
+    # ``cross_arena`` is each position's ``(R, L)`` grid flattened
+    # row-major, so within a segment ``ii = e % L`` (left border index)
+    # and ``jj = e // L`` (right border index): the coalesced
+    # ``(outer, inner)`` decode of the device kernels.
     nonempty = counts > 0
     l_counts = plan.left_counts[nonempty]
-    _slots, starts, seg_counts, l_idx, r_idx, _c_idx = plan_flat_decode(plan)
+    starts = plan.score_offsets[:-1][nonempty]
+    seg_counts = counts[nonempty]
+    within = np.arange(plan.n_scores, dtype=np.intp) - np.repeat(
+        np.cumsum(seg_counts) - seg_counts, seg_counts
+    )
+    l_rep = np.repeat(l_counts, seg_counts)
+    jj = within // l_rep
+    l_idx = np.repeat(plan.left_offsets[:-1][nonempty], seg_counts) + (
+        within - jj * l_rep
+    )
+    r_idx = np.repeat(plan.right_offsets[:-1][nonempty], seg_counts) + jj
 
     scores = omega_from_sums(
         plan.left_arena[l_idx],

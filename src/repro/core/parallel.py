@@ -296,7 +296,6 @@ class _PoolSession:
                 self._store = SharedR2TileStore.create(
                     alignment,
                     max_pair_span=R2RegionCache.fill_span(max_width),
-                    backend=self._config.ld_backend,
                 )
 
     def _unpublish(self) -> None:
@@ -400,7 +399,6 @@ class _PoolSession:
                         region_area=area,
                         realized_seconds=seconds,
                         est_seconds=model.estimate_seconds(cost),
-                        kind="block",
                     )
                 )
         # Running-sum refit, atomic under the calibration lock, so the

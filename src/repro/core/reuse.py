@@ -157,7 +157,8 @@ class R2RegionCache:
     backward jump or a region too wide for the buffer allocates a new
     one, with ``W + W // SLACK_DIVISOR`` rows and columns for a W-SNP
     region (capped by ``max_region_bytes``), so the cache holds about
-    1.27 W² floats. A served view is valid until the next
+    1.27 W² floats; :meth:`reserve` sizes the first buffer for the
+    widest region a scan will ask for. A served view is valid until the next
     :meth:`region_matrix` or :meth:`reset` call; a caller that keeps one
     must copy it.
 
@@ -172,13 +173,9 @@ class R2RegionCache:
     Parameters
     ----------
     alignment:
-        The full alignment being scanned.
-    backend:
-        ``"gemm"`` (default) computes fresh blocks with the GEMM
-        formulation; ``"packed"`` uses blocked popcounts on the cached
-        bit-packed plane; ``"auto"`` picks between them per block from
-        the calibrated cost model. All are bitwise identical, validated
-        against each other in tests.
+        The full alignment being scanned; by default fresh blocks are
+        GEMM fills over its cached operand planes
+        (:class:`~repro.ld.operands.LDBackendFiller`).
     block_fn:
         Optional override for the fresh-block source: a callable
         ``(rows, cols, *, out) -> out`` with :func:`~repro.ld.gemm.
@@ -186,7 +183,7 @@ class R2RegionCache:
         a view of the cache's buffer, so every fill lands in place. The
         scan service's workers inject the shared-memory tile band here,
         so fresh entries one request computes are served to every later
-        request; ``backend`` is ignored when set.
+        request.
     n_sites:
         Global site count when ``alignment`` is ``None`` — the streaming
         scanner addresses regions in global coordinates while only the
@@ -209,7 +206,6 @@ class R2RegionCache:
         self,
         alignment: Optional[SNPAlignment],
         *,
-        backend: str = "gemm",
         max_region_bytes: Optional[int] = None,
         block_fn: Optional[Callable[..., np.ndarray]] = None,
         n_sites: Optional[int] = None,
@@ -231,21 +227,11 @@ class R2RegionCache:
         )
         if self._max_region_bytes < 8:
             raise ScanConfigError("max_region_bytes too small")
-        if block_fn is not None:
-            self._block = block_fn
-        elif backend in ("gemm", "packed", "auto"):
-            # All backends flow through the per-alignment operand-plane
-            # cache: the GEMM plane / packed words are materialized once
-            # per alignment, and "auto" picks per block from the
-            # calibrated cost-model crossover.
-            self._block: Callable[..., np.ndarray] = LDBackendFiller(
-                operands_for(alignment), backend
-            )
-        else:
-            raise ScanConfigError(
-                f"unknown LD backend {backend!r}; use 'gemm', 'packed' "
-                f"or 'auto'"
-            )
+        self._block: Callable[..., np.ndarray] = (
+            block_fn
+            if block_fn is not None
+            else LDBackendFiller(operands_for(alignment))
+        )
         #: The last served region (the accounting's reference).
         self._served: Optional[Tuple[int, int]] = None
         #: Inclusive global site range whose full r² square the buffer
@@ -256,6 +242,27 @@ class R2RegionCache:
         self._buf: Optional[np.ndarray] = None
         self._anchor = 0
         self.stats = ReuseStats()
+
+    def _capacity(self, width: int) -> int:
+        """Side of a fresh buffer for a ``width``-SNP region."""
+        return min(
+            width + width // self.SLACK_DIVISOR,
+            math.isqrt(self._max_region_bytes // 8),
+        )
+
+    def reserve(self, max_width: int) -> None:
+        """Allocate the buffer for regions of up to ``max_width`` SNPs
+        before the first region is served. A scan's first regions are
+        cut short by the alignment's start, so growing the buffer with
+        them reallocated it once per few positions; the freed buffers
+        left heap holes whose residency depended on heap layout
+        (``balanced_ms`` peaked at 123.5 or 130.0 MiB after unrelated
+        code changes). No-op once a buffer exists."""
+        if self._buf is None and max_width > 0:
+            side = self._capacity(max_width)
+            self._buf = np.empty((side, side))
+            # Past every site: the first region re-anchors in place.
+            self._anchor = self._n_sites
 
     @classmethod
     def fill_span(cls, max_width: int) -> int:
@@ -313,10 +320,7 @@ class R2RegionCache:
             # Re-anchor at ``start``, keeping the valid sites from
             # ``start`` on: in place when the buffer has room and the
             # block only moves towards the origin, else into a new buffer.
-            capacity = min(
-                width + width // self.SLACK_DIVISOR,
-                math.isqrt(self._max_region_bytes // 8),
-            )
+            capacity = self._capacity(width)
             in_place = (
                 buf is not None
                 and capacity <= buf.shape[0]

@@ -37,7 +37,7 @@ from repro.core.batch import (
     BatchedOmegaPlan,
     omega_max_batch,
 )
-from repro.core.costmodel import calibrate_from, get_cost_model
+from repro.core.costmodel import get_cost_model
 from repro.core.grid import (
     GridSpec,
     PositionPlan,
@@ -77,11 +77,6 @@ class OmegaConfig:
         Grid and window geometry (``-grid``, ``-maxwin``, ``-minwin``).
     eps:
         Denominator guard of Eq. (2); OmegaPlus's 1e-5 by default.
-    ld_backend:
-        ``"gemm"``, ``"packed"`` or ``"auto"`` — which LD formulation
-        feeds the r² region cache. ``"auto"`` picks gemm-vs-packed per
-        block from the calibrated cost-model crossover; all three are
-        bitwise identical.
     reuse:
         Enable the overlap data-reuse optimization at the r² level.
         Disabling it is only useful for the ablation benchmark that
@@ -100,42 +95,20 @@ class OmegaConfig:
         two paths are bitwise-equal. Positions whose score grid is at or
         above the cost model's ``batch_score_threshold`` always bypass
         packing — they amortize dispatch overhead on their own.
-    backend:
-        Optional *array backend* name (``"numpy"``, ``"cupy"``,
-        ``"numba"``) routing the ω evaluation through the executable
-        Kernel I/II paths of :mod:`repro.accel.gpu.kernels` via the
-        dynamic dispatcher. ``None`` (the default) defers to the
-        ``REPRO_BACKEND`` environment variable, and when that is unset
-        too the scanner keeps its host scalar/batched path. The NumPy
-        backend is bitwise-equal to the default path; an unavailable
-        backend falls back to NumPy with a warning (see
-        :mod:`repro.accel.backend`).
     """
 
     grid: GridSpec
     eps: float = DENOMINATOR_OFFSET
-    ld_backend: str = "gemm"
     reuse: bool = True
     dp_reuse: bool = True
     omega_batch: int = DEFAULT_BATCH_POSITIONS
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.eps < 0:
             raise ScanConfigError(f"eps must be >= 0, got {self.eps}")
-        if self.ld_backend not in ("gemm", "packed", "auto"):
-            raise ScanConfigError(
-                f"ld_backend must be 'gemm', 'packed' or 'auto', "
-                f"got {self.ld_backend!r}"
-            )
         if self.omega_batch < 1:
             raise ScanConfigError(
                 f"omega_batch must be >= 1, got {self.omega_batch}"
-            )
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise ScanConfigError(
-                f"backend must be a backend name or None, "
-                f"got {self.backend!r}"
             )
 
 
@@ -151,15 +124,6 @@ class _OmegaBatchSink:
     ``omega_batch=1`` configuration take the direct per-position path —
     bitwise-equal either way, so batch boundaries (chunk ends, worker
     block ends) can never change a reported score.
-
-    When the config resolves to an executable array backend
-    (``config.backend`` or ``REPRO_BACKEND``), every evaluation —
-    batched flushes *and* direct large positions — is served by
-    :meth:`~repro.accel.gpu.dispatch.DynamicDispatcher.run_plan`
-    instead: the packed arenas are scored by the Kernel I/II executable
-    paths with Eq. 4 per-position kernel choice, recording realized
-    launch timings. On the NumPy backend this is bitwise-equal to the
-    host path, so the routing can never change a reported score either.
 
     ``add`` and ``flush`` must be called inside the ``omega`` phase timer
     so span sums keep matching the breakdown.
@@ -189,28 +153,6 @@ class _OmegaBatchSink:
         # attribute check per position) unless this process bound a slot.
         self._live = obs.live_slot()
         self._live_model = get_cost_model() if self._live is not None else None
-        # Lazy accel imports: repro.accel.gpu.omega_gpu imports this
-        # module, so pulling the dispatcher in at module scope would be
-        # a cycle. Resolution happens per sink so worker processes
-        # honour REPRO_BACKEND on their own.
-        self._executor = None
-        from repro.accel.backend import resolve_backend
-
-        backend = resolve_backend(config.backend)
-        if backend is not None:
-            from repro.accel.gpu.dispatch import (
-                DEFAULT_EXEC_DEVICE,
-                DynamicDispatcher,
-            )
-
-            self._executor = DynamicDispatcher(
-                DEFAULT_EXEC_DEVICE, backend=backend
-            )
-
-    @property
-    def executor(self):
-        """The backend dispatcher serving evaluations (None = host path)."""
-        return self._executor
 
     @property
     def pending(self) -> int:
@@ -231,19 +173,6 @@ class _OmegaBatchSink:
         c = plan.split_index - off
         if self._plan is None or plan.n_evaluations >= self._threshold:
             self._direct_positions.inc()
-            if self._executor is not None:
-                # One-position launch through the executable kernels
-                # (large positions are exactly the Kernel II regime).
-                single = BatchedOmegaPlan(max_positions=1)
-                single.add(sums, li, c, rj)
-                res = self._executor.run_plan(single, eps=self._eps)
-                self._store(
-                    out_idx, off, float(res.omegas[0]),
-                    int(res.left_borders[0]), int(res.right_borders[0]),
-                    int(res.n_evaluations[0]),
-                )
-                self._scored.inc(int(res.n_evaluations[0]))
-                return
             res = omega_max_at_split(sums, li, c, rj, eps=self._eps)
             self._store(
                 out_idx, off, res.omega, res.left_border,
@@ -260,10 +189,7 @@ class _OmegaBatchSink:
         """Score every packed position and write the results out."""
         if not self._pending:
             return
-        if self._executor is not None:
-            res = self._executor.run_plan(self._plan, eps=self._eps)
-        else:
-            res = omega_max_batch(self._plan, eps=self._eps)
+        res = omega_max_batch(self._plan, eps=self._eps)
         self._batches.inc()
         self._batched_positions.inc(len(self._pending))
         self._scored.inc(int(res.n_evaluations.sum()))
@@ -299,7 +225,8 @@ class OmegaPlusScanner:
         Optional fresh-block source handed to the
         :class:`~repro.core.reuse.R2RegionCache` (see its ``block_fn``
         parameter). Scan-service workers inject the shared r² tile band
-        here; the default computes blocks with ``config.ld_backend``.
+        here; by default blocks are computed from the alignment's
+        operand planes.
     valid_mask:
         Optional per-grid-position boolean mask; positions marked False
         are forced invalid (ω = 0, NaN borders) even if local planning
@@ -335,9 +262,7 @@ class OmegaPlusScanner:
                 if self._valid_mask is not None:
                     plans = _apply_valid_mask(plans, self._valid_mask)
 
-            cache = R2RegionCache(
-                alignment, backend=cfg.ld_backend, block_fn=self._block_fn
-            )
+            cache = R2RegionCache(alignment, block_fn=self._block_fn)
             dp_cache = SumMatrixCache(reuse=cfg.dp_reuse, stats=cache.stats)
             result = _scan_plans(
                 cfg, plans, 0, len(plans), alignment.positions, cache,
@@ -381,6 +306,9 @@ def _scan_plans(
         dtype=np.int64,
     )
     horizons = np.maximum.accumulate(stops[::-1])[::-1]
+    cache.reserve(
+        max((p.region_width for p in plans[lo:hi] if p.valid), default=0)
+    )
     omegas = np.zeros(n)
     lefts = np.full(n, np.nan)
     rights = np.full(n, np.nan)
@@ -419,17 +347,6 @@ def _scan_plans(
     if sink.pending:
         with tr.phase(breakdown, "omega", "phase"):
             sink.flush()
-    if sink.executor is not None:
-        # Fold the realized kernel timings these positions produced
-        # (backend.block_est_cost / backend.block_seconds) into the
-        # process-wide model, mirroring the parallel scheduler's fold —
-        # sequential backend scans calibrate seconds_per_unit from real
-        # launches too.
-        model = calibrate_from(registry.snapshot())
-        if model.seconds_per_unit is not None:
-            registry.gauge("scheduler.cost_seconds_per_unit").set(
-                model.seconds_per_unit
-            )
     return ScanResult(
         positions=np.array([p.grid_position for p in plans[lo:hi]]),
         omegas=omegas,
@@ -449,10 +366,8 @@ def scan(
     min_window: float = 0.0,
     min_flank_snps: int = 2,
     eps: float = DENOMINATOR_OFFSET,
-    ld_backend: str = "gemm",
     reuse: bool = True,
     dp_reuse: bool = True,
-    backend: Optional[str] = None,
 ) -> ScanResult:
     """One-call convenience wrapper around :class:`OmegaPlusScanner`.
 
@@ -472,10 +387,8 @@ def scan(
             min_flank_snps=min_flank_snps,
         ),
         eps=eps,
-        ld_backend=ld_backend,
         reuse=reuse,
         dp_reuse=dp_reuse,
-        backend=backend,
     )
     return OmegaPlusScanner(config).scan(alignment)
 
@@ -662,11 +575,10 @@ def _iter_stream_sequential(
                             site_lo=site_lo, site_hi=site_hi,
                             plan_lo=plan_lo, plan_hi=plan_hi,
                         )
-                        # One operand-plane cache (and backend filler)
-                        # per chunk.
+                        # One operand-plane cache (and filler) per chunk.
                         chunk_blocks.lo = site_lo
                         chunk_blocks.filler = LDBackendFiller(
-                            operands_for(chunk), cfg.ld_backend
+                            operands_for(chunk)
                         )
                     snapshot = dataclasses.replace(cache.stats)
                     part = _scan_plans(

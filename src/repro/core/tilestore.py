@@ -16,10 +16,10 @@ alignment's length would only add shared memory to every worker.
   (r² is symmetric);
 * a tile is computed by whichever process first needs it and published
   under a per-tile ready flag; afterwards every process serves it with a
-  plain copy. Because both LD backends are deterministic (co-occurrence
-  counts are exact integers in the GEMM plane's dtype, so every
-  summation order agrees bit-for-bit), two workers racing on the same
-  tile write identical bytes — the flag is set only after the data, so
+  plain copy. Because the fill is deterministic (co-occurrence counts
+  are exact integers in the GEMM plane's dtype, so every summation
+  order agrees bit-for-bit), two workers racing on the same tile write
+  identical bytes — the flag is set only after the data, so
   a reader never sees a half-filled tile as ready;
 * :meth:`SharedR2TileStore.block` copies the tiles of any rectangular
   block of the pair matrix straight into the caller's buffer (the region
@@ -31,13 +31,7 @@ The store plugs into :class:`~repro.core.reuse.R2RegionCache` as its
 it — tiles only serve the *fresh* entries each region needs.
 
 Tiles are computed through :class:`~repro.ld.operands.LDBackendFiller`
-over the per-alignment operand-plane cache: ``backend="auto"`` picks
-gemm-vs-packed per tile from the calibrated
-:class:`~repro.core.costmodel.ScanCostModel` crossover constants (the
-pick is recorded as a ``backend`` trace tag on every ``tile_fill`` span
-and as ``tilestore.backend_*_fills`` counters), and for the packed
-formulations the creator publishes the bit-packed word plane as its own
-shared segment so workers attach it zero-copy instead of re-packing.
+over the per-alignment operand-plane cache.
 """
 
 from __future__ import annotations
@@ -52,9 +46,8 @@ import numpy as np
 
 import repro.obs as obs
 from repro.datasets.alignment import SHM_NAME_PREFIX, SNPAlignment
-from repro.datasets.packed import SharedPackedSpec, SharedPackedWords
 from repro.errors import ScanConfigError
-from repro.ld.operands import LD_BACKENDS, LDBackendFiller, LDOperands, operands_for
+from repro.ld.operands import LDBackendFiller, LDOperands, operands_for
 
 __all__ = ["SharedR2TileStore", "TileStoreSpec"]
 
@@ -69,15 +62,6 @@ DEFAULT_TILE = 64
 DEFAULT_MAX_STORE_BYTES = 1024 * 1024 * 1024
 
 
-def _validate_backend(backend: str) -> None:
-    """Reject unknown LD backend names with the scan-config error the
-    CLI/config layer reports."""
-    if backend not in LD_BACKENDS:
-        raise ScanConfigError(
-            f"unknown LD backend {backend!r}; use 'gemm', 'packed' or 'auto'"
-        )
-
-
 @dataclass(frozen=True)
 class TileStoreSpec:
     """Picklable handle for attaching to a shared tile store."""
@@ -87,11 +71,6 @@ class TileStoreSpec:
     tile: int
     n_sites: int
     band_tiles: int
-    backend: str
-    #: Set when the creator published the bit-packed word plane to shared
-    #: memory (backend "packed"/"auto"); attaching workers map it
-    #: zero-copy instead of re-packing the alignment per process.
-    packed_spec: Optional[SharedPackedSpec] = None
 
     @property
     def n_tile_rows(self) -> int:
@@ -124,12 +103,10 @@ class SharedR2TileStore:
         operands: Optional[LDOperands],
         *,
         owner: bool,
-        packed_plane: Optional[SharedPackedWords] = None,
     ):
         self.spec = spec
         self._segments = list(segments)
         self._owner = owner
-        self._packed_plane = packed_plane
         data_shm, flags_shm = segments
         self._data = np.ndarray(
             (spec.n_slots, spec.tile, spec.tile),
@@ -140,9 +117,7 @@ class SharedR2TileStore:
             (spec.n_slots,), dtype=np.uint8, buffer=flags_shm.buf
         )
         self._filler = (
-            LDBackendFiller(operands, spec.backend, metric_prefix="tilestore")
-            if operands is not None
-            else None
+            LDBackendFiller(operands) if operands is not None else None
         )
         self.tile_entries_computed = 0
         self.tile_entries_reused = 0
@@ -168,31 +143,11 @@ class SharedR2TileStore:
         *,
         max_pair_span: int,
         tile: int = DEFAULT_TILE,
-        backend: str = "gemm",
         max_store_bytes: int = DEFAULT_MAX_STORE_BYTES,
     ) -> "SharedR2TileStore":
-        """Allocate the (zero-filled) band in the creating process.
-
-        For backend ``"packed"``/``"auto"`` the alignment is packed once
-        here and the word plane is published as its own shared segment
-        (:class:`~repro.datasets.packed.SharedPackedWords`), so attaching
-        workers map it zero-copy instead of re-packing per process. For
-        ``"auto"`` the LD crossover constants are also calibrated now,
-        pre-fork, so forked workers inherit them.
-        """
+        """Allocate the (zero-filled) band in the creating process."""
         if tile < 1:
             raise ScanConfigError(f"tile must be >= 1, got {tile}")
-        _validate_backend(backend)
-        operands = operands_for(alignment)
-        packed_plane: Optional[SharedPackedWords] = None
-        packed_spec: Optional[SharedPackedSpec] = None
-        if backend in ("packed", "auto"):
-            if backend == "auto":
-                from repro.core.costmodel import ensure_ld_crossover_calibrated
-
-                ensure_ld_crossover_calibrated(alignment.n_samples)
-            packed_plane = SharedPackedWords.create(operands.packed())
-            packed_spec = packed_plane.spec
         token = f"{SHM_NAME_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}"
         spec = TileStoreSpec(
             data_name=f"{token}-r2tiles",
@@ -200,14 +155,9 @@ class SharedR2TileStore:
             tile=tile,
             n_sites=alignment.n_sites,
             band_tiles=cls.band_tiles_for(max_pair_span, tile),
-            backend=backend,
-            packed_spec=packed_spec,
         )
         data_bytes = spec.n_slots * tile * tile * 8
         if data_bytes > max_store_bytes:
-            if packed_plane is not None:
-                packed_plane.close()
-                packed_plane.unlink()
             raise ScanConfigError(
                 f"shared r2 tile store needs {data_bytes / 1e6:.0f} MB "
                 f"(cap {max_store_bytes / 1e6:.0f} MB); reduce --maxwin"
@@ -228,13 +178,8 @@ class SharedR2TileStore:
             for shm in segments:
                 shm.close()
                 shm.unlink()
-            if packed_plane is not None:
-                packed_plane.close()
-                packed_plane.unlink()
             raise
-        return cls(
-            spec, segments, operands, owner=True, packed_plane=packed_plane
-        )
+        return cls(spec, segments, operands_for(alignment), owner=True)
 
     @classmethod
     def attach(
@@ -243,10 +188,6 @@ class SharedR2TileStore:
         """Attach to an existing store; ``alignment`` must be the same
         data the store was created for (workers pass the shared-backed
         alignment, so this holds by construction).
-
-        When the creator published a packed word plane, the attachment
-        maps it read-only and builds its operand cache around the shared
-        words — no per-worker re-pack, no duplicated plane in RSS.
         """
         if alignment.n_sites != spec.n_sites:
             raise ScanConfigError(
@@ -254,28 +195,16 @@ class SharedR2TileStore:
                 f"store was built for {spec.n_sites}"
             )
         segments = []
-        packed_plane: Optional[SharedPackedWords] = None
         try:
             data_shm = shared_memory.SharedMemory(name=spec.data_name)
             segments.append(data_shm)
             flags_shm = shared_memory.SharedMemory(name=spec.flags_name)
             segments.append(flags_shm)
-            packed = None
-            if spec.packed_spec is not None:
-                packed_plane = SharedPackedWords.attach(spec.packed_spec)
-                packed = packed_plane.packed_for(
-                    alignment.positions, alignment.length
-                )
-            operands = operands_for(alignment, packed=packed)
         except BaseException:
             for shm in segments:
                 shm.close()
-            if packed_plane is not None:
-                packed_plane.close()
             raise
-        return cls(
-            spec, segments, operands, owner=False, packed_plane=packed_plane
-        )
+        return cls(spec, segments, operands_for(alignment), owner=False)
 
     # -------------------------------------------------------------- #
 
@@ -294,20 +223,15 @@ class SharedR2TileStore:
         if self._flags[slot]:
             return view, True
         assert self._filler is not None
-        # Resolve the backend before opening the span so the trace tag
-        # records which formulation actually filled this tile.
-        backend = self._filler.pick(h, w)
         with obs.get_tracer().span(
-            "tile_fill", "tilestore", args={"ti": ti, "tj": tj, "backend": backend}
+            "tile_fill", "tilestore", args={"ti": ti, "tj": tj}
         ):
             # Compute in private memory and publish by copy: a racing
             # filler writing into the slot would expose intermediate
             # values behind a set flag. The copy lands before the flag,
             # and a concurrent filler copies the identical bytes
-            # (deterministic backends), so the race is benign.
-            view[:] = self._filler(
-                slice(r0, r1), slice(c0, c1), backend=backend
-            )
+            # (deterministic fills), so the race is benign.
+            view[:] = self._filler(slice(r0, r1), slice(c0, c1))
             self._flags[slot] = 1
         self.tile_entries_computed += h * w
         registry = obs.get_metrics()
@@ -388,8 +312,6 @@ class SharedR2TileStore:
             except BufferError:  # pragma: no cover - exported views alive
                 pass
         self._segments = []
-        if self._packed_plane is not None:
-            self._packed_plane.close()
 
     def unlink(self) -> None:
         """Remove the segments from the system (owner side; idempotent)."""
@@ -400,11 +322,6 @@ class SharedR2TileStore:
                 continue
             shm.close()
             shm.unlink()
-        if self.spec.packed_spec is not None:
-            plane = self._packed_plane or SharedPackedWords(
-                self.spec.packed_spec, None, None, owner=self._owner
-            )
-            plane.unlink()
 
     def __enter__(self) -> "SharedR2TileStore":
         return self

@@ -16,19 +16,15 @@ column-major order.
 
 from __future__ import annotations
 
-import os
-import secrets
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Optional
 
 import numpy as np
 
-from repro.datasets.alignment import SHM_NAME_PREFIX, SNPAlignment
+from repro.datasets.alignment import SNPAlignment
 from repro.errors import AlignmentError
 from repro.utils.bitops import pack_bits, popcount64, unpack_bits
 
-__all__ = ["PackedAlignment", "SharedPackedWords", "SharedPackedSpec"]
+__all__ = ["PackedAlignment"]
 
 
 @dataclass(frozen=True)
@@ -123,147 +119,3 @@ class PackedAlignment:
         accelerator transfer models charge for SNP data)."""
         return int(self.words.nbytes)
 
-
-# ---------------------------------------------------------------------- #
-# shared-memory placement of the packed word plane
-# ---------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class SharedPackedSpec:
-    """Picklable handle to a shared packed word plane.
-
-    The packed twin of
-    :class:`~repro.datasets.alignment.SharedAlignmentSpec`: a name plus
-    three integers crosses the process boundary instead of the word
-    matrix. Workers call :meth:`SharedPackedWords.attach` with it.
-    """
-
-    words_name: str
-    n_sites: int
-    n_words: int
-    n_samples: int
-
-
-class SharedPackedWords:
-    """Owner/attachment of the shared segment backing a packed word plane.
-
-    The parent packs the alignment **once**, copies the word matrix into
-    one POSIX shared-memory segment, and ships :attr:`spec` alongside the
-    :class:`~repro.datasets.alignment.SharedAlignmentSpec`; each worker
-    attaches a read-only zero-copy view and rebuilds a
-    :class:`PackedAlignment` around it via :meth:`packed_for` — no
-    per-process re-packing, no duplicated plane in RSS.
-
-    Lifecycle mirrors ``SharedAlignmentSegments``: the creator owns the
-    segment and must :meth:`unlink`; attachments just :meth:`close`. The
-    context-manager form closes, and additionally unlinks on the owner
-    side, even on error paths.
-    """
-
-    def __init__(
-        self,
-        spec: SharedPackedSpec,
-        shm: Optional[shared_memory.SharedMemory],
-        words: Optional[np.ndarray],
-        *,
-        owner: bool,
-    ):
-        self.spec = spec
-        self._shm = shm
-        self._words = words
-        self._owner = owner
-
-    # -------------------------------------------------------------- #
-
-    @classmethod
-    def create(cls, packed: PackedAlignment) -> "SharedPackedWords":
-        """Copy ``packed.words`` into a freshly created shared segment."""
-        token = f"{SHM_NAME_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}"
-        spec = SharedPackedSpec(
-            words_name=f"{token}-packed",
-            n_sites=packed.n_sites,
-            n_words=packed.n_words,
-            n_samples=packed.n_samples,
-        )
-        shm = shared_memory.SharedMemory(
-            name=spec.words_name, create=True, size=max(1, packed.words.nbytes)
-        )
-        try:
-            view = np.ndarray(
-                packed.words.shape, dtype=np.uint64, buffer=shm.buf
-            )
-            view[:] = packed.words
-            del view
-        except BaseException:
-            shm.close()
-            shm.unlink()
-            raise
-        return cls(spec, shm, None, owner=True)
-
-    @classmethod
-    def attach(cls, spec: SharedPackedSpec) -> "SharedPackedWords":
-        """Attach to an existing plane; :attr:`words` is a read-only
-        zero-copy view of the shared pages."""
-        shm = shared_memory.SharedMemory(name=spec.words_name)
-        try:
-            words = np.ndarray(
-                (spec.n_sites, spec.n_words), dtype=np.uint64, buffer=shm.buf
-            )
-            words.flags.writeable = False
-        except BaseException:
-            shm.close()
-            raise
-        return cls(spec, shm, words, owner=False)
-
-    # -------------------------------------------------------------- #
-
-    @property
-    def words(self) -> np.ndarray:
-        """The shared word plane (attachments only)."""
-        if self._words is None:
-            raise AlignmentError(
-                "no attached word plane; the creating side keeps using its "
-                "own packed copy — call attach(spec) to map the shared one"
-            )
-        return self._words
-
-    def packed_for(
-        self, positions: np.ndarray, length: float
-    ) -> PackedAlignment:
-        """A :class:`PackedAlignment` over the shared plane (zero-copy:
-        the ``ascontiguousarray`` round-trip in ``__post_init__`` is a
-        no-op for the contiguous typed view)."""
-        return PackedAlignment(
-            words=self.words,
-            n_samples=self.spec.n_samples,
-            positions=positions,
-            length=length,
-        )
-
-    def close(self) -> None:
-        """Release this process's mapping (drops the word view)."""
-        self._words = None
-        if self._shm is not None:
-            try:
-                self._shm.close()
-            except BufferError:  # pragma: no cover - exported views alive
-                pass
-            self._shm = None
-
-    def unlink(self) -> None:
-        """Remove the segment from the system (owner side; idempotent)."""
-        try:
-            shm = shared_memory.SharedMemory(name=self.spec.words_name)
-        except FileNotFoundError:
-            return
-        shm.close()
-        shm.unlink()
-
-    def __enter__(self) -> "SharedPackedWords":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-        if self._owner:
-            self.unlink()

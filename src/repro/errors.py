@@ -15,7 +15,6 @@ __all__ = [
     "LDError",
     "ScanConfigError",
     "AcceleratorError",
-    "BackendUnavailableError",
     "ModelCalibrationError",
     "SimulationError",
     "StreamingError",
@@ -48,14 +47,6 @@ class ScanConfigError(ReproError, ValueError):
 
 class AcceleratorError(ReproError, RuntimeError):
     """An accelerator engine was driven outside its modelled envelope."""
-
-
-class BackendUnavailableError(AcceleratorError):
-    """A requested array backend cannot run on this host (its runtime —
-    ``cupy``, ``numba`` — is not importable, or no device is present).
-    Callers that pass ``fallback=True`` to
-    :func:`repro.accel.backend.resolve_backend` get the ``numpy``
-    emulation instead of this error."""
 
 
 class ModelCalibrationError(ReproError, ValueError):

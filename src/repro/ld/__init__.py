@@ -11,8 +11,9 @@ cross-validated against each other in the test suite:
 
 plus :mod:`repro.ld.tiled`, the quickLD-style two-step driver for datasets
 too large for a monolithic pair matrix, and :mod:`repro.ld.operands`, the
-per-alignment operand-plane cache and cost-model-driven ``auto`` backend
-picker the production tile fills are built on.
+per-alignment operand-plane cache the production GEMM fills are built on.
+The popcount kernels stay as the word-level OmegaPlus reference the
+production fills are checked against.
 """
 
 from repro.ld.correlation import (
@@ -22,7 +23,6 @@ from repro.ld.correlation import (
 )
 from repro.ld.gemm import cooccurrence_gemm, r_squared_block, r_squared_matrix
 from repro.ld.operands import (
-    LD_BACKENDS,
     LDBackendFiller,
     LDOperands,
     gemm_plane_dtype,
@@ -58,7 +58,6 @@ __all__ = [
     "LDBackendFiller",
     "operands_for",
     "gemm_plane_dtype",
-    "LD_BACKENDS",
     "ld_stats_matrix",
     "d_from_counts",
     "d_prime_from_counts",

@@ -26,7 +26,7 @@ MB; whole-chromosome all-pairs use :mod:`repro.ld.tiled` instead.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -38,59 +38,27 @@ from repro.ld.operands import gemm_plane_dtype
 __all__ = ["cooccurrence_gemm", "r_squared_matrix", "r_squared_block"]
 
 
-def _device_gemm(a: np.ndarray, b: np.ndarray, backend) -> np.ndarray:
-    """``a @ b`` on the given array backend, result back on the host.
-
-    Host backends (numpy, numba) take the BLAS path directly — it is
-    already the reference — so only genuine device backends pay the
-    transfer round trip.
-    """
-    if backend is None or backend.is_host:
-        return a @ b
-    da = backend.asarray(a)
-    db = backend.asarray(b)
-    out = backend.to_host(da @ db)
-    backend.synchronize()
-    return out
-
-
-def _resolve(backend: Union[str, None, object]):
-    if backend is None or not isinstance(backend, str):
-        return backend
-    from repro.accel.backend import resolve_backend
-
-    return resolve_backend(backend)
-
-
-def cooccurrence_gemm(
-    alignment: SNPAlignment,
-    *,
-    backend: Union[str, None, object] = None,
-    operands=None,
-) -> np.ndarray:
+def cooccurrence_gemm(alignment: SNPAlignment, *, operands=None) -> np.ndarray:
     """Return the (sites x sites) co-occurrence count matrix AᵀA.
 
-    Uses a float GEMM (BLAS, or the array ``backend``'s device GEMM —
-    see :mod:`repro.accel.backend`) on an operand of
+    Uses a BLAS float GEMM on an operand of
     :func:`~repro.ld.operands.gemm_plane_dtype` and rounds back to
     integers: every partial sum is an integer the dtype holds exactly, so
     the round-trip is exact. ``operands`` accepts an
     :class:`~repro.ld.operands.LDOperands` cache whose plane is reused
     instead of converting the matrix per call.
     """
-    backend = _resolve(backend)
     if operands is not None:
         a = operands.gemm_columns(0, alignment.n_sites)
     else:
         a = alignment.matrix.astype(gemm_plane_dtype(alignment.n_samples))
-    return np.rint(_device_gemm(a.T, a, backend)).astype(np.int64)
+    return np.rint(a.T @ a).astype(np.int64)
 
 
 def r_squared_matrix(
     alignment: SNPAlignment,
     *,
     strict: bool = False,
-    backend: Union[str, None, object] = None,
     operands=None,
 ) -> np.ndarray:
     """Full symmetric r² matrix for all site pairs.
@@ -99,7 +67,7 @@ def r_squared_matrix(
     with itself) and 0 for monomorphic ones, consistent with the
     monomorphic-pair convention in :mod:`repro.ld.correlation`.
     """
-    n11 = cooccurrence_gemm(alignment, backend=backend, operands=operands)
+    n11 = cooccurrence_gemm(alignment, operands=operands)
     counts = (
         operands.derived_counts()
         if operands is not None
@@ -117,7 +85,6 @@ def r_squared_block(
     cols: slice,
     *,
     strict: bool = False,
-    backend: Union[str, None, object] = None,
     operands=None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -138,7 +105,6 @@ def r_squared_block(
     c0, c1, cstep = cols.indices(n_sites)
     if rstep != 1 or cstep != 1:
         raise LDError("r_squared_block requires contiguous (step-1) slices")
-    backend = _resolve(backend)
     if operands is not None:
         a_rows = operands.gemm_columns(r0, r1)
         a_cols = operands.gemm_columns(c0, c1)
@@ -148,7 +114,7 @@ def r_squared_block(
         a_rows = alignment.matrix[:, r0:r1].astype(dtype)
         a_cols = alignment.matrix[:, c0:c1].astype(dtype)
         counts = alignment.derived_counts()
-    n11 = _device_gemm(a_rows.T, a_cols, backend)
+    n11 = a_rows.T @ a_cols
     return r_squared_from_counts(
         n11, counts[r0:r1, None], counts[None, c0:c1], alignment.n_samples,
         strict=strict, out=out,

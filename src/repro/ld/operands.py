@@ -1,9 +1,12 @@
-"""Per-alignment LD operand planes and the backend-picking tile filler.
+"""Per-alignment LD operand planes and the r² block filler.
 
-Every LD backend consumes a derived *operand plane* of the alignment:
+Each LD formulation consumes a derived *operand plane* of the alignment:
 
-* the GEMM formulation multiplies float columns (``Aᵀ A``), and
-* the popcount formulation ANDs bit-packed 64-bit word rows.
+* the GEMM formulation, which every production fill uses, multiplies
+  float columns (``Aᵀ A``), and
+* the word-level popcount reference
+  (:func:`~repro.ld.packed_kernels.r_squared_block_packed`) ANDs
+  bit-packed 64-bit word rows.
 
 The GEMM plane is float32 whenever the sample count allows it
 (:func:`gemm_plane_dtype`): every partial sum of 0/1 products is then an
@@ -16,23 +19,16 @@ Before this module each consumer derived its plane ad hoc — worst of all
 float64 on every tile, and every worker process re-packing its own
 :class:`~repro.datasets.packed.PackedAlignment`. :class:`LDOperands`
 materializes each plane **once per alignment** (lazily, only the planes a
-backend actually touches) and serves column slices from it; the
+caller actually touches) and serves column slices from it; the
 process-local :func:`operands_for` memo shares one instance across the
 region cache, tile store and tiled engine of the same alignment while any
-of them holds it. The scan service's tile band publishes the packed plane
-to POSIX shared memory (:class:`~repro.datasets.packed.SharedPackedWords`)
-so its workers attach zero-copy instead of re-packing — pass that
-attachment in via ``packed=``; a batch pool worker packs once per
-alignment it attaches.
+of them holds it.
 
 :class:`LDBackendFiller` is the block-computation callable the caches and
 the shared tile store plug in: it serves ``r_squared_block`` semantics
-from the operand planes, and with ``backend="auto"`` picks gemm-vs-packed
-*per block* from the :class:`~repro.core.costmodel.ScanCostModel` LD
-crossover constants (PLINK 2's observation that packed popcounts win as
-sample counts grow, made quantitative and machine-calibrated). Because
-the co-occurrence counts are integer-exact under both formulations, every
-choice produces bitwise-identical r² — the pick is timing-only.
+from the GEMM plane. The co-occurrence counts are integer-exact under
+both formulations, so its fills are bitwise identical to the packed
+reference, which the tests check.
 """
 
 from __future__ import annotations
@@ -46,19 +42,13 @@ import numpy as np
 import repro.obs as obs
 from repro.datasets.alignment import SNPAlignment
 from repro.datasets.packed import PackedAlignment
-from repro.errors import LDError
 
 __all__ = [
     "LDOperands",
     "LDBackendFiller",
     "operands_for",
     "gemm_plane_dtype",
-    "LD_BACKENDS",
 ]
-
-#: The LD backend names understood by the filler (and by every consumer
-#: that forwards a backend name here: config, tile store, CLI).
-LD_BACKENDS = ("gemm", "packed", "auto")
 
 #: Refuse to cache a GEMM plane larger than this (2 GB). Above the cap
 #: :meth:`LDOperands.gemm_columns` converts each requested column slice
@@ -109,11 +99,6 @@ class LDOperands:
     ----------
     alignment:
         The source alignment.
-    packed:
-        Optional pre-built packed plane (e.g. a zero-copy attachment to a
-        :class:`~repro.datasets.packed.SharedPackedWords` segment another
-        process published). When omitted, the plane is packed locally on
-        first use.
     max_gemm_plane_bytes:
         Cap on the cached GEMM plane; see
         :data:`DEFAULT_MAX_GEMM_PLANE_BYTES`.
@@ -123,11 +108,10 @@ class LDOperands:
         self,
         alignment: SNPAlignment,
         *,
-        packed: Optional[PackedAlignment] = None,
         max_gemm_plane_bytes: int = DEFAULT_MAX_GEMM_PLANE_BYTES,
     ):
         self._alignment = alignment
-        self._packed = packed
+        self._packed: Optional[PackedAlignment] = None
         self._gemm: Optional[np.ndarray] = None
         self._counts: Optional[np.ndarray] = None
         self._max_gemm_plane_bytes = int(max_gemm_plane_bytes)
@@ -184,8 +168,8 @@ class LDOperands:
         return self._alignment.matrix[:, lo:hi].astype(self.gemm_dtype)
 
     def packed(self) -> PackedAlignment:
-        """The bit-packed word plane, packed once on first use (or the
-        shared-memory attachment this instance was constructed around)."""
+        """The bit-packed word plane of the popcount reference, packed
+        once on first use."""
         if self._packed is None:
             self._packed = PackedAlignment.from_alignment(self._alignment)
         return self._packed
@@ -217,9 +201,7 @@ _CACHE: "weakref.WeakValueDictionary[int, LDOperands]" = (
 )
 
 
-def operands_for(
-    alignment: SNPAlignment, *, packed: Optional[PackedAlignment] = None
-) -> LDOperands:
+def operands_for(alignment: SNPAlignment) -> LDOperands:
     """The process-local :class:`LDOperands` for ``alignment``.
 
     Keyed by object identity (cheap, and alignments are immutable). The
@@ -227,21 +209,18 @@ def operands_for(
     filler, tile store or other caller keeps it, so a streaming scan's
     finished chunks drop their planes — and the chunk itself — with the
     filler that used them. A live entry pins its alignment, so the key
-    cannot be reused by another object while the entry exists. A
-    ``packed`` plane passed on first call seeds the instance (the
-    shared-memory attach path); later calls for the same alignment reuse
-    it.
+    cannot be reused by another object while the entry exists.
     """
     key = id(alignment)
     ops = _CACHE.get(key)
     if ops is None:
-        ops = LDOperands(alignment, packed=packed)
+        ops = LDOperands(alignment)
         _CACHE[key] = ops
     return ops
 
 
 # ------------------------------------------------------------------ #
-# backend-picking block filler
+# block filler
 
 
 class LDBackendFiller:
@@ -249,84 +228,25 @@ class LDBackendFiller:
 
     Drop-in ``block_fn`` for :class:`~repro.core.reuse.R2RegionCache` and
     the compute side of :class:`~repro.core.tilestore.SharedR2TileStore`:
-    serves :func:`~repro.ld.gemm.r_squared_block` semantics, bitwise-equal
-    across all three backend modes.
-
-    ``backend="auto"`` asks the process-wide
-    :class:`~repro.core.costmodel.ScanCostModel` which formulation is
-    predicted cheaper for each block's (rows x cols x samples) shape; the
-    fixed names always use that formulation. Every fill increments
-    ``<metric_prefix>.backend_gemm_fills`` /
-    ``<metric_prefix>.backend_packed_fills`` so the realized mix is
-    observable per store (``tilestore.*``) and per region cache
-    (``ld.*``).
+    serves :func:`~repro.ld.gemm.r_squared_block` from the alignment's
+    GEMM plane. Every call increments the ``ld.fills`` counter.
     """
 
-    def __init__(
-        self,
-        operands: LDOperands,
-        backend: str = "gemm",
-        *,
-        metric_prefix: str = "ld",
-    ):
-        if backend not in LD_BACKENDS:
-            raise LDError(
-                f"unknown LD backend {backend!r}; use 'gemm', 'packed' "
-                f"or 'auto'"
-            )
+    def __init__(self, operands: LDOperands):
         self.operands = operands
-        self.backend = backend
-        self._metric_prefix = metric_prefix
-        if backend == "auto":
-            # Calibrate the crossover constants once per process (a few
-            # ms of microbenchmark) so the first pick is already informed.
-            from repro.core.costmodel import ensure_ld_crossover_calibrated
-
-            ensure_ld_crossover_calibrated(operands.n_samples)
-
-    def pick(self, n_rows: int, n_cols: int) -> str:
-        """The backend that will serve a (n_rows x n_cols) block."""
-        if self.backend != "auto":
-            return self.backend
-        from repro.core.costmodel import get_cost_model
-
-        return get_cost_model().ld_backend_for_tile(
-            n_rows, n_cols, self.operands.n_samples
-        )
 
     def __call__(
         self,
         rows: slice,
         cols: slice,
         *,
-        backend: Optional[str] = None,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """r² for the block ``rows x cols``, written into ``out`` when
         given (float64, shaped like the block; a view of a caller's
-        buffer) and returned; ``backend`` (from a prior :meth:`pick`)
-        skips re-deciding."""
-        ops = self.operands
-        n_sites = ops.n_sites
-        r0, r1, rstep = rows.indices(n_sites)
-        c0, c1, cstep = cols.indices(n_sites)
-        if rstep != 1 or cstep != 1:
-            raise LDError("LD blocks require contiguous (step-1) slices")
-        if backend is None:
-            backend = self.pick(r1 - r0, c1 - c0)
-        obs.get_metrics().counter(
-            f"{self._metric_prefix}.backend_{backend}_fills"
-        ).inc()
-        if backend == "packed":
-            from repro.ld.packed_kernels import r_squared_block_packed
-
-            values = r_squared_block_packed(
-                ops.packed(), rows, cols, counts=ops.derived_counts()
-            )
-            if out is None:
-                return values
-            out[...] = values
-            return out
+        buffer) and returned."""
         from repro.ld.gemm import r_squared_block
 
+        ops = self.operands
+        obs.get_metrics().counter("ld.fills").inc()
         return r_squared_block(ops.alignment, rows, cols, operands=ops, out=out)

@@ -44,23 +44,16 @@ class TiledLDEngine:
     tile:
         Edge length of a tile in sites. 512 keeps a float64 tile at 2 MB,
         comfortably inside L2/L3 for repeated passes.
-    backend:
-        LD formulation per tile: ``"gemm"`` (BLAS), ``"packed"`` (blocked
-        popcount), or ``"auto"`` (cost-model pick per tile). All three
-        produce bitwise-identical tiles; the choice is timing-only.
     """
 
     alignment: SNPAlignment
     tile: int = 512
-    backend: str = "gemm"
     _filler: LDBackendFiller = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.tile < 1:
             raise LDError(f"tile must be >= 1, got {self.tile}")
-        self._filler = LDBackendFiller(
-            operands_for(self.alignment), self.backend
-        )
+        self._filler = LDBackendFiller(operands_for(self.alignment))
 
     def tiles(
         self,

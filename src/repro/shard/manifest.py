@@ -3,7 +3,7 @@
 One manifest file describes one sharded workload:
 
 * line 1 — a ``header`` record: ledger version, the scan configuration
-  (grid geometry, eps, LD backend, reuse switches, batching, backend),
+  (grid geometry, eps, reuse switches, batching),
   the per-shard streaming parameters (``snp_budget``,
   ``workers_per_shard``) and the sidecar directory name;
 * one ``unit`` record per scannable input unit (a VCF chromosome or an
@@ -93,25 +93,23 @@ def _config_to_json(config: OmegaConfig) -> dict:
             "min_flank_snps": grid.min_flank_snps,
         },
         "eps": config.eps,
-        "ld_backend": config.ld_backend,
         "reuse": config.reuse,
         "dp_reuse": config.dp_reuse,
         "omega_batch": config.omega_batch,
-        "backend": config.backend,
     }
 
 
 def _config_from_json(doc: dict) -> OmegaConfig:
+    # Older headers also name an LD and an array backend. Every choice
+    # gave the same report bits, so those keys are ignored.
     try:
         grid = GridSpec(**doc["grid"])
         return OmegaConfig(
             grid=grid,
             eps=doc["eps"],
-            ld_backend=doc["ld_backend"],
             reuse=doc["reuse"],
             dp_reuse=doc["dp_reuse"],
             omega_batch=doc["omega_batch"],
-            backend=doc.get("backend"),
         )
     except (KeyError, TypeError) as exc:
         raise ManifestError(f"manifest config is malformed: {exc}") from exc

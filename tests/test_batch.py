@@ -19,7 +19,9 @@ from repro.core.batch import (
     omega_max_batch,
 )
 from repro.core.costmodel import (
+    CalibrationPair,
     ScanCostModel,
+    calibration_pairs,
     get_cost_model,
     reset_cost_model,
     set_cost_model,
@@ -430,3 +432,53 @@ class TestCostModel:
         )
         result = OmegaPlusScanner(config).scan(aln)
         assert np.all(np.isfinite(result.omegas))
+
+
+class TestFitWeights:
+    def test_recovers_synthetic_weights(self):
+        # y = 2e-9 * evals + 5e-10 * area  =>  area_weight = 0.25 and
+        # seconds_per_unit = 2e-9 in the normalized (eval_weight = 1)
+        # parameterization.
+        rng = np.random.default_rng(3)
+        pairs = []
+        for _ in range(50):
+            evals = float(rng.integers(10_000, 2_000_000))
+            area = float(rng.integers(1_000, 500_000))
+            pairs.append(CalibrationPair(
+                n_evaluations=evals,
+                region_area=area,
+                realized_seconds=2e-9 * evals + 5e-10 * area,
+            ))
+        fitted = ScanCostModel().fit_weights(pairs)
+        assert fitted.eval_weight == 1.0
+        assert fitted.area_weight == pytest.approx(0.25, rel=1e-6)
+        assert fitted.seconds_per_unit == pytest.approx(2e-9, rel=1e-6)
+        assert fitted.calibration_blocks == 50
+
+    def test_too_few_or_degenerate_pairs_keep_model(self):
+        model = ScanCostModel()
+        assert model.fit_weights([]) is model
+        one = [CalibrationPair(1000.0, 0.0, 1e-3)]
+        assert model.fit_weights(one) is model
+        junk = [
+            CalibrationPair(0.0, 0.0, 0.0),
+            CalibrationPair(100.0, 0.0, float("nan")),
+            CalibrationPair(100.0, 0.0, -1.0),
+        ]
+        assert model.fit_weights(junk) is model
+
+    def test_uses_recorded_archive_by_default(self):
+        """The block scheduler archives one pair per block, and a
+        default refit reads that archive."""
+        aln = haplotype_block_alignment(30, 400, seed=14)
+        config = OmegaConfig(
+            grid=GridSpec(n_positions=16, max_window=aln.length / 4)
+        )
+        result = parallel_scan(aln, config, n_workers=2)
+        pairs = calibration_pairs()
+        blocks = result.metrics["counters"]["scheduler.blocks_dispatched"]
+        assert len(pairs) == blocks >= 2
+        assert all(p.realized_seconds > 0 for p in pairs)
+        assert ScanCostModel().fit_weights() == ScanCostModel().fit_weights(
+            pairs
+        )

@@ -5,8 +5,19 @@ import pytest
 
 from repro.core.reuse import R2RegionCache, ReuseStats, simulate_fresh_entries
 from repro.datasets.generators import random_alignment
+from repro.datasets.packed import PackedAlignment
 from repro.errors import ScanConfigError
 from repro.ld.gemm import r_squared_block
+from repro.ld.packed_kernels import r_squared_block_packed
+
+
+def _reference(aln, kind):
+    """``(rows, cols) -> r²`` by the GEMM formulation or by the
+    word-level popcount reference."""
+    if kind == "gemm":
+        return lambda rows, cols: r_squared_block(aln, rows, cols)
+    packed = PackedAlignment.from_alignment(aln)
+    return lambda rows, cols: r_squared_block_packed(packed, rows, cols)
 
 
 class TestReuseStats:
@@ -70,18 +81,29 @@ class TestR2RegionCache:
         np.testing.assert_allclose(r2, expected, atol=1e-12)
 
     def test_packed_backend_equivalent(self, small_alignment):
-        a = R2RegionCache(small_alignment, backend="gemm")
-        b = R2RegionCache(small_alignment, backend="packed")
+        """Served regions equal the packed popcount reference bitwise."""
+        cache = R2RegionCache(small_alignment)
+        packed = _reference(small_alignment, "packed")
         for start, stop in [(0, 19), (10, 29), (25, 45)]:
-            np.testing.assert_allclose(
-                a.region_matrix(start, stop),
-                b.region_matrix(start, stop),
-                atol=1e-12,
-            )
+            sites = slice(start, stop + 1)
+            got = cache.region_matrix(start, stop)
+            assert got.tobytes() == packed(sites, sites).tobytes()
 
-    def test_unknown_backend(self, small_alignment):
-        with pytest.raises(ScanConfigError, match="backend"):
-            R2RegionCache(small_alignment, backend="quantum")
+    def test_reserve_allocates_once_for_widest_region(self, small_alignment):
+        """Regions that grow up to the reserved width are served from
+        the one reserved buffer, with unchanged values and accounting."""
+        cache = R2RegionCache(small_alignment)
+        plain = R2RegionCache(small_alignment)
+        cache.reserve(40)
+        buf = cache._buf
+        cache.reserve(59)  # no-op once a buffer exists
+        assert cache._buf is buf and buf.shape == (45, 45)
+        for start, stop in [(0, 9), (0, 19), (0, 29), (5, 44), (10, 49)]:
+            got = cache.region_matrix(start, stop, horizon=59)
+            want = plain.region_matrix(start, stop, horizon=59)
+            assert got.tobytes() == want.tobytes()
+        assert cache._buf is buf
+        assert cache.stats == plain.stats
 
     def test_bounds(self, small_alignment):
         cache = R2RegionCache(small_alignment)
@@ -127,10 +149,10 @@ class TestR2RegionCache:
 
 
 class TestAnchoredViews:
-    """Random region sequences through every LD backend: each served
-    view is read-only and bitwise equal to a fresh ``r_squared_block``,
-    and the counters match :func:`simulate_fresh_entries` between
-    resets."""
+    """Random region sequences: each served view is read-only and
+    bitwise equal to a fresh block of the GEMM formulation and of the
+    packed popcount reference, and the counters match
+    :func:`simulate_fresh_entries` between resets."""
 
     @staticmethod
     def _requests(rng, n_sites, n_calls):
@@ -157,10 +179,11 @@ class TestAnchoredViews:
             start = int(np.clip(start, 0, n_sites - width))
             yield start, start + width - 1
 
-    @pytest.mark.parametrize("backend", ["gemm", "packed", "auto"])
-    def test_random_sequences(self, backend):
+    @pytest.mark.parametrize("reference", ["gemm", "packed"])
+    def test_random_sequences(self, reference):
         aln = random_alignment(24, 400, seed=17)
-        cache = R2RegionCache(aln, backend=backend)
+        cache = R2RegionCache(aln)
+        block = _reference(aln, reference)
         rng = np.random.default_rng(23)
         fresh, simulated, segment = [], [], []
         moves = reallocs = 0
@@ -185,9 +208,7 @@ class TestAnchoredViews:
             reallocs += cache._buf is not buf
             moves += overlaps and cache._buf is buf and cache._anchor != anchor
             assert not got.flags.writeable
-            want = r_squared_block(
-                aln, slice(start, stop + 1), slice(start, stop + 1)
-            )
+            want = block(slice(start, stop + 1), slice(start, stop + 1))
             assert got.tobytes() == want.tobytes()
         simulated += simulate_fresh_entries(segment)
         assert fresh == simulated
@@ -265,10 +286,25 @@ class _CountingBlock:
         return r_squared_block(self.alignment, rows, cols, out=out)
 
 
+class _PackedBlock:
+    """``block_fn`` serving the packed popcount reference."""
+
+    def __init__(self, alignment):
+        self._block = _reference(alignment, "packed")
+
+    def __call__(self, rows, cols, *, out):
+        out[...] = self._block(rows, cols)
+        return out
+
+
 def _cache(aln, source):
+    """A region cache over the production fill (``"gemm"``) or over one
+    of the test block sources."""
     if source == "counting":
         return R2RegionCache(aln, block_fn=_CountingBlock(aln))
-    return R2RegionCache(aln, backend=source)
+    if source == "packed":
+        return R2RegionCache(aln, block_fn=_PackedBlock(aln))
+    return R2RegionCache(aln)
 
 
 class TestFillAhead:
@@ -288,7 +324,7 @@ class TestFillAhead:
             return stop + int(rng.integers(40, 200))
         return n_sites + int(rng.integers(0, 50))  # past n_sites - 1
 
-    @pytest.mark.parametrize("source", ["gemm", "packed", "auto", "counting"])
+    @pytest.mark.parametrize("source", ["gemm", "packed", "counting"])
     def test_random_sequences_with_horizons(self, source):
         aln = random_alignment(24, 400, seed=19)
         cache = _cache(aln, source)

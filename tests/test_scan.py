@@ -9,8 +9,10 @@ from repro.core.omega import omega_max_at_split
 from repro.core.scan import OmegaConfig, OmegaPlusScanner, scan
 from repro.datasets.alignment import SNPAlignment
 from repro.datasets.generators import random_alignment
+from repro.datasets.packed import PackedAlignment
 from repro.errors import ScanConfigError
 from repro.ld.gemm import r_squared_block
+from repro.ld.packed_kernels import r_squared_block_packed
 
 
 class TestScanBasics:
@@ -73,15 +75,6 @@ class TestScanBasics:
         with pytest.raises(ScanConfigError):
             scan(aln, grid_size=2, max_window=5.0)
 
-    def test_invalid_backend_rejected(self, small_alignment):
-        with pytest.raises(ScanConfigError):
-            scan(
-                small_alignment,
-                grid_size=3,
-                max_window=100.0,
-                ld_backend="nope",
-            )
-
     def test_negative_eps_rejected(self):
         with pytest.raises(ScanConfigError):
             OmegaConfig(
@@ -130,15 +123,24 @@ class TestScanCorrectness:
         assert off.reuse.entries_reused == 0
 
     def test_backends_identical_scores(self, block_alignment):
-        gemm = scan(
-            block_alignment, grid_size=9, max_window=block_alignment.length / 3,
-            ld_backend="gemm",
+        """The production GEMM fill and the packed popcount reference
+        feed the scan the same r² bits."""
+        words = PackedAlignment.from_alignment(block_alignment)
+
+        def packed_blocks(rows, cols, *, out):
+            out[...] = r_squared_block_packed(words, rows, cols)
+            return out
+
+        config = OmegaConfig(
+            grid=GridSpec(
+                n_positions=9, max_window=block_alignment.length / 3
+            )
         )
-        packed = scan(
-            block_alignment, grid_size=9, max_window=block_alignment.length / 3,
-            ld_backend="packed",
+        gemm = OmegaPlusScanner(config).scan(block_alignment)
+        packed = OmegaPlusScanner(config, block_fn=packed_blocks).scan(
+            block_alignment
         )
-        np.testing.assert_allclose(gemm.omegas, packed.omegas, rtol=1e-10)
+        assert gemm.omegas.tobytes() == packed.omegas.tobytes()
 
     def test_borders_bracket_position(self, sweep_alignment):
         result = scan(

@@ -765,6 +765,30 @@ class TestRecovery:
         assert report.executed == [manifest.shards[1].id]
         _assert_bitwise(merge_manifest(manifest.path).combined, ref)
 
+    def test_header_with_backend_keys_resumes(self, multi_ms, tmp_path):
+        """Ledgers written while the LD and array backend options
+        existed carry ``"ld_backend"`` and ``"backend"`` in their
+        header's config; they still load and resume to a byte-identical
+        report."""
+        manifest = self._done_manifest(multi_ms, tmp_path)
+        ref = merge_manifest(manifest).to_tsv()
+        manifest.shards[1].status = "failed"
+        manifest.shards[1].error = "injected"
+        manifest.save()
+        lines = open(manifest.path, encoding="ascii").read().splitlines()
+        header = json.loads(lines[0])
+        assert "ld_backend" not in header["config"]
+        assert "backend" not in header["config"]
+        header["config"]["ld_backend"] = "packed"
+        header["config"]["backend"] = "numpy"
+        lines[0] = json.dumps(header, sort_keys=True)
+        with open(manifest.path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert Manifest.load(manifest.path).config == CONFIG
+        report = run_manifest(manifest.path)
+        assert report.executed == [manifest.shards[1].id]
+        assert merge_manifest(manifest.path).to_tsv() == ref
+
     def test_done_without_sidecars_rerun(self, multi_ms, tmp_path):
         manifest = self._done_manifest(multi_ms, tmp_path)
         ref = merge_manifest(manifest).combined

@@ -57,10 +57,9 @@ def _boom(task):
     raise RuntimeError("injected worker failure")
 
 
-def _config(aln, n_positions, backend="gemm"):
+def _config(aln, n_positions):
     return OmegaConfig(
         grid=GridSpec(n_positions=n_positions, max_window=aln.length / 3),
-        ld_backend=backend,
     )
 
 
@@ -98,10 +97,7 @@ def _assert_counters_match(streamed, ref):
     got.pop("stream.chunk_sites")
     extra = got.pop("omega.batches", 0) - want.pop("omega.batches", 0)
     assert 0 <= extra <= n_chunks - 1
-    fills = [
-        sum(c.pop(f"ld.backend_{b}_fills", 0) for b in ("gemm", "packed"))
-        for c in (got, want)
-    ]
+    fills = [c.pop("ld.fills", 0) for c in (got, want)]
     assert fills[0] >= fills[1]
     assert got == want
 
@@ -663,7 +659,7 @@ class TestPlanStreamChunks:
 
 class TestSequentialStreamEquivalence:
     """Streamed sequential scan == in-memory scan, bitwise, for any
-    feasible chunk budget / grid size / LD backend — including the
+    feasible chunk budget / grid size — including the
     reuse counters (the chunked run must relocate exactly the same
     cache entries)."""
 
@@ -672,12 +668,11 @@ class TestSequentialStreamEquivalence:
     @given(
         n_positions=st.integers(2, 12),
         extra=st.integers(0, 200),
-        backend=st.sampled_from(["gemm", "packed"]),
     )
     @settings(max_examples=12, deadline=None)
-    def test_bitwise_identical(self, n_positions, extra, backend):
+    def test_bitwise_identical(self, n_positions, extra):
         aln = self._ALN
-        config = _config(aln, n_positions, backend)
+        config = _config(aln, n_positions)
         budget = max(2, _widest(build_plans(aln, config.grid))) + extra
         ref = OmegaPlusScanner(config).scan(aln)
         streamed = scan_stream(aln, config, snp_budget=budget)

@@ -12,9 +12,11 @@ from repro.core.scan import _ChunkBlocks
 from repro.core.tilestore import SharedR2TileStore
 from repro.datasets.alignment import SHM_NAME_PREFIX
 from repro.datasets.generators import haplotype_block_alignment, random_alignment
+from repro.datasets.packed import PackedAlignment
 from repro.errors import ScanConfigError
 from repro.ld.gemm import r_squared_block
 from repro.ld.operands import LDBackendFiller, operands_for
+from repro.ld.packed_kernels import r_squared_block_packed
 
 
 @pytest.fixture
@@ -40,10 +42,19 @@ class TestBandSizing:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("backend", ["gemm", "packed", "auto"])
-    def test_blocks_match_direct_compute(self, aln, backend):
+    @pytest.mark.parametrize("reference", ["gemm", "packed"])
+    def test_blocks_match_direct_compute(self, aln, reference):
+        """Served blocks equal a direct GEMM fill and the packed popcount
+        reference, byte for byte."""
+        words = PackedAlignment.from_alignment(aln)
+
+        def direct(rows, cols):
+            if reference == "gemm":
+                return r_squared_block(aln, rows, cols)
+            return r_squared_block_packed(words, rows, cols)
+
         with SharedR2TileStore.create(
-            aln, max_pair_span=40, tile=16, backend=backend
+            aln, max_pair_span=40, tile=16
         ) as store:
             for rows, cols in [
                 (slice(0, 40), slice(0, 40)),
@@ -53,8 +64,7 @@ class TestBitIdentity:
                 (slice(88, 90), slice(70, 90)),  # ragged edge tiles
             ]:
                 got = store.block(rows, cols)
-                ref = r_squared_block(aln, rows, cols)
-                np.testing.assert_array_equal(got, ref)
+                assert got.tobytes() == direct(rows, cols).tobytes()
 
     def test_out_of_band_falls_back(self, aln):
         """Pairs wider than the band are computed directly — still
@@ -113,6 +123,19 @@ class TestCooperativeFill:
             with pytest.raises(ScanConfigError):
                 SharedR2TileStore.attach(store.spec, other)
 
+    def test_fill_counters(self, aln):
+        """Each tile fill counts once in ``tilestore.fills``; ``ld.fills``
+        counts every block the store computed, tiles included."""
+        with obs.scoped_metrics() as registry:
+            with SharedR2TileStore.create(
+                aln, max_pair_span=30, tile=8
+            ) as store:
+                store.block(slice(0, 16), slice(0, 16))
+                fills = store.tile_entries_computed // 8**2
+            snap = registry.snapshot()
+        assert snap["counters"]["tilestore.fills"] == fills == 3
+        assert snap["counters"]["ld.fills"] == fills
+
 
 #: Geometry of the shared store the block-source property reads: 8-site
 #: tiles, a band of pairs up to 24 sites apart (3 tile offsets), and the
@@ -120,11 +143,11 @@ class TestCooperativeFill:
 TILE, SPAN, CHUNK = 8, 24, (20, 80)
 
 #: Every r² block source a region cache can be handed: the tile store's
-#: block kinds, the operand-plane filler per LD formulation, and the
-#: streamed scan's chunk source.
+#: block kinds, the operand-plane filler, and the streamed scan's chunk
+#: source.
 BLOCK_SOURCES = (
     "single_tile", "multi_tile", "transposed", "out_of_band",
-    "gemm", "packed", "stream",
+    "gemm", "stream",
 )
 
 
@@ -136,8 +159,7 @@ def block_sources():
     chunk.lo = CHUNK[0]
     chunk.filler = LDBackendFiller(operands_for(aln.site_slice(*CHUNK)))
     sources = dict.fromkeys(BLOCK_SOURCES[:4], store.block)
-    sources["gemm"] = LDBackendFiller(operands_for(aln), "gemm")
-    sources["packed"] = LDBackendFiller(operands_for(aln), "packed")
+    sources["gemm"] = LDBackendFiller(operands_for(aln))
     sources["stream"] = chunk
     try:
         yield aln, sources
@@ -252,77 +274,12 @@ class TestBlockSourcesFillOut:
             )
 
 
-class TestBackendPlumbing:
-    def test_backend_fill_counters(self, aln):
-        """Every tile fill records which formulation served it."""
-        with obs.scoped_metrics() as registry:
-            with SharedR2TileStore.create(
-                aln, max_pair_span=30, tile=8, backend="packed"
-            ) as store:
-                store.block(slice(0, 16), slice(0, 16))
-            snap = registry.snapshot()
-        assert snap["counters"]["tilestore.backend_packed_fills"] >= 1
-        assert "tilestore.backend_gemm_fills" not in snap["counters"]
-
-    def test_auto_counters_cover_all_fills(self, aln):
-        with obs.scoped_metrics() as registry:
-            with SharedR2TileStore.create(
-                aln, max_pair_span=30, tile=8, backend="auto"
-            ) as store:
-                store.block(slice(0, 24), slice(0, 24))
-            snap = registry.snapshot()
-        fills = snap["counters"]["tilestore.fills"]
-        by_backend = sum(
-            snap["counters"].get(f"tilestore.backend_{b}_fills", 0)
-            for b in ("gemm", "packed")
-        )
-        assert fills >= 1 and by_backend == fills
-
-    def test_attach_maps_shared_packed_plane_zero_copy(self, aln):
-        """An attaching process must not re-pack: its packed operand
-        plane is a view straight into the shared segment the creator
-        published."""
-        from repro.ld.operands import operands_for
-
-        # A distinct-but-equal alignment object, as a worker's
-        # shared-backed attachment would be (a fresh object gets a fresh
-        # operand-cache entry, so the shared plane actually seeds it).
-        aln2 = type(aln)(
-            aln.matrix.copy(), aln.positions.copy(), aln.length
-        )
-        with SharedR2TileStore.create(
-            aln, max_pair_span=30, tile=8, backend="packed"
-        ) as store:
-            assert store.spec.packed_spec is not None
-            other = SharedR2TileStore.attach(store.spec, aln2)
-            try:
-                words = operands_for(aln2).packed().words
-                assert not words.flags.writeable
-                assert words.base is not None  # a view, not a fresh pack
-                got = other.block(slice(0, 16), slice(0, 16))
-                np.testing.assert_array_equal(
-                    got, r_squared_block(aln, slice(0, 16), slice(0, 16))
-                )
-            finally:
-                other.close()
-
-    def test_gemm_store_publishes_no_packed_plane(self, aln):
-        with SharedR2TileStore.create(
-            aln, max_pair_span=20, backend="gemm"
-        ) as store:
-            assert store.spec.packed_spec is None
-
-
 class TestLifecycle:
-    @pytest.mark.parametrize("backend", ["gemm", "packed", "auto"])
-    def test_context_manager_unlinks(self, aln, backend):
+    def test_context_manager_unlinks(self, aln):
         before = set(glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}*"))
-        extra = 2 if backend == "gemm" else 3  # packed/auto add the plane
-        with SharedR2TileStore.create(
-            aln, max_pair_span=20, backend=backend
-        ) as store:
+        with SharedR2TileStore.create(aln, max_pair_span=20) as store:
             assert len(set(glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}*"))) >= (
-                len(before) + extra
+                len(before) + 2  # the tiles and their ready flags
             )
             spec = store.spec
         assert set(glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}*")) == before
@@ -334,7 +291,3 @@ class TestLifecycle:
             SharedR2TileStore.create(
                 aln, max_pair_span=80, max_store_bytes=1024
             )
-
-    def test_rejects_bad_backend(self, aln):
-        with pytest.raises(ScanConfigError):
-            SharedR2TileStore.create(aln, max_pair_span=20, backend="cuda")
