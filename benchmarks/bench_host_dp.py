@@ -4,9 +4,10 @@ the end-to-end benchmark's ``regions_serve`` (W = 240 sites, grid stride
 
 * **DP build + 3 extends** — what one scheduling block's
   :class:`~repro.core.reuse.SumMatrixCache` does over its first four
-  positions: a cold anchored build (no stride history, so a planned span
-  of 2 W), then three appended fringes, all in one prefix buffer of
-  about (W + W / 4)² floats.
+  positions: a reset seeded with the block's region starts, a cold
+  anchored build whose planned span comes from their stride, then three
+  appended fringes, all in one prefix buffer of about (W + W / 4)²
+  floats.
 * **DP forward walk** — 60 consecutive positions, as a sequential scan
   or a long block makes them: the time per appended fringe, and how
   often the live triangle moved back to the buffer's origin.
@@ -21,8 +22,8 @@ the end-to-end benchmark's ``regions_serve`` (W = 240 sites, grid stride
   as one block and as two blocks of 4; the difference adds the task's
   dispatch and the result's return and merge to the above.
 
-The cold start in units of ``step`` is what
-``repro.core.parallel.MIN_BLOCK_POSITIONS`` is weighed against.
+The cold start in units of ``step`` is what the block rule's shortest
+block, ``repro.core.grid.SHORTEST_BLOCK``, is weighed against.
 """
 
 import dataclasses
@@ -32,6 +33,7 @@ from unittest import mock
 
 import pytest
 
+from repro.core import grid as grid_module
 from repro.core import reuse
 from repro.core.grid import GridSpec, build_plans, fixed_position_spec
 from repro.core.parallel import ParallelScanSession
@@ -78,6 +80,7 @@ def test_dp_build_and_extends(timed, report, shape):
 
     def block_start():
         cache = SumMatrixCache()
+        cache.reset(tuple(start for start, _stop in regions))
         actions = []
         for start, stop in regions:
             cache.region_sums(
@@ -207,9 +210,10 @@ def test_block_cold_start_in_pool(timed, report, shape):
         def all_runs():
             for n, size in runs:
                 t0 = time.perf_counter()
-                result = session.scan_positions(
-                    positions[:n], block_size=size
-                )
+                with mock.patch.multiple(
+                    grid_module, SHORTEST_BLOCK=size, LONGEST_BLOCK=size
+                ):
+                    result = session.scan_positions(positions[:n])
                 runs[n, size].append(time.perf_counter() - t0)
                 assert result.omegas.size == n
 

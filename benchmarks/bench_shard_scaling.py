@@ -10,8 +10,10 @@ reports:
 * resume overhead — re-invoking ``run_manifest`` on a fully ``done``
   ledger, which must cost recovery + bookkeeping only;
 * a correctness gate: the merged records must be *bitwise* equal to a
-  single-process ``scan_stream`` per unit (the shard replay contract),
-  so the benchmark fails loudly if the numbers it times are wrong.
+  single-process ``scan_stream`` per unit, at every width and for a
+  manifest with two scan workers per shard (shards are cut on the
+  blocks where every scan path restarts the window-sum DP), so the
+  benchmark fails loudly if the numbers it times are wrong.
 
 Run it as::
 
@@ -68,6 +70,20 @@ def _bitwise_equal(a, b) -> bool:
             "right_borders_bp",
         )
     )
+
+
+def _gate(merged, refs, label: str) -> bool:
+    """True when every unit equals its single-process scan; prints the
+    first that does not."""
+    for unit_result, ref in zip(merged.units, refs):
+        if not _bitwise_equal(unit_result.result, ref):
+            print(
+                f"FAIL: {label}: unit {unit_result.unit.name} is not "
+                f"bitwise-equal to the single-process scan",
+                file=sys.stderr,
+            )
+            return False
+    return True
 
 
 def main(argv=None) -> int:
@@ -172,15 +188,8 @@ def main(argv=None) -> int:
             t0 = time.perf_counter()
             merged = merge_manifest(manifest)
             merge_seconds = time.perf_counter() - t0
-            for unit_result, ref in zip(merged.units, refs):
-                if not _bitwise_equal(unit_result.result, ref):
-                    print(
-                        f"FAIL: width {width}: unit "
-                        f"{unit_result.unit.name} is not bitwise-equal "
-                        f"to the single-process scan",
-                        file=sys.stderr,
-                    )
-                    return 1
+            if not _gate(merged, refs, f"width {width}"):
+                return 1
 
             if base_seconds is None:
                 base_seconds = run_seconds
@@ -203,12 +212,32 @@ def main(argv=None) -> int:
                 timings["merge_seconds"] = merge_seconds
                 timings["resume_noop_seconds"] = resume_seconds
 
+        pooled = build_manifest(
+            [ms_path],
+            config,
+            manifest_path=str(pathlib.Path(tmp) / "pooled.manifest"),
+            snp_budget=args.snp_budget,
+            shards_per_unit=args.shards_per_unit,
+            workers_per_shard=2,
+            length=1.0,
+        )
+        report = run_manifest(pooled, max_workers=args.workers[0])
+        if report.failed:
+            print(
+                f"FAIL: 2 workers per shard: shards failed: "
+                f"{report.failed}",
+                file=sys.stderr,
+            )
+            return 1
+        if not _gate(merge_manifest(pooled), refs, "2 workers per shard"):
+            return 1
+
     widest = max(args.workers)
     final = record["runs"][-1]
     record["bitwise_equal"] = True
     print(json.dumps(record, indent=2))
     print(
-        f"OK: {args.replicates} units x {args.shards_per_unit} shards, "
+        f"OK: {args.replicates} units, {final['shards']} shards, "
         f"{widest} workers: {final['run_seconds']:.2f}s "
         f"(speedup {final['speedup_vs_1_worker']:.2f}x vs 1 worker), "
         f"bitwise-equal to single-process",

@@ -33,7 +33,7 @@ from repro.accel.fpga.pipeline import PipelineModel
 from repro.core.batch import BatchedOmegaPlan, omega_max_batch
 from repro.core.grid import build_plans
 from repro.core.results import ScanResult
-from repro.core.reuse import R2RegionCache, SumMatrixCache
+from repro.core.reuse import R2RegionCache, SumMatrixCache, dp_resets
 from repro.core.scan import OmegaConfig
 from repro.datasets.alignment import SNPAlignment
 from repro.errors import AcceleratorError
@@ -123,10 +123,12 @@ class FPGAOmegaEngine:
             plans = build_plans(alignment, config.grid)
             cache = R2RegionCache(alignment)
             # The host maintains matrix M; reuse it across overlapping
-            # regions exactly as the CPU reference scanner does.
+            # regions, and restart it at block starts, exactly as the CPU
+            # reference scanner does.
             dp_cache = SumMatrixCache(
                 reuse=config.dp_reuse, stats=cache.stats
             )
+            resets = dp_resets(plans)
             record = ExecutionRecord(device=self.pipeline.device.name)
 
             n = len(plans)
@@ -189,6 +191,8 @@ class FPGAOmegaEngine:
                 record.add_time("ld", t_ld)
                 record.add_scores("ld", fresh)
 
+                if k in resets:
+                    dp_cache.reset(resets[k])
                 sums = dp_cache.region_sums(
                     plan.region_start, plan.region_stop, r2
                 )

@@ -55,7 +55,7 @@ from repro.accel.gpu.ld_gpu import BINDER_GEMM_LD, GPULDModel
 from repro.core.batch import BatchedOmegaPlan, omega_max_batch
 from repro.core.grid import build_plans
 from repro.core.results import ScanResult
-from repro.core.reuse import R2RegionCache, SumMatrixCache
+from repro.core.reuse import R2RegionCache, SumMatrixCache, dp_resets
 from repro.core.scan import OmegaConfig
 from repro.datasets.alignment import SNPAlignment
 from repro.errors import AcceleratorError
@@ -319,11 +319,13 @@ class GPUOmegaEngine:
             plans = build_plans(alignment, config.grid)
             cache = R2RegionCache(alignment)
             # Same two-level reuse as the CPU reference scanner: the host
-            # maintains matrix M incrementally across overlapping regions,
-            # so the omega report stays identical to the CPU path.
+            # maintains matrix M incrementally across overlapping regions
+            # and restarts it at the same block starts, so the omega
+            # report stays identical to the CPU path.
             dp_cache = SumMatrixCache(
                 reuse=config.dp_reuse, stats=cache.stats
             )
+            resets = dp_resets(plans)
             record = ExecutionRecord(device=self.device.name)
             breakdown = TimeBreakdown()
 
@@ -390,6 +392,8 @@ class GPUOmegaEngine:
                 record.add_time("ld", t_ld)
                 record.add_scores("ld", fresh)
 
+                if k in resets:
+                    dp_cache.reset(resets[k])
                 sums = dp_cache.region_sums(
                     plan.region_start, plan.region_stop, r2
                 )

@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="concurrent shard processes")
     shard_p.add_argument("--workers-per-shard", type=int, default=1,
                          help="scan workers inside each shard process "
-                         "(1 keeps shards bitwise-reproducible)")
+                         "(any count gives the same bits)")
     shard_p.add_argument("--plan-only", action="store_true",
                          help="write the manifest and print the plan "
                          "without executing shards")

@@ -31,6 +31,7 @@ from repro.core.grid import (
     PositionPlan,
     build_plans,
     build_plans_from_positions,
+    make_blocks,
 )
 from repro.core.omega import (
     DENOMINATOR_OFFSET,
@@ -43,7 +44,6 @@ from repro.core.omega import (
 from repro.core.parallel import (
     ParallelScanSession,
     StreamingScanSession,
-    make_blocks,
     parallel_scan,
 )
 from repro.core.results import PositionResult, ScanResult

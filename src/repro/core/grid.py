@@ -18,8 +18,9 @@ dimensioned against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +35,20 @@ __all__ = [
     "PositionPlan",
     "build_plans",
     "build_plans_from_positions",
+    "make_blocks",
 ]
+
+#: The block rule's constants (:func:`make_blocks`): a grid is cut into
+#: about :data:`TARGET_BLOCKS` blocks, none shorter than
+#: :data:`SHORTEST_BLOCK` positions or longer than :data:`LONGEST_BLOCK`.
+#: Each block starts the window-sum DP cold, which costs about 3-7
+#: positions of steady-state work at regions of 240 sites and 10-15 at
+#: 1 200 (``benchmarks/bench_host_dp.py``), so blocks stay long; the cap
+#: lets a long grid feed more workers. Changing a constant re-cuts, and
+#: so moves the window-sum bits of, every grid it binds.
+SHORTEST_BLOCK = 15
+LONGEST_BLOCK = 64
+TARGET_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -209,6 +223,30 @@ class PositionPlan:
     def valid(self) -> bool:
         """True when at least one (i, j) combination exists."""
         return self.n_evaluations > 0
+
+
+def make_blocks(n_positions: int) -> List[Tuple[int, int]]:
+    """Cut a grid of ``n_positions`` plans into the contiguous
+    ``[start, stop)`` blocks every scan path shares: ``[0, L), [L, 2L),
+    …`` for ``L = min(LONGEST_BLOCK, max(SHORTEST_BLOCK, ⌈n / TARGET_BLOCKS⌉))``,
+    the last block taking the remainder.
+
+    The window-sum DP restarts at each block
+    (:func:`~repro.core.reuse.dp_resets`), so a block is an independent
+    computation: parallel workers, streamed chunks and manifest shards
+    that cut only on these boundaries reproduce the sequential scan byte
+    for byte. The cut reads nothing but the position count.
+    """
+    if n_positions < 1:
+        raise ScanConfigError(f"n_positions must be >= 1, got {n_positions}")
+    size = min(
+        LONGEST_BLOCK,
+        max(SHORTEST_BLOCK, math.ceil(n_positions / TARGET_BLOCKS)),
+    )
+    return [
+        (lo, min(lo + size, n_positions))
+        for lo in range(0, n_positions, size)
+    ]
 
 
 def build_plans(alignment: SNPAlignment, spec: GridSpec) -> List[PositionPlan]:

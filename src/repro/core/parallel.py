@@ -19,14 +19,17 @@ pthreads, arranged to mirror the pthread model:
   maps r² storage sized by the alignment's length. Only the scan service
   also publishes a shared r² band
   (:class:`~repro.core.tilestore.SharedR2TileStore`): its requests
-  revisit sites. Pools without the band start their workers on one BLAS
-  thread (:func:`~repro.utils.blas.child_blas_threads`).
-* **Dynamic block scheduling** — the grid is cut into many small
-  contiguous blocks (contiguity preserves the within-block r²/DP reuse),
-  which workers pull from the pool's shared task queue as they free up; a
-  cost model (estimated ω evaluations plus region area per position, the
-  Eq. 4 accounting) orders blocks largest-first so stragglers start
-  early.
+  revisit sites. Every pool starts its workers on one BLAS thread
+  (:func:`~repro.utils.blas.child_blas_threads`).
+* **Dynamic block scheduling** — the grid is cut into the contiguous
+  blocks every scan path shares (:func:`~repro.core.grid.make_blocks`;
+  contiguity preserves the within-block r²/DP reuse), which workers pull
+  from the pool's shared task queue as they free up; a cost model
+  (estimated ω evaluations plus region area per position, the Eq. 4
+  accounting) orders blocks largest-first so stragglers start early.
+  The sequential scan restarts the window-sum DP at the same block
+  starts, so every block's records are byte-identical to the sequential
+  scan's, whatever the worker count.
 * **Observability** — per-worker phase breakdowns, DP sub-timings and
   :class:`~repro.core.reuse.ReuseStats` merge through the result; the
   merged breakdown's phase totals remain *summed worker CPU seconds*,
@@ -40,9 +43,7 @@ the same dispatch routine (:meth:`_PoolSession._dispatch`).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import math
 import multiprocessing as mp
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -62,10 +63,11 @@ from repro.core.grid import (
     build_plans,
     build_plans_from_positions,
     fixed_position_spec,
+    make_blocks,
 )
 from repro.core.results import ScanResult, merge_scan_results
 from repro.core.reuse import R2RegionCache
-from repro.core.scan import OmegaConfig, OmegaPlusScanner
+from repro.core.scan import OmegaConfig, OmegaPlusScanner, _sliced_plans
 from repro.core.tilestore import SharedR2TileStore
 from repro.datasets.alignment import SharedAlignmentSegments, SNPAlignment
 from repro.datasets.streaming import AlignmentStreamSource
@@ -82,55 +84,6 @@ __all__ = [
     "parallel_scan",
     "plans_for_positions",
 ]
-
-#: Target number of scheduling blocks per worker. More blocks balance the
-#: load better (a worker stuck on high-evaluation positions strands at
-#: most one block); fewer blocks preserve more within-block reuse. Four
-#: per worker keeps the straggler tail under ~25 % of one worker's share.
-BLOCKS_PER_WORKER = 4
-
-#: Shortest default block, in grid positions. Every block starts cold:
-#: its first r² region and its DP prefix are built from scratch, its
-#: scanner is set up, and its task and result cross the pool. That costs
-#: about as much as 3-7 positions of steady-state work at regions of 240
-#: sites and 10-15 at 1 200 (``benchmarks/bench_host_dp.py``), so short
-#: grids are cut into fewer, longer blocks instead of
-#: :data:`BLOCKS_PER_WORKER` per worker. Raising the floor would re-cut,
-#: and so move the window-sum bits of, every grid it binds.
-MIN_BLOCK_POSITIONS = 8
-
-
-def make_blocks(
-    n_positions: int,
-    n_workers: int,
-    *,
-    block_size: Optional[int] = None,
-) -> List[Tuple[int, int]]:
-    """Cut ``n_positions`` into contiguous [start, stop) scheduling blocks.
-
-    By default the grid is cut into ``min(BLOCKS_PER_WORKER · n_workers,
-    ⌈n_positions / MIN_BLOCK_POSITIONS⌉)`` target blocks of
-    ``⌈n_positions / target⌉`` positions each, the last block taking
-    the remainder; pass ``block_size`` to set the length instead. Blocks
-    are never empty, and the partition depends only on the arguments.
-    """
-    if n_positions < 1:
-        raise ScanConfigError(f"n_positions must be >= 1, got {n_positions}")
-    if n_workers < 1:
-        raise ScanConfigError(f"n_workers must be >= 1, got {n_workers}")
-    if block_size is None:
-        target = min(
-            BLOCKS_PER_WORKER * n_workers,
-            math.ceil(n_positions / MIN_BLOCK_POSITIONS),
-        )
-        block_size = math.ceil(n_positions / target)
-    if block_size < 1:
-        raise ScanConfigError(f"block_size must be >= 1, got {block_size}")
-    return [
-        (lo, min(lo + block_size, n_positions))
-        for lo in range(0, n_positions, block_size)
-    ]
-
 
 def plans_for_positions(
     site_positions: np.ndarray, grid_positions: np.ndarray, spec: GridSpec
@@ -199,7 +152,8 @@ def _scan_block(task) -> Tuple[int, ScanResult]:
     The task is ``(block index, alignment spec, tile spec or None, grid
     positions, validity mask or None, request id)``, positions and mask
     as lists; a mask pins each position to the global plan's validity
-    (streamed chunks).
+    (streamed chunks). The positions are exactly one block, scanned as
+    one.
     """
     idx, alignment_spec, tile_spec, grid_block, valid_mask, request_id = task
     segments, store = _attached(alignment_spec, tile_spec)
@@ -218,7 +172,7 @@ def _scan_block(task) -> Tuple[int, ScanResult]:
     with tr.span(
         "scan_block", "block", args={"block": idx, "request": request_id}
     ):
-        result = scanner.scan(segments.alignment)
+        result = scanner._scan(segments.alignment, one_block=True)
     if store is not None:
         result.reuse.tile_entries_computed += (
             store.tile_entries_computed - computed0
@@ -245,8 +199,6 @@ class _PoolSession:
     #: Whether :meth:`_publish` also places an r² tile band in shared
     #: memory. Only the scan service's session sets it: its requests
     #: revisit sites, while a batch scan's blocks fill each region once.
-    #: Pools without the band fork their workers on one BLAS thread, as
-    #: each worker runs its own GEMM fills.
     _r2_band = False
 
     def __init__(
@@ -266,16 +218,14 @@ class _PoolSession:
         self._store: Optional[SharedR2TileStore] = None
 
     def _fork_pool(self) -> None:
+        """Fork the worker pool, each worker on one BLAS thread: the
+        workers run their GEMM fills side by side."""
         ctx = (
             mp.get_context(self._mp_context)
             if self._mp_context
             else mp.get_context()
         )
-        with (
-            contextlib.nullcontext()
-            if self._r2_band
-            else child_blas_threads()
-        ):
+        with child_blas_threads():
             self._pool = ctx.Pool(
                 processes=self._n_workers,
                 initializer=_init_worker,
@@ -447,11 +397,9 @@ class ParallelScanSession(_PoolSession):
         *,
         n_workers: int,
         mp_context: Optional[str] = None,
-        block_size: Optional[int] = None,
     ):
         super().__init__(config, n_workers=n_workers, mp_context=mp_context)
         self._alignment = alignment
-        self._block_size = block_size
         self._grid_positions: Optional[np.ndarray] = None
         self._plans: Optional[List[PositionPlan]] = None
 
@@ -501,7 +449,6 @@ class ParallelScanSession(_PoolSession):
         grid_positions: np.ndarray,
         *,
         plans: Optional[Sequence[PositionPlan]] = None,
-        block_size: Optional[int] = None,
         registry: Optional[obs.MetricsRegistry] = None,
         request_id: str = "",
         progress: Optional[obs.SlotWriter] = None,
@@ -519,12 +466,12 @@ class ParallelScanSession(_PoolSession):
         process-global one, which ``obs.scoped_metrics`` would make a
         cross-request race), and the calibration fold is atomic.
 
-        The grid is cut by :func:`make_blocks`, which sees only the
-        position count and the block size, so a request returns the same
-        bits on every run and however it interleaves with other requests.
-        Each block re-anchors the window-sum DP, so results agree with a
-        sequential scan of the same positions to about 1e-9 relative, not
-        bitwise.
+        The grid is cut by :func:`~repro.core.grid.make_blocks`, which
+        sees only the position count, and each block restarts the
+        window-sum DP as the sequential scan does at the same cut. So the
+        result is byte-identical to a sequential scan of the same
+        positions, on every run and however the request interleaves with
+        others.
         """
         self.start()
         if registry is None:
@@ -537,11 +484,7 @@ class ParallelScanSession(_PoolSession):
             plans = plans_for_positions(
                 self._alignment.positions, grid_positions, self._config.grid
             )
-        blocks = make_blocks(
-            grid_positions.size,
-            self._n_workers,
-            block_size=block_size if block_size else self._block_size,
-        )
+        blocks = make_blocks(grid_positions.size)
         parts, _ = self._dispatch(
             [(idx, lo, hi) for idx, (lo, hi) in enumerate(blocks)],
             plans,
@@ -570,9 +513,9 @@ def parallel_scan(
     *,
     n_workers: int,
     mp_context: Optional[str] = None,
-    block_size: Optional[int] = None,
 ) -> ScanResult:
-    """Scan with ``n_workers`` processes; results match a sequential scan.
+    """Scan with ``n_workers`` processes; the records are byte-identical
+    to a sequential scan.
 
     Parameters
     ----------
@@ -584,10 +527,9 @@ def parallel_scan(
     mp_context:
         Multiprocessing start method (default: platform default, ``fork``
         on Linux).
-    block_size:
-        Scheduling-block length in grid positions; by default
-        :func:`make_blocks` targets :data:`BLOCKS_PER_WORKER` blocks per
-        worker, none shorter than :data:`MIN_BLOCK_POSITIONS`.
+
+    The grid is cut by :func:`~repro.core.grid.make_blocks` whatever
+    ``n_workers`` is, so more workers than blocks leaves some idle.
 
     The returned breakdown's phase totals sum CPU seconds *across
     workers*; its ``wall_seconds`` holds the true elapsed time of this
@@ -603,7 +545,6 @@ def parallel_scan(
         config,
         n_workers=n_workers,
         mp_context=mp_context,
-        block_size=block_size,
     ) as session:
         result = session.scan()
     result.breakdown.wall_seconds = time.perf_counter() - t_wall
@@ -701,8 +642,7 @@ def _group_stream_chunks(
         if re1 - rs > snp_budget:
             raise ScanConfigError(
                 f"snp_budget {snp_budget} cannot hold scheduling block {b} "
-                f"({re1 - rs} SNPs); raise the budget, reduce max_window, "
-                f"or use a smaller block_size"
+                f"({re1 - rs} SNPs); raise the budget or reduce max_window"
             )
         if cur is None:
             cur = [rs, re1, [b]]
@@ -724,28 +664,27 @@ def _iter_scan_stream_parallel(
     *,
     snp_budget: int,
     n_workers: int,
-    block_size: Optional[int],
     mp_context: Optional[str],
+    grid_slice: Optional[Tuple[int, int]],
 ):
     """Parallel streamed scan (driven via
     :func:`repro.core.scan.iter_scan_stream`), yielding one merged
     :class:`ScanResult` part per chunk.
 
-    The grid partition is *identical* to :func:`parallel_scan`'s
-    (:func:`make_blocks`), each worker computes its block from a chunk
-    covering all of the block's ω regions, and globally invalid positions
-    are masked — so every block's records are bitwise equal to the
-    in-memory run's.
+    The grid is cut into the shared blocks
+    (:func:`~repro.core.grid.make_blocks`), chunks group whole blocks, each
+    worker computes its block from a chunk covering all of the block's ω
+    regions, and globally invalid positions are masked — so every block's
+    records are bitwise equal to the in-memory sequential run's.
     """
     positions = source.positions
     tr = obs.get_tracer()
     _plan_bd = TimeBreakdown()
     with tr.phase(_plan_bd, "plan", "phase"):
-        grid_positions = config.grid.positions_from(positions)
-        plans = build_plans_from_positions(positions, config.grid)
-        blocks = make_blocks(
-            grid_positions.size, n_workers, block_size=block_size
+        plans, blocks = _sliced_plans(
+            build_plans_from_positions(positions, config.grid), grid_slice
         )
+        grid_positions = np.array([p.grid_position for p in plans])
         valid = np.array([p.valid for p in plans], dtype=bool)
         spans = _block_spans(plans, blocks)
         chunk_descs = _group_stream_chunks(spans, snp_budget)

@@ -146,10 +146,10 @@ class ScanResult:
                 f"tile store: {hit_rate:.1%} of fresh entries served from "
                 f"published tiles"
             )
-        if self.reuse.dp_anchor_allocs > 0:
+        if self.reuse.dp_builds > 0:
             lines.append(
-                f"DP anchors: {self.reuse.dp_anchor_allocs} planned, "
-                f"mean span {self.reuse.mean_anchor_span:.0f} SNPs"
+                f"DP anchors: {self.reuse.dp_builds} built, "
+                f"mean planned span {self.reuse.mean_anchor_span:.0f} SNPs"
             )
         sched = self._scheduler_summary()
         if sched:

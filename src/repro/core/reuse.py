@@ -31,22 +31,21 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.dp import SumMatrix, append_prefix_rows
+from repro.core.grid import make_blocks
 from repro.datasets.alignment import SNPAlignment
 from repro.errors import ScanConfigError
 from repro.ld.operands import LDBackendFiller, operands_for
 
 __all__ = [
-    "DpSeed",
     "R2RegionCache",
     "ReuseStats",
     "SumMatrixCache",
-    "dp_replay_seed",
-    "simulate_dp_actions",
+    "dp_resets",
     "simulate_fresh_entries",
 ]
 
@@ -88,11 +87,11 @@ class ReuseStats:
     both in units of one region cell, so ``computed + reused`` equals the
     sum of served region areas at either level.
 
-    ``dp_anchor_*`` record the anchor spans the DP cache planned, one per
-    build (so the adaptive growth policy is observable: mean span =
-    ``dp_anchor_span_total / dp_anchor_allocs``). A span decides when the
-    cache rebuilds, not what it allocates: its prefix buffer stays
-    region-sized whatever the span. ``tile_entries_*``
+    ``dp_planned_span_total`` sums the anchor span the DP cache planned
+    at each of its ``dp_builds`` builds (so the adaptive anchor policy is
+    observable: :attr:`mean_anchor_span`). A span decides when the cache
+    rebuilds, not what it allocates: its prefix buffer stays region-sized
+    whatever the span. ``tile_entries_*``
     count r² cells a shared tile store computed vs served from
     already-published tiles (scan-service requests only; zero
     otherwise).
@@ -104,8 +103,7 @@ class ReuseStats:
     dp_entries_computed: int = 0
     dp_entries_reused: int = 0
     dp_builds: int = 0
-    dp_anchor_allocs: int = 0
-    dp_anchor_span_total: int = 0
+    dp_planned_span_total: int = 0
     tile_entries_computed: int = 0
     tile_entries_reused: int = 0
 
@@ -124,9 +122,9 @@ class ReuseStats:
     @property
     def mean_anchor_span(self) -> float:
         """Mean planned SNP span of the DP prefix anchors built so far."""
-        if self.dp_anchor_allocs == 0:
+        if self.dp_builds == 0:
             return 0.0
-        return self.dp_anchor_span_total / self.dp_anchor_allocs
+        return self.dp_planned_span_total / self.dp_builds
 
     def merge_from(self, other: "ReuseStats") -> None:
         """Accumulate another scan's counters (chunked/parallel scans)."""
@@ -136,8 +134,7 @@ class ReuseStats:
         self.dp_entries_computed += other.dp_entries_computed
         self.dp_entries_reused += other.dp_entries_reused
         self.dp_builds += other.dp_builds
-        self.dp_anchor_allocs += other.dp_anchor_allocs
-        self.dp_anchor_span_total += other.dp_anchor_span_total
+        self.dp_planned_span_total += other.dp_planned_span_total
         self.tile_entries_computed += other.tile_entries_computed
         self.tile_entries_reused += other.tile_entries_reused
 
@@ -431,168 +428,26 @@ def _copy_lower(dst: np.ndarray, src: np.ndarray, size: int, step: int):
         dst[r : r + h, : r + h] = src[r : r + h, : r + h]
 
 
-def _dp_choose_capacity(width: int, strides, growth: Optional[float]) -> int:
-    """Anchor capacity for a fresh build of ``width`` SNPs (shared by
-    :class:`SumMatrixCache` and its pure mirror
-    :func:`simulate_dp_actions`, so the two cannot drift)."""
-    if growth is not None:
-        return max(width, int(math.ceil(growth * width)))
-    if not strides:
-        return int(math.ceil(SumMatrixCache.DEFAULT_GROWTH * width))
-    stride = sorted(strides)[len(strides) // 2]
-    # Append-vs-rebuild balance: √2·W/s appends equalize total append
-    # work with the amortized O(W²) rebuild; W(W−s)/s² caps planning
-    # where one stride-s append on a ≥W-wide anchor already exceeds a
-    # rebuild. Small strides ⇒ many planned appends ⇒ larger anchors.
-    n_appends = min(
-        int(math.sqrt(2.0) * width / stride),
-        int(width * max(0, width - stride) / (stride * stride)),
-        int((SumMatrixCache.MAX_ADAPTIVE_GROWTH - 1.0) * width / stride),
-    )
-    return width + max(0, n_appends) * stride
+def dp_resets(plans, blocks=None) -> Dict[int, Tuple[int, ...]]:
+    """Where the window-sum DP restarts in a scan of ``plans``: the index
+    of each block's first valid position, mapped to the region starts of
+    the block's valid positions (:meth:`SumMatrixCache.reset` sizes the
+    block's first anchor from them).
 
-
-def _dp_can_serve(
-    start: int,
-    stop: int,
-    *,
-    anchor: Optional[int],
-    hi: Optional[int],
-    capacity: int,
-    growth_eff: float,
-    last_start: Optional[int],
-) -> bool:
-    """Serve decision for ``[start, stop]`` against an anchored block
-    whose previous region started at ``last_start`` (shared by
-    :class:`SumMatrixCache` and :func:`simulate_dp_actions`)."""
-    if anchor is None or hi is None or last_start is None:
-        return False
-    if start < last_start or start > hi:
-        return False  # steps back out of the live triangle, or disjoint
-    if stop - anchor + 1 > capacity:
-        return False  # would outgrow the planned span
-    width = stop - start + 1
-    # Re-anchor once the span outgrows the region: keeps prefix-sum
-    # magnitudes bounded.
-    return stop - anchor + 1 <= growth_eff * width
-
-
-@dataclass(frozen=True)
-class DpSeed:
-    """Stride-history state that makes a mid-sequence DP-cache replay
-    exact.
-
-    The adaptive anchor policy of :class:`SumMatrixCache` sizes each
-    fresh build from the recently observed grid strides, so the served
-    prefix anchors — and therefore the float rounding of every window
-    sum — depend on scan *history*, not only on the queried region. A
-    scan that starts mid-grid (a manifest shard) replays the unsharded
-    run bit-for-bit only if it (a) starts at a region the full run
-    rebuilt its anchor on, and (b) restores the stride window the full
-    run had accumulated at that point. :func:`dp_replay_seed` computes
-    both; :meth:`SumMatrixCache.seed` applies this state.
+    ``blocks`` defaults to the shared cut of the plan list
+    (:func:`~repro.core.grid.make_blocks`); a worker scanning one block
+    of a longer grid passes ``[(0, len(plans))]``. Every loop that owns a
+    :class:`SumMatrixCache` resets it here, so each block's sums depend
+    on that block alone and every scan path rounds them the same way.
     """
-
-    strides: tuple = ()
-    last_start: Optional[int] = None
-
-
-def simulate_dp_actions(
-    regions, *, reuse: bool = True, growth_factor: Optional[float] = None
-) -> list:
-    """Per-region serve action (``"build"`` / ``"extend"`` / ``"view"``)
-    that :class:`SumMatrixCache` would take for the given sequence of
-    inclusive ``(start, stop)`` regions.
-
-    Pure integer mirror of the cache's decision logic — no prefix
-    arrays are materialized, so a whole-chromosome schedule simulates in
-    microseconds. The capacity and serve predicates are shared with the
-    cache itself (``tests/test_dp_reuse.py`` cross-checks the actions
-    against a real cache's ``last_action`` trace).
-    """
-    return [action for action, _seed in _iter_dp_decisions(
-        regions, reuse=reuse, growth_factor=growth_factor
-    )]
-
-
-def dp_replay_seed(
-    regions,
-    call_index: int,
-    *,
-    reuse: bool = True,
-    growth_factor: Optional[float] = None,
-):
-    """Where a bitwise-exact mid-sequence replay must start.
-
-    For a scan that wants to begin at ``regions[call_index]``, returns
-    ``(start_call, seed)``: the index of the latest ``"build"`` action
-    at or before ``call_index`` in the full decision sequence, and the
-    :class:`DpSeed` to apply before replaying from there. A fresh cache
-    seeded with ``seed`` and fed ``regions[start_call:]`` makes exactly
-    the decisions — and therefore computes exactly the bits — that a
-    cache fed all of ``regions`` makes from ``start_call`` onwards.
-    """
-    if call_index < 0:
-        raise ScanConfigError(
-            f"call_index must be >= 0, got {call_index}"
-        )
-    start_call, start_seed = 0, DpSeed()
-    for k, (action, seed) in enumerate(
-        _iter_dp_decisions(regions, reuse=reuse, growth_factor=growth_factor)
-    ):
-        if k > call_index:
-            break
-        if action == "build":
-            start_call, start_seed = k, seed
-    return start_call, start_seed
-
-
-def _iter_dp_decisions(regions, *, reuse, growth_factor):
-    """Yield ``(action, DpSeed-just-before-the-call)`` per region —
-    the decision loop behind :func:`simulate_dp_actions` and
-    :func:`dp_replay_seed`."""
-    growth = growth_factor
-    if growth is not None and growth < 1.0:
-        raise ScanConfigError(f"growth_factor must be >= 1, got {growth}")
-    growth_eff = (
-        growth if growth is not None else SumMatrixCache.DEFAULT_GROWTH
-    )
-    strides: deque = deque(maxlen=SumMatrixCache.STRIDE_WINDOW)
-    last_start: Optional[int] = None
-    anchor: Optional[int] = None
-    hi: Optional[int] = None
-    capacity = 0
-    for start, stop in regions:
-        if stop < start:
-            raise ScanConfigError(f"bad region ({start}, {stop})")
-        width = stop - start + 1
-        seed = DpSeed(strides=tuple(strides), last_start=last_start)
-        serve = reuse and _dp_can_serve(
-            start,
-            stop,
-            anchor=anchor,
-            hi=hi,
-            capacity=capacity,
-            growth_eff=growth_eff,
-            last_start=last_start,
-        )
-        if last_start is not None and start > last_start:
-            strides.append(start - last_start)
-        last_start = start
-        if not serve:
-            capacity = _dp_choose_capacity(width, strides, growth)
-            growth_eff = (
-                growth
-                if growth is not None
-                else max(1.0, capacity / width)
-            )
-            anchor, hi = start, stop
-            yield "build", seed
-        elif stop > hi:  # type: ignore[operator]
-            hi = stop
-            yield "extend", seed
-        else:
-            yield "view", seed
+    if blocks is None:
+        blocks = make_blocks(len(plans)) if plans else []
+    resets: Dict[int, Tuple[int, ...]] = {}
+    for lo, hi in blocks:
+        valid = [k for k in range(lo, hi) if plans[k].valid]
+        if valid:
+            resets[valid[0]] = tuple(plans[k].region_start for k in valid)
+    return resets
 
 
 class SumMatrixCache:
@@ -626,22 +481,22 @@ class SumMatrixCache:
     read-only and valid until the next :meth:`region_sums` or
     :meth:`reset` call; a caller that keeps one must copy it.
 
-    The anchor span is chosen by one of two policies. With an explicit
-    ``growth_factor`` g, the planned span is always ``g · width`` (the
-    fixed policy of earlier releases). With the default
-    ``growth_factor=None`` the policy is *adaptive to the observed grid
-    stride*: appending a stride-s fringe costs O(W · s) while a
-    re-anchor costs O(W²), so the cache plans
+    The anchor span adapts to the grid stride: appending a stride-s
+    fringe costs O(W · s) while a re-anchor costs O(W²), so the cache
+    plans
     ``n = min(⌊√2·W/s⌋, ⌊W(W−s)/s²⌋)`` appends per anchor (the first
     term balances total append work against the amortized rebuild, the
     second stops planning appends once a single append would cost more
     than a rebuild) and plans a span of ``W + n·s``. Small strides
     therefore get long-lived anchors (many positions amortize one build);
     strides approaching the region width collapse to
-    rebuild-per-position, which is genuinely cheaper there. Planned spans
-    are observable through ``ReuseStats.dp_anchor_allocs`` /
-    ``dp_anchor_span_total``; they decide when to rebuild, not how much
-    memory the buffer takes.
+    rebuild-per-position, which is genuinely cheaper there. The stride
+    s is the median of the last :data:`STRIDE_WINDOW` forward strides;
+    :meth:`reset` seeds them from the block ahead, so a block's first
+    anchor is sized by its own region starts and its sums depend on
+    nothing before it (:func:`dp_resets`). Planned spans are observable
+    through ``ReuseStats.dp_planned_span_total``; they decide when to
+    rebuild, not how much memory the buffer takes.
 
     The buffer is allocated uninitialized (``np.empty``) and reused by
     later builds when it fits; a build or an append writes only the rows
@@ -654,10 +509,9 @@ class SumMatrixCache:
     measurable in exact entry counts as well as wall-clock time.
     """
 
-    #: Span factor used by the adaptive policy before any stride has been
-    #: observed (matches the old fixed default), and hard cap on how far
-    #: beyond the region width an adaptive anchor may plan (bounds
-    #: prefix-sum float magnitudes).
+    #: Span factor planned when no stride is known (a block of one valid
+    #: position), and hard cap on how far beyond the region width an
+    #: anchor may plan (bounds prefix-sum float magnitudes).
     DEFAULT_GROWTH = 2.0
     MAX_ADAPTIVE_GROWTH = 6.0
     #: How many recent strides inform the adaptive estimate.
@@ -672,20 +526,11 @@ class SumMatrixCache:
         self,
         *,
         reuse: bool = True,
-        growth_factor: Optional[float] = None,
         stats: Optional[ReuseStats] = None,
     ):
-        if growth_factor is not None and growth_factor < 1.0:
-            raise ScanConfigError(
-                f"growth_factor must be >= 1, got {growth_factor}"
-            )
         self._reuse = reuse
-        self._growth = growth_factor  # None => adaptive policy
-        #: Span bound of the current anchor (capacity / anchored width);
-        #: equals growth_factor under the fixed policy.
-        self._growth_eff = (
-            growth_factor if growth_factor is not None else self.DEFAULT_GROWTH
-        )
+        #: Span bound of the current anchor (capacity / anchored width).
+        self._growth = self.DEFAULT_GROWTH
         self._strides: deque = deque(maxlen=self.STRIDE_WINDOW)
         self._last_start: Optional[int] = None
         self.stats = stats if stats is not None else ReuseStats()
@@ -706,7 +551,20 @@ class SumMatrixCache:
 
     def _choose_capacity(self, width: int) -> int:
         """Planned anchor span for a fresh build of ``width`` SNPs."""
-        return _dp_choose_capacity(width, self._strides, self._growth)
+        strides = self._strides
+        if not strides:
+            return int(math.ceil(self.DEFAULT_GROWTH * width))
+        stride = sorted(strides)[len(strides) // 2]
+        # Append-vs-rebuild balance: √2·W/s appends equalize total append
+        # work with the amortized O(W²) rebuild; W(W−s)/s² caps planning
+        # where one stride-s append on a ≥W-wide anchor already exceeds a
+        # rebuild. Small strides ⇒ many planned appends ⇒ larger anchors.
+        n_appends = min(
+            int(math.sqrt(2.0) * width / stride),
+            int(width * max(0, width - stride) / (stride * stride)),
+            int((self.MAX_ADAPTIVE_GROWTH - 1.0) * width / stride),
+        )
+        return width + max(0, n_appends) * stride
 
     def _alloc(self, need: int) -> np.ndarray:
         """A fresh uninitialized buffer for a ``need``-wide prefix square,
@@ -719,13 +577,8 @@ class SumMatrixCache:
         byte, appended in place at the buffer's origin."""
         width = stop - start + 1
         self._capacity = self._choose_capacity(width)
-        self._growth_eff = (
-            self._growth
-            if self._growth is not None
-            else max(1.0, self._capacity / width)
-        )
-        self.stats.dp_anchor_allocs += 1
-        self.stats.dp_anchor_span_total += self._capacity
+        self._growth = max(1.0, self._capacity / width)
+        self.stats.dp_planned_span_total += self._capacity
         if self._buf is None or self._buf.shape[0] < width + 1:
             self._buf = self._alloc(width + 1)
         self._buf[0, 0] = 0.0
@@ -786,15 +639,16 @@ class SumMatrixCache:
     def _can_serve(self, start: int, stop: int) -> bool:
         """True when ``[start, stop]`` can be served from the standing
         anchored block (possibly after appending its right fringe)."""
-        return _dp_can_serve(
-            start,
-            stop,
-            anchor=self._anchor,
-            hi=self._hi,
-            capacity=self._capacity,
-            growth_eff=self._growth_eff,
-            last_start=self._last_start,
-        )
+        anchor, hi = self._anchor, self._hi
+        if anchor is None or hi is None or self._last_start is None:
+            return False
+        if start < self._last_start or start > hi:
+            return False  # steps back out of the live triangle, or disjoint
+        if stop - anchor + 1 > self._capacity:
+            return False  # would outgrow the planned span
+        # Re-anchor once the span outgrows the region: keeps prefix-sum
+        # magnitudes bounded.
+        return stop - anchor + 1 <= self._growth * (stop - start + 1)
 
     # ------------------------------------------------------------------ #
 
@@ -836,24 +690,20 @@ class SumMatrixCache:
         view.flags.writeable = False
         return SumMatrix.from_prefix(view, width)
 
-    def seed(self, seed: DpSeed) -> None:
-        """Restore the stride history of a longer run (see
-        :func:`dp_replay_seed`), so a scan starting mid-grid sizes its
-        anchors — and rounds its window sums — exactly as the full run
-        did. Must be applied before the first :meth:`region_sums` call."""
-        if self._anchor is not None:
-            raise ScanConfigError(
-                "seed() must be applied before the first region_sums call"
-            )
-        self._strides.clear()
-        self._strides.extend(seed.strides)
-        self._last_start = seed.last_start
+    def reset(self, starts=()) -> None:
+        """Drop the anchored block and the stride history; the next
+        region is built fresh. The buffer is kept.
 
-    def reset(self) -> None:
-        """Drop the anchored block and stride history (e.g. when jumping
-        to a new chromosome); the next region is built fresh. The buffer
-        is kept."""
+        ``starts`` are the region starts of the valid positions ahead
+        (:func:`dp_resets` passes a block's): their first forward strides
+        seed the history, so the first anchor is sized from the block
+        itself rather than from whatever ran before it."""
         self._anchor = self._hi = None
         self._width = self._capacity = 0
         self._strides.clear()
         self._last_start = None
+        for prev, nxt in zip(starts, starts[1:]):
+            if len(self._strides) == self.STRIDE_WINDOW:
+                break
+            if nxt > prev:
+                self._strides.append(nxt - prev)

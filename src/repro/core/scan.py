@@ -43,14 +43,15 @@ from repro.core.grid import (
     PositionPlan,
     build_plans,
     build_plans_from_positions,
+    make_blocks,
 )
 from repro.core.omega import DENOMINATOR_OFFSET, omega_max_at_split
 from repro.core.results import ScanResult, merge_scan_results
 from repro.core.reuse import (
-    DpSeed,
     R2RegionCache,
     ReuseStats,
     SumMatrixCache,
+    dp_resets,
 )
 from repro.datasets.alignment import SNPAlignment
 from repro.datasets.streaming import AlignmentStreamSource, InMemoryStreamSource
@@ -249,6 +250,14 @@ class OmegaPlusScanner:
 
     def scan(self, alignment: SNPAlignment) -> ScanResult:
         """Scan an alignment and return the per-grid-position ω report."""
+        return self._scan(alignment, one_block=False)
+
+    def _scan(self, alignment: SNPAlignment, *, one_block: bool) -> ScanResult:
+        """:meth:`scan`, with the grid cut into the shared blocks
+        (:func:`~repro.core.grid.make_blocks`), or taken as one block
+        when ``one_block`` is set: a pool worker's grid is exactly one
+        block of a longer grid, and cutting it again would restart the
+        window-sum DP where the sequential scan does not."""
         if alignment.n_sites < 2:
             raise ScanConfigError("scanning requires at least 2 SNPs")
         cfg = self.config
@@ -264,9 +273,12 @@ class OmegaPlusScanner:
 
             cache = R2RegionCache(alignment, block_fn=self._block_fn)
             dp_cache = SumMatrixCache(reuse=cfg.dp_reuse, stats=cache.stats)
+            resets = dp_resets(
+                plans, [(0, len(plans))] if one_block else None
+            )
             result = _scan_plans(
                 cfg, plans, 0, len(plans), alignment.positions, cache,
-                dp_cache, registry, breakdown,
+                dp_cache, resets, registry, breakdown,
             )
             breakdown.wall_seconds = time.perf_counter() - t_wall
             _mirror_reuse_metrics(registry, cache.stats)
@@ -283,6 +295,7 @@ def _scan_plans(
     site_positions: np.ndarray,
     cache: R2RegionCache,
     dp_cache: SumMatrixCache,
+    resets: dict,
     registry: obs.MetricsRegistry,
     breakdown: TimeBreakdown,
 ) -> ScanResult:
@@ -290,9 +303,12 @@ def _scan_plans(
     reuse, DP relocation, then the ω maximum, for every valid position.
 
     ``cache`` and ``dp_cache`` carry reuse state across calls (the
-    streamed scan calls this once per chunk); ``breakdown`` receives the
-    ``ld`` / ``omega`` phase seconds. Returns the positions' records with
-    the DP sub-timings; reuse counters and metrics are the caller's.
+    streamed scan calls this once per chunk); ``dp_cache`` restarts at
+    the plan indices ``resets`` names (:func:`~repro.core.reuse.
+    dp_resets`), so where a call begins or ends never moves a bit.
+    ``breakdown`` receives the ``ld`` / ``omega`` phase seconds. Returns
+    the positions' records with the DP sub-timings; reuse counters and
+    metrics are the caller's.
 
     With reuse on, each r² request carries the largest region stop among
     the valid positions still ahead as its fill horizon, so the cache
@@ -334,6 +350,8 @@ def _scan_plans(
             )
         with tr.phase(breakdown, "omega", "phase"):
             t0ns = time.perf_counter_ns()
+            if k in resets:
+                dp_cache.reset(resets[k])
             sums = dp_cache.region_sums(
                 plan.region_start, plan.region_stop, r2
             )
@@ -510,11 +528,34 @@ class _ChunkBlocks:
         )
 
 
+def _sliced_plans(
+    plans: List[PositionPlan], grid_slice: Optional[Tuple[int, int]]
+) -> Tuple[List[PositionPlan], List[Tuple[int, int]]]:
+    """``plans[lo:hi]`` for ``grid_slice = (lo, hi)`` (all of them when
+    it is None) and the shared blocks of the full grid
+    (:func:`~repro.core.grid.make_blocks`) that cover the slice, in slice
+    coordinates. A slice must begin and end on block boundaries: only
+    then does it restart the window-sum DP where the full scan does."""
+    blocks = make_blocks(len(plans))
+    if grid_slice is None:
+        return plans, blocks
+    lo, hi = grid_slice
+    bounds = {edge for block in blocks for edge in block}
+    if not (0 <= lo < hi <= len(plans)) or not {lo, hi} <= bounds:
+        raise ScanConfigError(
+            f"grid_slice {tuple(grid_slice)} must start and end on block "
+            f"boundaries of the {len(plans)}-position grid"
+        )
+    return plans[lo:hi], [
+        (a - lo, b - lo) for a, b in blocks if lo <= a and b <= hi
+    ]
+
+
 def _iter_stream_sequential(
     source: AlignmentStreamSource,
     config: OmegaConfig,
     snp_budget: int,
-    dp_seed: Optional["DpSeed"] = None,
+    grid_slice: Optional[Tuple[int, int]],
 ) -> Iterator[ScanResult]:
     """Sequential streamed scan, yielding one :class:`ScanResult` part per
     chunk.
@@ -522,17 +563,21 @@ def _iter_stream_sequential(
     Bitwise equality with the in-memory scanner comes from replicating its
     arithmetic exactly: the plans are built once from the global position
     index, one :class:`R2RegionCache` and one :class:`SumMatrixCache`
-    persist across chunks (addressed in global site coordinates), and the
-    only difference is *where* fresh r² blocks come from — a chunk slice
-    instead of the full matrix, which holds the same bytes for the same
-    global sites.
+    persist across chunks (addressed in global site coordinates) and the
+    DP restarts at the same block starts, and the only difference is
+    *where* fresh r² blocks come from — a chunk slice instead of the full
+    matrix, which holds the same bytes for the same global sites. So
+    chunks may end anywhere.
     """
     cfg = config
     positions = source.positions
     tr = obs.get_tracer()
     _plan_bd = TimeBreakdown()
     with tr.phase(_plan_bd, "plan", "phase"):
-        plans = build_plans_from_positions(positions, cfg.grid)
+        plans, blocks = _sliced_plans(
+            build_plans_from_positions(positions, cfg.grid), grid_slice
+        )
+        resets = dp_resets(plans, blocks)
         groups = _plan_stream_chunks(plans, snp_budget)
     plan_seconds = _plan_bd.totals["plan"]
 
@@ -543,8 +588,6 @@ def _iter_stream_sequential(
             None, block_fn=chunk_blocks, n_sites=positions.size
         )
         dp_cache = SumMatrixCache(reuse=cfg.dp_reuse, stats=cache.stats)
-        if dp_seed is not None:
-            dp_cache.seed(dp_seed)
         window_iter = source.windows(
             [(lo, hi) for lo, hi, _a, _b in groups if hi > lo]
         )
@@ -583,7 +626,7 @@ def _iter_stream_sequential(
                     snapshot = dataclasses.replace(cache.stats)
                     part = _scan_plans(
                         cfg, plans, plan_lo, plan_hi, positions, cache,
-                        dp_cache, registry, breakdown,
+                        dp_cache, resets, registry, breakdown,
                     )
                     part.reuse = _reuse_delta(cache.stats, snapshot)
                     registry.counter("stream.chunks").inc()
@@ -609,12 +652,13 @@ def iter_scan_stream(
     *,
     snp_budget: int,
     n_workers: int = 1,
-    block_size: Optional[int] = None,
     mp_context: Optional[str] = None,
-    grid_positions: Optional[np.ndarray] = None,
-    dp_seed: Optional[DpSeed] = None,
+    grid_slice: Optional[Tuple[int, int]] = None,
 ) -> Iterator[ScanResult]:
     """Streamed scan, yielding one :class:`ScanResult` part per chunk.
+
+    The merged parts are byte-identical to the in-memory sequential scan
+    (:class:`OmegaPlusScanner`) of the same grid, at any worker count.
 
     Parameters
     ----------
@@ -627,25 +671,19 @@ def iter_scan_stream(
         Scan configuration, as for :class:`OmegaPlusScanner`.
     snp_budget:
         Maximum SNPs resident per chunk — the peak-memory knob. Must be
-        at least the widest ω region (a region cannot straddle chunks).
-    n_workers, block_size, mp_context:
+        at least the widest ω region (a region cannot straddle chunks);
+        with ``n_workers > 1``, at least the widest block's span.
+    n_workers, mp_context:
         As in :func:`~repro.core.parallel.parallel_scan`; with
         ``n_workers > 1`` the chunks are scanned by a persistent worker
         pool (each chunk published once to shared memory).
-    grid_positions:
-        Explicit ω evaluation positions overriding the equidistant
-        derivation from ``config.grid`` (window geometry is kept). Plans
-        are still built against the source's *full* site index, so
-        scanning a contiguous slice of a grid yields records bitwise
-        equal to the same slice of the full scan — this is what lets a
-        manifest shard reproduce exactly its portion of an unsharded
-        scan (see :mod:`repro.shard`).
-    dp_seed:
-        Stride-history seed for the DP anchor cache (see
-        :func:`~repro.core.reuse.dp_replay_seed`). Combined with a
-        ``grid_positions`` slice that starts at a full-run anchor
-        rebuild, it makes a mid-grid scan replay the full sequential
-        run's float rounding exactly. Sequential only (``n_workers=1``).
+    grid_slice:
+        ``(lo, hi)``: scan only grid positions ``[lo, hi)`` of the full
+        grid, which must start and end on its block boundaries
+        (:func:`~repro.core.grid.make_blocks`). The records equal the
+        same slice of the full scan byte for byte — this is how a
+        manifest shard reproduces its portion of an unsharded scan (see
+        :mod:`repro.shard`).
 
     Closing the returned generator mid-iteration releases the input file
     handle and, for parallel runs, the worker pool and every shared
@@ -664,19 +702,7 @@ def iter_scan_stream(
         raise ScanConfigError(f"n_workers must be >= 1, got {n_workers}")
     if source.n_sites < 2:
         raise ScanConfigError("scanning requires at least 2 SNPs")
-    if grid_positions is not None:
-        from repro.core.grid import fixed_position_spec
-
-        config = dataclasses.replace(
-            config, grid=fixed_position_spec(config.grid, grid_positions)
-        )
     if n_workers > 1:
-        if dp_seed is not None:
-            raise ScanConfigError(
-                "dp_seed requires the sequential path (n_workers=1): "
-                "parallel block scans do not carry DP anchor state "
-                "across blocks"
-            )
         from repro.core.parallel import _iter_scan_stream_parallel
 
         return _iter_scan_stream_parallel(
@@ -684,10 +710,10 @@ def iter_scan_stream(
             config,
             snp_budget=snp_budget,
             n_workers=n_workers,
-            block_size=block_size,
             mp_context=mp_context,
+            grid_slice=grid_slice,
         )
-    return _iter_stream_sequential(source, config, snp_budget, dp_seed)
+    return _iter_stream_sequential(source, config, snp_budget, grid_slice)
 
 
 def scan_stream(
@@ -696,15 +722,12 @@ def scan_stream(
     *,
     snp_budget: int,
     n_workers: int = 1,
-    block_size: Optional[int] = None,
     mp_context: Optional[str] = None,
-    grid_positions: Optional[np.ndarray] = None,
-    dp_seed: Optional[DpSeed] = None,
+    grid_slice: Optional[Tuple[int, int]] = None,
 ) -> ScanResult:
     """Scan a streaming source chunk by chunk; the merged report is
-    bitwise identical to scanning the fully loaded alignment the same way
-    (sequentially, or in parallel with the same worker count and block
-    size).
+    byte-identical to scanning the fully loaded alignment sequentially,
+    whatever the worker count and the budget.
 
     See :func:`iter_scan_stream` for parameters; this wrapper drains the
     chunk iterator and merges the parts.
@@ -716,10 +739,8 @@ def scan_stream(
             config,
             snp_budget=snp_budget,
             n_workers=n_workers,
-            block_size=block_size,
             mp_context=mp_context,
-            grid_positions=grid_positions,
-            dp_seed=dp_seed,
+            grid_slice=grid_slice,
         )
     )
     result = merge_scan_results(parts)

@@ -18,12 +18,10 @@ over the one pool, with
 * **a bounded FIFO-with-priority job queue** — lower ``priority`` values
   dispatch first, FIFO within a priority level, and a full queue rejects
   instead of buffering unboundedly;
-* **one block per worker** — each request is cut into at most as many
-  scheduling blocks as there are workers, and at most one per
-  :data:`~repro.core.parallel.MIN_BLOCK_POSITIONS` positions
-  (:func:`~repro.service.service.request_block_size`): concurrent
-  requests keep the pool busy, so more blocks would only add cold
-  starts;
+* **one partition** — each request is cut into the blocks every scan
+  path shares (:func:`~repro.core.grid.make_blocks`), and each block
+  restarts the window-sum DP where a sequential scan of the request's
+  grid does, so every response is byte-identical to that scan;
 * **per-request observability** — each request runs against its own
   metrics registry and its spans carry the request id, so one request's
   numbers never bleed into another's;
@@ -57,12 +55,7 @@ from repro.service.model import (
     ServiceError,
 )
 from repro.service.jobqueue import JobQueue
-from repro.service.service import (
-    AdmissionController,
-    ScanJob,
-    ScanService,
-    request_block_size,
-)
+from repro.service.service import AdmissionController, ScanJob, ScanService
 from repro.service.server import serve_unix
 from repro.service.client import request_scan, send_request
 
@@ -77,7 +70,6 @@ __all__ = [
     "ScanRequest",
     "ScanService",
     "ServiceError",
-    "request_block_size",
     "request_scan",
     "send_request",
     "serve_unix",

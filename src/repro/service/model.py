@@ -61,8 +61,7 @@ class ScanRequest:
         Genomic interval to place the request's grid over. Both ``None``
         (the default) scans the service's full base grid, the grid of a
         standalone :func:`~repro.core.parallel.parallel_scan` with the
-        service's config (cut into other blocks, so its scores agree to
-        about 1e-9 relative).
+        service's config, with the same bits.
     n_positions:
         Grid density over the region; defaults to the service config's
         grid size. A single-position grid sits at the region midpoint,

@@ -29,7 +29,6 @@ Metric names (all ``service.*``; see ``docs/OBSERVABILITY.md``):
 from __future__ import annotations
 
 import asyncio
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -38,13 +37,8 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.costmodel import get_cost_model
-from repro.core.grid import PositionPlan
-from repro.core.parallel import (
-    MIN_BLOCK_POSITIONS,
-    ParallelScanSession,
-    make_blocks,
-    plans_for_positions,
-)
+from repro.core.grid import PositionPlan, make_blocks
+from repro.core.parallel import ParallelScanSession, plans_for_positions
 from repro.obs.eta import estimate_eta
 from repro.obs.ledger import ProgressLedger
 from repro.core.results import ScanResult
@@ -63,38 +57,15 @@ __all__ = [
     "AdmissionController",
     "ScanJob",
     "ScanService",
-    "request_block_size",
 ]
 
 
 class _BandSession(ParallelScanSession):
     """The service's session: it also publishes the shared r² tile band.
     Requests revisit sites (overlapping regions, repeated grids), so a
-    tile one request filled serves every later request; its workers keep
-    OpenBLAS's default thread count."""
+    tile one request filled serves every later request."""
 
     _r2_band = True
-
-
-def request_block_size(
-    n_positions: int, n_workers: int, *, block_size: Optional[int] = None
-) -> int:
-    """Scheduling-block length for one service request of
-    ``n_positions`` grid positions: ``block_size`` when set, else
-    ``⌈n_positions / count⌉`` for ``count = min(n_workers,
-    ⌈n_positions / MIN_BLOCK_POSITIONS⌉)`` blocks.
-
-    Admission prices a request with this cut and dispatch scans with it.
-    Unlike a batch scan (:func:`~repro.core.parallel.make_blocks`, four
-    blocks per worker), a request needs no more blocks than workers:
-    concurrent requests already keep the pool busy, so each extra block
-    only adds a cold start (a fresh DP build, a first r² region, a task
-    round trip).
-    """
-    if block_size is not None:
-        return block_size
-    count = min(n_workers, math.ceil(n_positions / MIN_BLOCK_POSITIONS))
-    return math.ceil(n_positions / count)
 
 
 @dataclass
@@ -181,7 +152,6 @@ class AdmissionController:
         *,
         n_workers: int,
         backlog_cost: float = 0.0,
-        block_size: Optional[int] = None,
     ):
         """Price one request; returns ``(grid_positions, plans,
         RequestEstimate)``.
@@ -189,8 +159,8 @@ class AdmissionController:
         The request runs on at most as many workers as it has blocks, so
         its wall-clock price divides the CPU price by
         ``min(n_workers, blocks)``, the blocks cut by
-        :func:`request_block_size` (given the session's ``block_size``),
-        the cut :class:`ScanService` dispatches.
+        :func:`~repro.core.grid.make_blocks`, the cut
+        :class:`ScanService` dispatches.
         """
         grid_positions = self.grid_positions_for(request)
         plans = plans_for_positions(
@@ -199,16 +169,7 @@ class AdmissionController:
         model = get_cost_model()
         total_cost = float(model.position_costs(plans).sum())
         cpu = model.estimate_seconds(total_cost)
-        n = int(grid_positions.size)
-        n_blocks = len(
-            make_blocks(
-                n,
-                n_workers,
-                block_size=request_block_size(
-                    n, n_workers, block_size=block_size
-                ),
-            )
-        )
+        n_blocks = len(make_blocks(int(grid_positions.size)))
         wall = None if cpu is None else cpu / min(n_workers, n_blocks)
         backlog = model.estimate_seconds(backlog_cost)
         estimate = RequestEstimate(
@@ -246,12 +207,12 @@ class ScanService:
     session and the dispatcher tasks; :meth:`submit` admits (or rejects)
     a request and returns its :class:`ScanJob`; ``await job.wait()``
     yields the :class:`~repro.core.results.ScanResult`. Each request is
-    cut into at most one block per worker (:func:`request_block_size`),
-    so it returns the same bits on every run and whatever other requests
-    share the pool (see
-    :meth:`~repro.core.parallel.ParallelScanSession.scan_positions`),
-    and agrees with a sequential scan of the same grid to about 1e-9
-    relative. ``await close()`` fails pending
+    cut into the blocks every scan path shares
+    (:func:`~repro.core.grid.make_blocks`), so its result is
+    byte-identical to a sequential scan of the request's grid, on every
+    run and whatever other requests share the pool (see
+    :meth:`~repro.core.parallel.ParallelScanSession.scan_positions`).
+    ``await close()`` fails pending
     jobs and tears the pool and shared segments down (leak-guarded, as
     the underlying session is).
     """
@@ -265,7 +226,6 @@ class ScanService:
         mp_context: Optional[str] = None,
         queue_limit: int = 32,
         max_concurrent: int = 4,
-        block_size: Optional[int] = None,
         ledger_path: Optional[str] = None,
     ):
         if queue_limit < 1:
@@ -281,9 +241,7 @@ class ScanService:
             config,
             n_workers=n_workers,
             mp_context=mp_context,
-            block_size=block_size,
         )
-        self._block_size = block_size
         self.admission = AdmissionController(alignment, config)
         self._queue = JobQueue(queue_limit)
         self._max_concurrent = max_concurrent
@@ -398,7 +356,6 @@ class ScanService:
             request,
             n_workers=self._session.n_workers,
             backlog_cost=self._backlog_cost,
-            block_size=self._block_size,
         )
         try:
             self.admission.check_deadline(request, estimate)
@@ -501,11 +458,6 @@ class ScanService:
                 result = self._session.scan_positions(
                     job.grid_positions,
                     plans=job.plans,
-                    block_size=request_block_size(
-                        int(job.grid_positions.size),
-                        self._session.n_workers,
-                        block_size=self._block_size,
-                    ),
                     registry=sched,
                     request_id=job.request_id,
                     progress=writer,

@@ -36,7 +36,12 @@ from repro.errors import ManifestError
 
 __all__ = ["MANIFEST_VERSION", "Manifest", "ShardRecord", "UnitSpec"]
 
-MANIFEST_VERSION = 1
+#: Version 2 cuts shards on block boundaries
+#: (:func:`~repro.core.grid.make_blocks`), where every scan path restarts
+#: the window-sum DP. A version-1 ledger's shards were cut and computed
+#: under the earlier schedule, so resuming one would merge mixed bits;
+#: :meth:`Manifest.load` refuses it.
+MANIFEST_VERSION = 2
 
 #: Shard lifecycle states, in nominal order.
 SHARD_STATUSES = ("pending", "running", "done", "failed")

@@ -17,12 +17,15 @@ The planner turns bare input paths into a ready-to-run manifest:
    ω evaluations plus region area), the same model the block scheduler
    and service admission use;
 4. **partition** — each unit's grid is cut into contiguous
-   cost-balanced shards. Contiguity preserves the within-shard r²/DP
-   region-overlap reuse, exactly like scheduler blocks.
+   cost-balanced shards of whole blocks
+   (:func:`~repro.core.grid.make_blocks`). Contiguity preserves the
+   within-shard r²/DP region-overlap reuse, exactly like scheduler
+   blocks.
 
-Shard boundaries never affect the scientific output (each shard's plans
-are built from the unit's full site index), so the partition is free to
-chase wall-clock balance only.
+Shard boundaries never affect the scientific output: each shard's plans
+are built from the unit's full site index, and a shard starts where the
+window-sum DP restarts in every scan path. So the partition is free to
+chase wall-clock balance, at block granularity.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.costmodel import ScanCostModel, get_cost_model
-from repro.core.grid import build_plans_from_positions
-from repro.core.reuse import simulate_dp_actions
+from repro.core.grid import build_plans_from_positions, make_blocks
 from repro.core.scan import OmegaConfig
 from repro.datasets.streaming import (
     StreamingAlignmentReader,
@@ -143,54 +145,30 @@ def partition_costs(
     costs: np.ndarray, n_shards: int
 ) -> List[tuple]:
     """Cut a per-position cost array into ``n_shards`` contiguous
-    ``[lo, hi)`` slices of near-equal total cost (clamped so every shard
-    is non-empty)."""
+    ``[lo, hi)`` slices of near-equal total cost, each a run of whole
+    blocks of the grid (:func:`~repro.core.grid.make_blocks`), so the
+    shard count is clamped to the block count."""
     n = int(len(costs))
     if n < 1:
         raise ScanConfigError("cannot partition an empty grid")
-    n_shards = max(1, min(int(n_shards), n))
+    blocks = make_blocks(n)
+    n_blocks = len(blocks)
+    n_shards = max(1, min(int(n_shards), n_blocks))
     cum = np.cumsum(np.asarray(costs, dtype=np.float64))
-    total = float(cum[-1])
+    # Cost of blocks [0, b] at index b.
+    block_cum = cum[[hi - 1 for _lo, hi in blocks]]
+    total = float(block_cum[-1])
     cuts = [0]
     for k in range(1, n_shards):
         if total > 0:
-            idx = int(np.searchsorted(cum, total * k / n_shards))
+            idx = int(np.searchsorted(block_cum, total * k / n_shards))
         else:
-            idx = round(n * k / n_shards)
+            idx = round(n_blocks * k / n_shards)
         idx = max(idx, cuts[-1] + 1)
-        idx = min(idx, n - (n_shards - k))
+        idx = min(idx, n_blocks - (n_shards - k))
         cuts.append(idx)
-    cuts.append(n)
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _snap_to_rebuilds(
-    spans: List[tuple], plans, dp_reuse: bool
-) -> List[tuple]:
-    """Move interior shard cuts onto grid positions where the full
-    sequential run rebuilds its DP anchor
-    (:func:`~repro.core.reuse.simulate_dp_actions`), so shards start
-    with zero warm-up (see ``runner._shard_replay_plan``). Cuts stay
-    strictly increasing; a cut with no usable rebuild at or before it
-    keeps its place (the runner's warm-up replay covers it)."""
-    if len(spans) < 2:
-        return spans
-    valid = [k for k, p in enumerate(plans) if p.valid]
-    regions = [
-        (plans[k].region_start, plans[k].region_stop) for k in valid
-    ]
-    actions = simulate_dp_actions(regions, reuse=dp_reuse)
-    builds = [
-        valid[i] for i, a in enumerate(actions) if a == "build"
-    ]
-    cuts = [lo for lo, _hi in spans] + [spans[-1][1]]
-    for j in range(1, len(cuts) - 1):
-        snapped = max(
-            (b for b in builds if b <= cuts[j]), default=None
-        )
-        if snapped is not None and snapped > cuts[j - 1]:
-            cuts[j] = snapped
-    return list(zip(cuts[:-1], cuts[1:]))
+    edges = [blocks[b][0] for b in cuts] + [n]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def build_manifest(
@@ -311,11 +289,8 @@ def build_manifest(
             n_shards = int(np.ceil(unit_cost / target_shard_cost))
         else:
             n_shards = shards_per_unit
-        spans = _snap_to_rebuilds(
-            partition_costs(costs, n_shards), plans, config.dp_reuse
-        )
         manifest.units.append(unit)
-        for lo, hi in spans:
+        for lo, hi in partition_costs(costs, n_shards):
             manifest.shards.append(
                 ShardRecord(
                     id=shard_id,

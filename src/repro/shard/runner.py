@@ -23,16 +23,16 @@ layers:
   orchestrator owns the manifest — that is an error, not a takeover.
 
 Because a shard's records are bitwise-equal to the same slice of an
-unsharded ``scan_stream`` (plans are built from the unit's full site
-index; see ``grid_positions`` in :func:`repro.core.scan.scan_stream`),
-and sidecars persist float64 losslessly, a resumed manifest merges to
-exactly the bytes an uninterrupted run produces.
+unsharded ``scan_stream`` at any ``workers_per_shard`` (plans are built
+from the unit's full site index and shards are cut on block boundaries;
+see ``grid_slice`` in :func:`repro.core.scan.scan_stream`), and sidecars
+persist float64 losslessly, a resumed manifest merges to exactly the
+bytes an uninterrupted run produces.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import glob
 import os
 import time
@@ -43,9 +43,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.core.grid import build_plans_from_positions
 from repro.core.results import ScanResult, merge_scan_results
-from repro.core.reuse import DpSeed, dp_replay_seed
 from repro.core.scan import OmegaConfig, scan_stream
 from repro.datasets.alignment import SHM_NAME_PREFIX, SNPAlignment
 from repro.datasets.streaming import (
@@ -190,50 +188,6 @@ def _shard_fingerprint(unit: UnitSpec, shard: ShardRecord) -> dict:
     }
 
 
-def _shard_replay_plan(
-    plans, grid_lo: int, *, dp_reuse: bool
-) -> Tuple[int, Optional[DpSeed]]:
-    """Where a shard starting at grid index ``grid_lo`` must begin its
-    scan to replay the full sequential run bitwise.
-
-    The DP anchor cache's serve decisions depend on scan history (see
-    :func:`~repro.core.reuse.dp_replay_seed`), so the shard warm-starts
-    at the latest grid position the full run *rebuilt* its anchor on, at
-    or before ``grid_lo``, with the full run's stride window seeded.
-    Positions scanned between that point and ``grid_lo`` are warm-up:
-    computed, then discarded. The planner snaps shard cuts onto rebuild
-    positions, so the warm-up is empty for planner-made manifests.
-    """
-    valid = [k for k, p in enumerate(plans) if p.valid]
-    first_call = next(
-        (i for i, k in enumerate(valid) if k >= grid_lo), None
-    )
-    if first_call is None:
-        return grid_lo, None  # no ω evaluations in this shard at all
-    regions = [
-        (plans[k].region_start, plans[k].region_stop) for k in valid
-    ]
-    start_call, seed = dp_replay_seed(
-        regions, first_call, reuse=dp_reuse
-    )
-    return min(grid_lo, valid[start_call]), seed
-
-
-def _strip_warmup(result: ScanResult, n: int) -> ScanResult:
-    """Drop the first ``n`` (warm-up) records, keeping the observability
-    sidecars — warm-up work really happened and is accounted for."""
-    if n <= 0:
-        return result
-    return dataclasses.replace(
-        result,
-        positions=result.positions[n:],
-        omegas=result.omegas[n:],
-        left_borders_bp=result.left_borders_bp[n:],
-        right_borders_bp=result.right_borders_bp[n:],
-        n_evaluations=result.n_evaluations[n:],
-    )
-
-
 def _attach_introspection(job: _ShardJob):
     """Worker-side setup of the live-introspection plumbing: stderr
     capture, ledger slot binding, flight-recorder breadcrumb. All
@@ -286,39 +240,21 @@ def _shard_worker(job: _ShardJob) -> None:
         hold_dir = os.environ.get(HOLD_DIR_ENV)
         if hold_dir:
             source = _TestHoldSource(source, hold_dir, job.shard_id)
-        # The full grid is re-derived from the unit's complete site index
-        # and then sliced, so shard records are bitwise-equal to the same
-        # slice of an unsharded scan — the manifest stores only
-        # [grid_lo, grid_hi).
-        full_grid = job.config.grid.positions_from(source.positions)
-        scan_lo, seed = job.grid_lo, None
-        if job.workers_per_shard == 1:
-            # Sequential shards replay the full run's DP anchor schedule
-            # exactly (warm-up + stride seed); parallel ones match it to
-            # the block scheduler's documented tolerance instead.
-            plans = build_plans_from_positions(
-                source.positions, job.config.grid
-            )
-            scan_lo, seed = _shard_replay_plan(
-                plans, job.grid_lo, dp_reuse=job.config.dp_reuse
-            )
-        grid = np.asarray(full_grid[scan_lo : job.grid_hi])
         if writer is not None:
-            # The replay contract may prepend warm-up positions, so the
-            # slot's own total is the honest denominator for this run.
             writer.bind(
                 phase="scan",
-                positions_total=int(grid.size),
+                positions_total=job.grid_hi - job.grid_lo,
             )
+        # The scan plans the unit's full grid from its complete site index
+        # and scans the manifest's slice of it, so shard records are
+        # bitwise-equal to the same slice of an unsharded scan.
         result = scan_stream(
             source,
             job.config,
             snp_budget=job.snp_budget,
             n_workers=job.workers_per_shard,
-            grid_positions=grid,
-            dp_seed=seed,
+            grid_slice=(job.grid_lo, job.grid_hi),
         )
-        result = _strip_warmup(result, job.grid_lo - scan_lo)
         get_flight().record(
             "shard", "worker.scan_done", shard=job.shard_id,
             positions=int(len(result.positions)),
@@ -328,7 +264,6 @@ def _shard_worker(job: _ShardJob) -> None:
             job.json_path,
             result,
             job.fingerprint,
-            extra={"warmup_positions": job.grid_lo - scan_lo},
         )
         if writer is not None:
             writer.finish("done")

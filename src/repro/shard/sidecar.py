@@ -77,11 +77,8 @@ def write_payload(
     json_path: str,
     result: ScanResult,
     fingerprint: dict,
-    extra: Optional[dict] = None,
 ) -> None:
-    """Persist one shard's :class:`ScanResult` atomically. ``extra``
-    adds informational keys (e.g. the warm-up length) to the JSON
-    sidecar; they do not participate in fingerprint checks."""
+    """Persist one shard's :class:`ScanResult` atomically."""
     import io as _io
 
     buf = _io.BytesIO()
@@ -90,7 +87,6 @@ def write_payload(
     )
     _atomic_bytes(npz_path, buf.getvalue())
     meta = {
-        **(extra or {}),
         "fingerprint": fingerprint,
         "breakdown": {
             "totals": result.breakdown.totals,

@@ -78,3 +78,17 @@ def shm_names(monkeypatch):
 
     monkeypatch.setattr(shared_memory.SharedMemory, "__init__", init)
     return names
+
+
+@pytest.fixture
+def block_length(monkeypatch):
+    """Force the shared block rule (:func:`repro.core.grid.make_blocks`)
+    to cut every grid into blocks of ``n`` positions, so a small grid has
+    many blocks. Worker and shard processes forked afterwards inherit it."""
+    import repro.core.grid as grid
+
+    def force(n: int) -> None:
+        monkeypatch.setattr(grid, "SHORTEST_BLOCK", n)
+        monkeypatch.setattr(grid, "LONGEST_BLOCK", n)
+
+    return force

@@ -1,9 +1,9 @@
 """Tests for the OpenBLAS thread count of pool workers (``repro.utils.blas``).
 
-Pools without the shared r² band fork their workers on one BLAS thread:
-the count is set in the parent around the fork and restored, spawned
-workers read it from the environment, and no process forked after
-import ever calls OpenBLAS's setter.
+Every pool, with or without the shared r² band, forks its workers on one
+BLAS thread: the count is set in the parent around the fork and
+restored, spawned workers read it from the environment, and no process
+forked after import ever calls OpenBLAS's setter.
 """
 
 import ctypes
@@ -90,12 +90,13 @@ class TestPoolThreads:
         assert blas.blas_threads() == openblas_threads
         assert os.environ.get(blas.THREADS_ENV) == env
 
-    def test_band_workers_keep_the_parents_count(
+    def test_band_workers_run_one_thread(
         self, aln, config, openblas_threads
     ):
         with _BandSession(aln, config, n_workers=2) as session:
             counts = _worker_counts(session)
-        assert counts == [openblas_threads] * 4
+            assert blas.blas_threads() == openblas_threads
+        assert counts == [1, 1, 1, 1]
 
     def test_forked_workers_know_they_were_forked(self, aln, config):
         assert not blas._forked
@@ -122,7 +123,8 @@ class TestPoolThreads:
             [path],
             OmegaConfig(grid=GridSpec(n_positions=12, max_window=0.25)),
             manifest_path=str(tmp_path / "manifest.jsonl"),
-            snp_budget=60,
+            # A pooled shard's chunks hold whole blocks.
+            snp_budget=90,
             workers_per_shard=2,
         )
         assert not run_manifest(manifest, max_workers=2).failed

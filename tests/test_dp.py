@@ -238,18 +238,17 @@ class TestSplitOperands:
         window_frac=st.floats(0.05, 0.7),
         min_frac=st.sampled_from([0.0, 0.0, 0.2, 0.6]),
         flank=st.sampled_from([1, 2]),
-        growth=st.sampled_from([None, 1.0, 3.0]),
     )
     @settings(max_examples=120, deadline=None)
     def test_scan_plans_through_cache(
         self, seed, n_sites, n_positions, window_frac, min_frac, flank,
-        growth,
     ):
         """Plans of a real grid (ends of the sequence, minimum windows,
         one- and two-SNP flanks) over prefixes a SumMatrixCache serves:
-        fresh builds, appends, and live squares moved to the origin."""
+        fresh builds, appends, live squares moved to the origin, and
+        restarts at block starts."""
         from repro.core.grid import GridSpec, build_plans_from_positions
-        from repro.core.reuse import SumMatrixCache
+        from repro.core.reuse import SumMatrixCache, dp_resets
 
         rng = np.random.default_rng(seed)
         r2 = _signed_sym(rng, n_sites)
@@ -263,10 +262,14 @@ class TestSplitOperands:
             min_window=min_frac * window_frac * span,
             min_flank_snps=flank,
         )
-        cache = SumMatrixCache(growth_factor=growth)
-        for plan in build_plans_from_positions(positions, spec):
+        cache = SumMatrixCache()
+        plans = build_plans_from_positions(positions, spec)
+        resets = dp_resets(plans)
+        for k, plan in enumerate(plans):
             if not plan.valid:
                 continue
+            if k in resets:
+                cache.reset(resets[k])
             lo, hi = plan.region_start, plan.region_stop
             sums = cache.region_sums(lo, hi, r2[lo : hi + 1, lo : hi + 1])
             _check_split(

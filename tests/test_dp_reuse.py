@@ -23,8 +23,6 @@ from repro.core.omega import omega_max_at_split
 from repro.core.reuse import (
     ReuseStats,
     SumMatrixCache,
-    _dp_choose_capacity,
-    simulate_dp_actions,
     simulate_fresh_entries,
 )
 from repro.datasets.generators import (
@@ -204,7 +202,7 @@ class TestDpStats:
         """A forward-overlapping walk: per-step fresh DP entries equal the
         r²-level analytical mirror (both are W² − V²)."""
         regions = [(0, 19), (4, 23), (8, 27)]
-        cache = SumMatrixCache(growth_factor=3.0)
+        cache = SumMatrixCache()
         real = []
         prev = 0
         for start, stop in regions:
@@ -273,9 +271,12 @@ class TestAdaptiveGrowth:
         cache = SumMatrixCache()
         self._walk(cache, stride=2, r2=full_r2)
         stats = cache.stats
-        assert stats.dp_anchor_allocs == stats.dp_builds > 0
+        assert stats.dp_builds > 0
         # Every anchor at least spans its region (width 20).
-        assert stats.dp_anchor_span_total >= 20 * stats.dp_anchor_allocs
+        assert stats.dp_planned_span_total >= 20 * stats.dp_builds
+        assert stats.mean_anchor_span == pytest.approx(
+            stats.dp_planned_span_total / stats.dp_builds
+        )
         assert stats.mean_anchor_span >= 20.0
 
     def test_small_strides_get_larger_anchors(self, full_r2):
@@ -293,18 +294,28 @@ class TestAdaptiveGrowth:
         self._walk(cache, stride=16, r2=full_r2)
         # Starts 0, 16, 32: the first anchor (no stride history) absorbs
         # start 16 as an extension; the re-anchor at 32 plans zero appends.
-        assert cache.stats.dp_anchor_allocs >= 2
-        assert cache.stats.dp_anchor_span_total == 40 + 20
+        assert cache.stats.dp_builds >= 2
+        assert cache.stats.dp_planned_span_total == 40 + 20
         assert cache.last_action == "build"
 
-    def test_fixed_policy_ignores_strides(self, full_r2):
-        cache = SumMatrixCache(growth_factor=3.0)
-        self._walk(cache, stride=1, r2=full_r2)
-        # Every allocation is exactly growth_factor * width.
-        assert (
-            cache.stats.dp_anchor_span_total
-            == 60 * cache.stats.dp_anchor_allocs
-        )
+    def test_reset_sizes_the_first_anchor_from_the_starts_ahead(
+        self, full_r2
+    ):
+        """A reset seeded with the region starts ahead plans the first
+        anchor from their stride, as a cache that had already walked them
+        would: stride 16 plans no appends, where an unseeded cache plans
+        twice the width."""
+        cold, seeded = SumMatrixCache(), SumMatrixCache()
+        seeded.reset((0, 16, 32))
+        for cache in (cold, seeded):
+            cache.region_sums(0, 19, full_r2[:20, :20])
+        assert cold.stats.dp_planned_span_total == 40
+        assert seeded.stats.dp_planned_span_total == 20
+        # Zero and backward steps carry no stride; more than the window
+        # of strides is cut at the window.
+        cache = SumMatrixCache()
+        cache.reset((5, 5, 3, 4) + tuple(range(10, 40, 2)))
+        assert list(cache._strides) == [1, 6] + [2] * 6
 
     def test_adaptive_matches_fresh_build(self, full_r2):
         """Whatever capacities the policy picks, answers stay correct."""
@@ -325,21 +336,21 @@ class TestAdaptiveGrowth:
 
     def test_merge_carries_anchor_and_tile_counters(self):
         a = ReuseStats(
-            dp_anchor_allocs=1,
-            dp_anchor_span_total=40,
+            dp_builds=1,
+            dp_planned_span_total=40,
             tile_entries_computed=5,
             tile_entries_reused=6,
         )
         a.merge_from(
             ReuseStats(
-                dp_anchor_allocs=2,
-                dp_anchor_span_total=60,
+                dp_builds=2,
+                dp_planned_span_total=60,
                 tile_entries_computed=50,
                 tile_entries_reused=60,
             )
         )
-        assert a.dp_anchor_allocs == 3
-        assert a.dp_anchor_span_total == 100
+        assert a.dp_builds == 3
+        assert a.dp_planned_span_total == 100
         assert a.tile_entries_computed == 55
         assert a.tile_entries_reused == 66
         assert a.mean_anchor_span == pytest.approx(100 / 3)
@@ -354,10 +365,6 @@ class TestValidation:
         with pytest.raises(ScanConfigError, match="shape"):
             SumMatrixCache().region_sums(0, 9, full_r2[:5, :5])
 
-    def test_rejects_bad_growth_factor(self):
-        with pytest.raises(ScanConfigError, match="growth_factor"):
-            SumMatrixCache(growth_factor=0.5)
-
     def test_reset_forces_rebuild(self, full_r2):
         cache = SumMatrixCache()
         cache.region_sums(0, 19, full_r2[:20, :20])
@@ -371,45 +378,6 @@ class TestValidation:
             SumMatrix.from_prefix(np.zeros((5, 5)), 5)
 
 
-class TestDecisionMirror:
-    """The pure-integer decision mirror (`simulate_dp_actions`) against
-    a real cache's ``last_action`` trace — the cross-check the shard
-    planner's cut-snapping and the replay seed rest on."""
-
-    def _trace(self, full_r2, regions, **kw):
-        cache = SumMatrixCache(**kw)
-        actions = []
-        for start, stop in regions:
-            r2 = full_r2[start : stop + 1, start : stop + 1]
-            cache.region_sums(start, stop, r2)
-            actions.append(cache.last_action)
-        return actions
-
-    @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_adaptive_policy(self, full_r2, data):
-        regions = _region_sequence(data.draw)
-        assert simulate_dp_actions(regions) == self._trace(
-            full_r2, regions
-        )
-
-    @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_fixed_growth_policy(self, full_r2, data):
-        regions = _region_sequence(data.draw)
-        assert simulate_dp_actions(
-            regions, growth_factor=2.5
-        ) == self._trace(full_r2, regions, growth_factor=2.5)
-
-    @given(data=st.data())
-    @settings(max_examples=15, deadline=None)
-    def test_reuse_off(self, full_r2, data):
-        regions = _region_sequence(data.draw)
-        assert simulate_dp_actions(regions, reuse=False) == self._trace(
-            full_r2, regions, reuse=False
-        )
-
-
 class _ZeroFilledCache:
     """The window-sum cache before its compact buffer, as the bit-level
     reference: a zero-filled prefix sized to the planned span, rows
@@ -417,13 +385,11 @@ class _ZeroFilledCache:
     before the region start), and a serve rule that tracks the first
     truthfully filled column of every row."""
 
-    def __init__(self, *, growth_factor=None):
-        self._growth = growth_factor
-        self._growth_eff = (
-            growth_factor
-            if growth_factor is not None
-            else SumMatrixCache.DEFAULT_GROWTH
-        )
+    DEFAULT_GROWTH = SumMatrixCache.DEFAULT_GROWTH
+    MAX_ADAPTIVE_GROWTH = SumMatrixCache.MAX_ADAPTIVE_GROWTH
+
+    def __init__(self):
+        self._growth = self.DEFAULT_GROWTH
         self._strides = deque(maxlen=SumMatrixCache.STRIDE_WINDOW)
         self._last_start = None
         self.stats = ReuseStats()
@@ -444,7 +410,7 @@ class _ZeroFilledCache:
         if stop - anchor + 1 > self._capacity:
             return False
         width = stop - start + 1
-        if stop - anchor + 1 > self._growth_eff * width:
+        if stop - anchor + 1 > self._growth * width:
             return False
         lo = start - anchor
         hi_col = min(stop, hi) - anchor
@@ -452,16 +418,11 @@ class _ZeroFilledCache:
 
     def _rebuild(self, start, stop, r2):
         width = stop - start + 1
-        self._capacity = _dp_choose_capacity(
-            width, self._strides, self._growth
-        )
-        self._growth_eff = (
-            self._growth
-            if self._growth is not None
-            else max(1.0, self._capacity / width)
-        )
-        self.stats.dp_anchor_allocs += 1
-        self.stats.dp_anchor_span_total += self._capacity
+        # The span policy itself is the cache's; this reference differs
+        # only in the buffer it fills.
+        self._capacity = SumMatrixCache._choose_capacity(self, width)
+        self._growth = max(1.0, self._capacity / width)
+        self.stats.dp_planned_span_total += self._capacity
         prefix = np.zeros((self._capacity + 1, self._capacity + 1))
         append_prefix_rows(prefix, r2, 0, 0)
         self._prefix = prefix
@@ -547,9 +508,9 @@ class TestInPlaceBuild:
 
     N_SITES = 420
 
-    def _serve_both(self, r2, regions, growth_factor):
-        new = SumMatrixCache(growth_factor=growth_factor)
-        ref = _ZeroFilledCache(growth_factor=growth_factor)
+    def _serve_both(self, r2, regions):
+        new = SumMatrixCache()
+        ref = _ZeroFilledCache()
         for start, stop in regions:
             region = r2[start : stop + 1, start : stop + 1]
             with mock.patch.object(np, "empty", _nan_empty):
@@ -564,7 +525,6 @@ class TestInPlaceBuild:
     def test_served_prefixes_bitwise_equal_reference(self, data):
         n = self.N_SITES
         r2 = _signed_r2(data.draw(st.integers(0, 2**32 - 1)), n)
-        growth = data.draw(st.sampled_from([None, 1.0, 1.5, 3.0]))
         start = data.draw(st.integers(0, n - 1))
         width = data.draw(st.integers(1, min(150, n - start)))
         regions = [(start, start + width - 1)]
@@ -577,7 +537,7 @@ class TestInPlaceBuild:
             width = max(1, width + data.draw(st.integers(-5, 40)))
             width = min(width, n - start, 150)
             regions.append((start, start + width - 1))
-        self._serve_both(r2, regions, growth)
+        self._serve_both(r2, regions)
 
     def test_forward_walk_extends_bitwise(self):
         """A regions-shaped walk (W = 240, stride 20) extends its anchor,
@@ -588,7 +548,7 @@ class TestInPlaceBuild:
         with mock.patch.object(
             reuse_module, "_copy_lower", wraps=reuse_module._copy_lower
         ) as moves:
-            cache = self._serve_both(r2, regions, None)
+            cache = self._serve_both(r2, regions)
         assert cache.stats.dp_builds < len(regions)
         assert moves.call_count >= 1
 
@@ -597,7 +557,7 @@ class TestInPlaceBuild:
         live triangle into a larger one; a later narrower build reuses
         it."""
         r2 = _signed_r2(9, self.N_SITES)
-        new = self._serve_both(r2, [(0, 99), (10, 149)], 3.0)
+        new = self._serve_both(r2, [(0, 99), (10, 149)])
         assert new.last_action == "extend"
         assert new._buf.shape == (141 + 141 // 4,) * 2
         buf = new._buf
@@ -618,9 +578,6 @@ class TestInPlaceBuild:
         assert (new.last_action, ref.last_action) == ("build", "view")
         fresh = SumMatrix(region)
         assert _lower(got._prefix) == _lower(fresh._prefix)
-        assert simulate_dp_actions([(0, 99), (20, 119), (10, 99)])[-1] == (
-            "build"
-        )
 
 
 def _walk_moves(r2, width=240, stride=20, n_positions=12):

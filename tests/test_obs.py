@@ -279,11 +279,12 @@ class TestOverheadGuard:
 class TestEndToEnd:
     _ALN = haplotype_block_alignment(40, 160, seed=77)
 
-    def test_parallel_streaming_trace(self, tmp_path):
+    def test_parallel_streaming_trace(self, tmp_path, block_length):
         """The acceptance scenario: a parallel streaming scan writes one
         JSONL trace containing spans from >= 2 worker processes plus the
         ingest track, and per-phase span sums match the merged
         TimeBreakdown within 5 %."""
+        block_length(4)
         path = str(tmp_path / "stream.trace.jsonl")
         config = _config(self._ALN, 40)
         with obs.tracing(path):
@@ -292,7 +293,6 @@ class TestEndToEnd:
                 config,
                 snp_budget=160,
                 n_workers=2,
-                block_size=4,
             )
         events = _read_trace(path)
 
@@ -328,13 +328,9 @@ class TestEndToEnd:
         assert snap["counters"]["stream.chunks"] >= 1
         assert snap["gauges"]["stream.chunk_rss_bytes"]["max"] > 0
 
-    def test_parallel_scan_metrics_and_summary(self):
-        result = parallel_scan(
-            self._ALN,
-            _config(self._ALN, 24),
-            n_workers=2,
-            block_size=4,
-        )
+    def test_parallel_scan_metrics_and_summary(self, block_length):
+        block_length(4)
+        result = parallel_scan(self._ALN, _config(self._ALN, 24), n_workers=2)
         counters = result.metrics["counters"]
         assert counters["scheduler.blocks_dispatched"] == 6
         assert counters["scan.positions_evaluated"] > 0

@@ -314,7 +314,8 @@ def _cache_served_sums(rng, w):
     (a build, appends, and a live square moved to the origin)."""
     aln = haplotype_block_alignment(30, w + 60, block_size=15, seed=rng)
     r2 = r_squared_matrix(aln)
-    cache = SumMatrixCache(growth_factor=4.0)
+    cache = SumMatrixCache()
+    cache.reset(tuple(range(0, 61, 3)))
     for start in range(0, 61, 3):
         stop = start + w - 1
         region = r2[start : stop + 1, start : stop + 1]

@@ -1,17 +1,19 @@
 """Tests for the multiprocess scanner."""
 
+import contextlib
 import glob
 import math
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.grid as grid
 from repro.core.grid import GridSpec
 from repro.core.parallel import (
-    BLOCKS_PER_WORKER,
-    MIN_BLOCK_POSITIONS,
     ParallelScanSession,
     make_blocks,
     parallel_scan,
@@ -27,6 +29,17 @@ R2_BAND_SUFFIXES = ("-r2tiles", "-r2flags")
 
 def _shm_entries():
     return set(glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}*"))
+
+
+def assert_same_records(got, want):
+    """The five result arrays, byte for byte (NaN borders included)."""
+    for name in (
+        "positions", "omegas", "left_borders_bp", "right_borders_bp",
+        "n_evaluations",
+    ):
+        assert np.array_equal(
+            getattr(got, name), getattr(want, name), equal_nan=True
+        ), name
 
 
 def assert_no_r2_band(shm_names, *results):
@@ -45,76 +58,50 @@ def assert_no_r2_band(shm_names, *results):
 
 class TestMakeBlocks:
     def test_covers_everything_no_overlap(self):
-        for n, w in [(1, 1), (17, 4), (100, 7), (3, 8)]:
-            blocks = make_blocks(n, w)
+        for n in [1, 17, 100, 3, 640, 5000]:
+            blocks = make_blocks(n)
             flat = [k for a, b in blocks for k in range(a, b)]
             assert flat == list(range(n))
 
     def test_no_empty_blocks(self):
-        for n, w in [(1, 4), (5, 8), (23, 3)]:
-            assert all(b > a for a, b in make_blocks(n, w))
-
-    def test_default_targets_blocks_per_worker(self):
-        # 96 positions, 4 workers => 12 blocks of 8: four per worker would
-        # be 16 blocks of 6, shorter than MIN_BLOCK_POSITIONS.
-        blocks = make_blocks(96, 4)
-        assert len(blocks) == 12
-        assert all(b - a == 8 for a, b in blocks)
+        for n in [1, 5, 23, 129]:
+            assert all(b > a for a, b in make_blocks(n))
 
     def test_short_grid_gets_fewer_longer_blocks(self):
-        assert make_blocks(30, 2) == [(0, 8), (8, 16), (16, 24), (24, 30)]
-        assert make_blocks(8, 2) == [(0, 8)]
-        assert make_blocks(1, 2) == [(0, 1)]
+        # No block is shorter than SHORTEST_BLOCK unless the grid is.
+        assert make_blocks(30) == [(0, 15), (15, 30)]
+        assert make_blocks(8) == [(0, 8)]
+        assert make_blocks(1) == [(0, 1)]
+        # The high-omega benchmark's 360-position grid: 8 blocks of 45.
+        assert make_blocks(360) == [(lo, lo + 45) for lo in range(0, 360, 45)]
 
-    @given(n=st.integers(1, 3000), w=st.integers(1, 16))
+    @given(n=st.integers(1, 3000))
     @settings(max_examples=300, deadline=None)
-    def test_default_partition_properties(self, n, w):
-        blocks = make_blocks(n, w)
+    def test_default_partition_properties(self, n):
+        blocks = make_blocks(n)
         assert [k for a, b in blocks for k in range(a, b)] == list(range(n))
         assert all(b > a for a, b in blocks)
-        target = min(
-            BLOCKS_PER_WORKER * w, math.ceil(n / MIN_BLOCK_POSITIONS)
+        size = min(
+            grid.LONGEST_BLOCK,
+            max(grid.SHORTEST_BLOCK, math.ceil(n / grid.TARGET_BLOCKS)),
         )
-        size = math.ceil(n / target)
         assert all(b - a == size for a, b in blocks[:-1])
-        assert len(blocks) == math.ceil(n / size) <= target
-        if target == math.ceil(n / MIN_BLOCK_POSITIONS):
-            # The floor governs: exactly the target count.
-            assert len(blocks) == target
-
-    @given(
-        n=st.integers(1, 3000), w=st.integers(1, 16), size=st.integers(1, 40)
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_explicit_block_size_overrides_floor(self, n, w, size):
-        assert make_blocks(n, w, block_size=size) == [
-            (lo, min(lo + size, n)) for lo in range(0, n, size)
-        ]
-
-    @given(n=st.integers(57, 20000))
-    @settings(max_examples=300, deadline=None)
-    def test_two_worker_grids_from_57_cut_as_before(self, n):
-        # The rule before the floor: BLOCKS_PER_WORKER blocks per worker.
-        size = math.ceil(n / (BLOCKS_PER_WORKER * 2))
-        assert make_blocks(n, 2) == [
-            (lo, min(lo + size, n)) for lo in range(0, n, size)
-        ]
-
-    def test_explicit_block_size(self):
-        assert make_blocks(10, 3, block_size=4) == [(0, 4), (4, 8), (8, 10)]
+        assert len(blocks) == math.ceil(n / size)
+        if grid.SHORTEST_BLOCK * grid.TARGET_BLOCKS < n <= (
+            grid.LONGEST_BLOCK * grid.TARGET_BLOCKS
+        ):
+            assert len(blocks) == grid.TARGET_BLOCKS
+        # Longer grids get more blocks, so more workers still help.
+        assert len(blocks) >= n // grid.LONGEST_BLOCK
 
     def test_more_blocks_than_workers(self):
         """Dynamic scheduling needs more blocks than workers so the pool
         queue can rebalance."""
-        assert len(make_blocks(64, 4)) > 4
+        assert len(make_blocks(64)) > 4
 
     def test_invalid(self):
         with pytest.raises(ScanConfigError):
-            make_blocks(0, 2)
-        with pytest.raises(ScanConfigError):
-            make_blocks(5, 0)
-        with pytest.raises(ScanConfigError):
-            make_blocks(5, 2, block_size=0)
+            make_blocks(0)
 
 
 class TestParallelScan:
@@ -127,23 +114,23 @@ class TestParallelScan:
     def test_single_worker_short_circuit(self, block_alignment, config):
         seq = OmegaPlusScanner(config).scan(block_alignment)
         par = parallel_scan(block_alignment, config, n_workers=1)
-        np.testing.assert_allclose(par.omegas, seq.omegas, rtol=1e-12)
+        assert_same_records(par, seq)
 
-    # Chunked workers re-anchor the incremental window-sum DP at their
-    # chunk start, so parallel omegas match the sequential scan only up
-    # to prefix-anchor rounding (~1e-13 relative on this fixture, up to
-    # ~1e-9 on chromosome-scale data) — hence rtol=1e-9, not 1e-12.
-    def test_matches_sequential(self, block_alignment, config):
+    # Workers restart the window-sum DP at the block starts where the
+    # sequential scan restarts it, so the records are byte-identical.
+    def test_matches_sequential(self, block_alignment, config, block_length):
+        block_length(4)
         seq = OmegaPlusScanner(config).scan(block_alignment)
         par = parallel_scan(block_alignment, config, n_workers=3)
-        np.testing.assert_allclose(par.positions, seq.positions, rtol=1e-12)
-        np.testing.assert_allclose(par.omegas, seq.omegas, rtol=1e-9)
-        np.testing.assert_array_equal(par.n_evaluations, seq.n_evaluations)
+        assert_same_records(par, seq)
 
-    def test_worker_count_invariance(self, block_alignment, config):
+    def test_worker_count_invariance(
+        self, block_alignment, config, block_length
+    ):
+        block_length(5)
         two = parallel_scan(block_alignment, config, n_workers=2)
         four = parallel_scan(block_alignment, config, n_workers=4)
-        np.testing.assert_allclose(two.omegas, four.omegas, rtol=1e-9)
+        assert_same_records(two, four)
 
     def test_more_workers_than_positions(self, block_alignment):
         """Oversubscription (more workers than blocks) must still produce
@@ -154,9 +141,7 @@ class TestParallelScan:
         seq = OmegaPlusScanner(config).scan(block_alignment)
         par = parallel_scan(block_alignment, config, n_workers=8)
         assert len(par) == 3
-        np.testing.assert_allclose(par.positions, seq.positions, rtol=1e-12)
-        np.testing.assert_allclose(par.omegas, seq.omegas, rtol=1e-9)
-        np.testing.assert_array_equal(par.n_evaluations, seq.n_evaluations)
+        assert_same_records(par, seq)
 
     def test_rejects_zero_workers(self, block_alignment, config):
         with pytest.raises(ScanConfigError):
@@ -166,10 +151,14 @@ class TestParallelScan:
         par = parallel_scan(block_alignment, config, n_workers=2)
         assert par.breakdown.totals.get("omega", 0.0) > 0
 
-    def test_reuse_stats_aggregated(self, block_alignment, config):
+    def test_reuse_stats_aggregated(
+        self, block_alignment, config, block_length
+    ):
         """Per-chunk reuse counters merge; the total served area (computed
         + reused, at both levels) is worker-count invariant because every
-        worker serves the same set of valid regions overall."""
+        worker serves the same set of valid regions overall, and the DP
+        does the sequential scan's work exactly."""
+        block_length(4)
         seq = OmegaPlusScanner(config).scan(block_alignment)
         par = parallel_scan(block_alignment, config, n_workers=3)
         assert (
@@ -181,8 +170,10 @@ class TestParallelScan:
             == seq.reuse.dp_entries_computed + seq.reuse.dp_entries_reused
         )
         assert par.reuse.regions_served == seq.reuse.regions_served
-        # Chunking loses one region overlap per boundary, never gains one.
+        # Chunking loses one r² region overlap per boundary, never gains
+        # one; the DP restarts at the same blocks either way.
         assert par.reuse.entries_reused <= seq.reuse.entries_reused
+        assert par.reuse.dp_builds == seq.reuse.dp_builds
 
     def test_omega_subphases_aggregated(self, block_alignment, config):
         par = parallel_scan(block_alignment, config, n_workers=2)
@@ -215,40 +206,33 @@ class TestFixedGridScanner:
 
 
 class TestParallelEquivalenceProperty:
-    """parallel_scan must be observationally identical to the sequential
-    scanner for any grid size / worker count / block size."""
+    """parallel_scan must be byte-identical to the sequential scanner for
+    any grid size / worker count / block length."""
 
     _ALN = haplotype_block_alignment(40, 120, seed=202)
 
     @given(
         n_positions=st.integers(2, 10),
         n_workers=st.integers(2, 6),
-        block_size=st.one_of(st.none(), st.integers(1, 5)),
+        block_len=st.one_of(st.none(), st.integers(1, 5)),
     )
     @settings(max_examples=8, deadline=None)
-    def test_matches_sequential(self, n_positions, n_workers, block_size):
+    def test_matches_sequential(self, n_positions, n_workers, block_len):
         aln = self._ALN
         config = OmegaConfig(
             grid=GridSpec(n_positions=n_positions, max_window=aln.length / 3),
         )
-        seq = OmegaPlusScanner(config).scan(aln)
-        par = parallel_scan(
-            aln,
-            config,
-            n_workers=n_workers,
-            block_size=block_size,
+        forced = (
+            contextlib.nullcontext()
+            if block_len is None
+            else mock.patch.multiple(
+                grid, SHORTEST_BLOCK=block_len, LONGEST_BLOCK=block_len
+            )
         )
-        np.testing.assert_array_equal(par.positions, seq.positions)
-        np.testing.assert_allclose(
-            par.omegas, seq.omegas, rtol=1e-9, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            par.left_borders_bp, seq.left_borders_bp, rtol=1e-9, equal_nan=True
-        )
-        np.testing.assert_allclose(
-            par.right_borders_bp, seq.right_borders_bp, rtol=1e-9, equal_nan=True
-        )
-        np.testing.assert_array_equal(par.n_evaluations, seq.n_evaluations)
+        with forced:
+            seq = OmegaPlusScanner(config).scan(aln)
+            par = parallel_scan(aln, config, n_workers=n_workers)
+        assert_same_records(par, seq)
         assert par.reuse.regions_served == seq.reuse.regions_served
         assert (
             par.reuse.entries_computed + par.reuse.entries_reused
@@ -488,11 +472,7 @@ class TestScanPositions:
                 config, grid=fixed_position_spec(config.grid, sub)
             )
         ).scan(block_alignment)
-        np.testing.assert_array_equal(got.positions, seq.positions)
-        np.testing.assert_allclose(
-            got.omegas, seq.omegas, rtol=1e-9, atol=1e-12
-        )
-        np.testing.assert_array_equal(got.n_evaluations, seq.n_evaluations)
+        assert_same_records(got, seq)
 
     def test_caller_registry_gets_scheduler_metrics(
         self, block_alignment, config

@@ -126,6 +126,31 @@ class TestMetadataRoundTrip:
         parsed = parse_report(io.StringIO(text))
         assert parsed[0]["reuse"] == results[0].reuse
 
+    def test_report_with_the_earlier_anchor_counters_parses(self):
+        """A report written before the DP anchor counters were renamed
+        (``dp_anchor_allocs`` always equalled ``dp_builds``) still loads:
+        the counters it shares with today's keep their values."""
+        text = (
+            "// OmegaPlus report (repro reproduction), run earlier\n"
+            "//!repro-report-version 2\n"
+            "//0\n"
+            '//@ {"wall_seconds":0.00098,"phase_seconds":{"plan":0.00012,'
+            '"ld":0.00027,"omega":0.00045},"omega_subphase_seconds":'
+            '{"dp_build":0.00011},"reuse":{"entries_computed":441,'
+            '"entries_reused":0,"regions_served":1,"dp_entries_computed":441,'
+            '"dp_entries_reused":0,"dp_builds":1,"dp_anchor_allocs":1,'
+            '"dp_anchor_span_total":42,"tile_entries_computed":0,'
+            '"tile_entries_reused":0}}\n'
+            "13.3242\t0.000000\n"
+            "1438.2426\t1.887202\n"
+        )
+        (parsed,) = parse_report(io.StringIO(text))
+        np.testing.assert_array_equal(parsed["omegas"], [0.0, 1.887202])
+        reuse = parsed["reuse"]
+        assert (reuse.entries_computed, reuse.dp_builds) == (441, 1)
+        assert reuse.dp_entries_computed == 441
+        assert parsed["breakdown"].wall_seconds == 0.00098
+
     def test_malformed_metadata_raises(self):
         with pytest.raises(DataFormatError, match="malformed"):
             parse_report(io.StringIO("//0\n//@ {not json\n1.0\t2.0\n"))

@@ -11,7 +11,6 @@ defensible estimate, not a guess.
 import asyncio
 import dataclasses
 import json
-import math
 import threading
 
 import numpy as np
@@ -23,12 +22,8 @@ from repro.core.costmodel import (
     reset_cost_model,
     set_cost_model,
 )
-from repro.core.grid import GridSpec
-from repro.core.parallel import (
-    MIN_BLOCK_POSITIONS,
-    fixed_position_spec,
-    make_blocks,
-)
+from repro.core.grid import GridSpec, make_blocks
+from repro.core.parallel import fixed_position_spec
 from repro.core.scan import OmegaConfig, OmegaPlusScanner
 from repro.datasets.generators import sweep_signature_alignment
 from repro.errors import ScanConfigError
@@ -42,7 +37,7 @@ from repro.service import (
     serve_unix,
 )
 from repro.service.model import RequestEstimate
-from repro.service.service import AdmissionController, request_block_size
+from repro.service.service import AdmissionController
 
 
 @pytest.fixture(autouse=True)
@@ -67,33 +62,19 @@ def config(aln):
 
 
 def sequential_reference(aln, config, grid_positions):
-    """Single-process scan of exactly ``grid_positions`` — the numeric
-    oracle (parallel chunking re-anchors the window-sum DP, so engine
-    results match this only to ~1e-9 relative; see test_parallel)."""
+    """Single-process scan of exactly ``grid_positions`` — the oracle
+    every request's result equals byte for byte."""
     spec = fixed_position_spec(config.grid, np.asarray(grid_positions))
     return OmegaPlusScanner(dataclasses.replace(config, grid=spec)).scan(aln)
 
 
 def assert_results_equal(got, want):
-    """Bitwise equality — the contract between service runs of the same
-    request (concurrent vs one-at-a-time)."""
+    """Bitwise equality — the contract between a request's result and a
+    sequential scan of its grid, and so between any two runs of it."""
     np.testing.assert_array_equal(got.positions, want.positions)
     np.testing.assert_array_equal(got.omegas, want.omegas)
     np.testing.assert_array_equal(got.left_borders_bp, want.left_borders_bp)
     np.testing.assert_array_equal(got.right_borders_bp, want.right_borders_bp)
-    np.testing.assert_array_equal(got.n_evaluations, want.n_evaluations)
-
-
-def assert_results_close(got, want):
-    """Engine-vs-sequential equality at the repo's established rtol."""
-    np.testing.assert_array_equal(got.positions, want.positions)
-    np.testing.assert_allclose(got.omegas, want.omegas, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(
-        got.left_borders_bp, want.left_borders_bp, rtol=1e-9, equal_nan=True
-    )
-    np.testing.assert_allclose(
-        got.right_borders_bp, want.right_borders_bp, rtol=1e-9, equal_nan=True
-    )
     np.testing.assert_array_equal(got.n_evaluations, want.n_evaluations)
 
 
@@ -246,7 +227,7 @@ class TestAdmissionController:
     def test_wall_price_uses_only_the_workers_blocks_can_fill(
         self, aln, config, n_positions, runs_on
     ):
-        # 1 and 8 positions are one block each; 64 are two.
+        # 1 and 8 positions are one block each; 64 are five, on 2 workers.
         set_cost_model(ScanCostModel(seconds_per_unit=1e-6))
         ctrl = AdmissionController(aln, config)
         _gp, _plans, est = ctrl.estimate(
@@ -254,11 +235,14 @@ class TestAdmissionController:
         )
         assert est.wall_seconds == pytest.approx(est.cpu_seconds / runs_on)
 
-    def test_wall_price_follows_the_session_block_size(self, aln, config):
+    def test_wall_price_follows_the_block_rule(
+        self, aln, config, block_length
+    ):
+        block_length(2)
         set_cost_model(ScanCostModel(seconds_per_unit=1e-6))
         ctrl = AdmissionController(aln, config)
         _gp, _plans, est = ctrl.estimate(
-            ScanRequest(n_positions=8), n_workers=2, block_size=2
+            ScanRequest(n_positions=8), n_workers=2
         )
         assert est.wall_seconds == pytest.approx(est.cpu_seconds / 2)
 
@@ -266,52 +250,56 @@ class TestAdmissionController:
         "n_positions, n_workers, block_size, blocks",
         [
             (30, 2, None, 2),   # 15 + 15
-            (30, 8, None, 4),   # 8 + 8 + 8 + 6: at most ceil(30 / 8) blocks
-            (30, 3, None, 3),   # 10 + 10 + 10
-            (9, 2, None, 2),    # 5 + 4
+            (30, 8, None, 2),   # the worker count does not cut
+            (30, 3, None, 2),
+            (9, 2, None, 1),
             (8, 8, None, 1),
             (1, 4, None, 1),
-            (64, 2, None, 2),   # a batch scan would cut 8
-            (30, 2, 4, 8),      # an explicit block size wins
+            (64, 2, None, 5),   # 4 x 15 + 4
+            (30, 2, 4, 8),      # block length forced to 4
             (30, 8, 20, 2),
         ],
     )
-    def test_request_cut(self, n_positions, n_workers, block_size, blocks):
-        size = request_block_size(
-            n_positions, n_workers, block_size=block_size
-        )
-        cut = make_blocks(n_positions, n_workers, block_size=size)
+    def test_request_cut(
+        self, aln, config, block_length, n_positions, n_workers, block_size,
+        blocks,
+    ):
+        """A request is cut by the shared block rule (``block_size``, when
+        set, forces the rule's block length), whatever the worker count,
+        and admission prices its wall time over ``min(n_workers,
+        blocks)`` workers."""
+        if block_size is not None:
+            block_length(block_size)
+        cut = make_blocks(n_positions)
         assert len(cut) == blocks
         assert cut[0][0] == 0 and cut[-1][1] == n_positions
-        if block_size is None:
-            assert len(cut) == min(
-                n_workers, math.ceil(n_positions / MIN_BLOCK_POSITIONS)
-            )
-
-    @pytest.mark.parametrize(
-        "n_workers, block_size, runs_on",
-        [(2, None, 2), (8, None, 4), (3, None, 3), (8, 10, 3), (2, 30, 1)],
-    )
-    def test_wall_price_divides_by_the_request_cut(
-        self, aln, config, n_workers, block_size, runs_on
-    ):
-        """30 positions are priced at cpu / min(n_workers, blocks) for
-        the blocks request_block_size cuts."""
         set_cost_model(ScanCostModel(seconds_per_unit=1e-6))
         ctrl = AdmissionController(aln, config)
         _gp, _plans, est = ctrl.estimate(
-            ScanRequest(n_positions=30), n_workers=n_workers,
-            block_size=block_size,
+            ScanRequest(n_positions=n_positions), n_workers=n_workers
         )
-        blocks = len(
-            make_blocks(
-                30, n_workers,
-                block_size=request_block_size(
-                    30, n_workers, block_size=block_size
-                ),
-            )
+        assert est.wall_seconds == pytest.approx(
+            est.cpu_seconds / min(n_workers, blocks)
         )
-        assert min(n_workers, blocks) == runs_on
+
+    @pytest.mark.parametrize(
+        "n_workers, block_size, runs_on",
+        [(2, None, 2), (8, None, 2), (3, None, 2), (8, 10, 3), (2, 30, 1)],
+    )
+    def test_wall_price_divides_by_the_request_cut(
+        self, aln, config, block_length, n_workers, block_size, runs_on
+    ):
+        """30 positions are priced at cpu / min(n_workers, blocks) for
+        the blocks the shared rule cuts (``block_size`` forces its block
+        length)."""
+        if block_size is not None:
+            block_length(block_size)
+        set_cost_model(ScanCostModel(seconds_per_unit=1e-6))
+        ctrl = AdmissionController(aln, config)
+        _gp, _plans, est = ctrl.estimate(
+            ScanRequest(n_positions=30), n_workers=n_workers
+        )
+        assert min(n_workers, len(make_blocks(30))) == runs_on
         assert est.wall_seconds == pytest.approx(est.cpu_seconds / runs_on)
 
     def test_infeasible_deadline_raises_with_estimate(self, aln, config):
@@ -363,14 +351,14 @@ class TestScanService:
         for job, result, alone in zip(jobs, results, solo):
             assert_results_equal(result, alone)
             want = sequential_reference(aln, config, job.grid_positions)
-            assert_results_close(result, want)
+            assert_results_equal(result, want)
 
     def test_default_request_matches_base_parallel_scan(self, aln, config):
         async def body(service):
             return await service.scan(ScanRequest())
 
         result = run_service(body, aln, config)
-        assert_results_close(result, OmegaPlusScanner(config).scan(aln))
+        assert_results_equal(result, OmegaPlusScanner(config).scan(aln))
 
     def test_requests_calibrate_the_shared_model(self, aln, config):
         async def body(service):
@@ -496,20 +484,23 @@ class TestScanService:
             # 30 positions on 2 workers: two blocks of 15.
             assert job.metrics["counters"]["scheduler.blocks_dispatched"] == 2
             assert_results_equal(got, want)
-            assert_results_close(
+            assert_results_equal(
                 got, sequential_reference(aln, config, job.grid_positions)
             )
 
     @pytest.mark.parametrize(
         "pool_workers, block_size, dispatched",
-        [(2, None, 2), (8, None, 4), (2, 4, 8)],
+        [(2, None, 2), (8, None, 2), (2, 4, 8)],
     )
     def test_requests_dispatch_the_request_cut(
-        self, aln, config, pool_workers, block_size, dispatched
+        self, aln, config, block_length, pool_workers, block_size, dispatched
     ):
         """A 30-position request dispatches the blocks admission priced:
-        2 on 2 workers, 4 on 8 (the service is told it has 8 workers; two
-        processes run them), and an explicit block_size still wins."""
+        2 whatever the worker count (the service is told it has 8
+        workers; two processes run them), and 8 when the rule's block
+        length is forced to 4."""
+        if block_size is not None:
+            block_length(block_size)
 
         async def body(service):
             service._session._n_workers = pool_workers
@@ -519,14 +510,14 @@ class TestScanService:
             result = await job.wait()
             return job, result
 
-        job, result = run_service(body, aln, config, block_size=block_size)
+        job, result = run_service(body, aln, config)
         counters = job.metrics["counters"]
         assert counters["scheduler.blocks_dispatched"] == dispatched
         assert (
             job.metrics["histograms"]["scheduler.block_seconds"]["count"]
             == dispatched
         )
-        assert_results_close(
+        assert_results_equal(
             result, sequential_reference(aln, config, job.grid_positions)
         )
 
@@ -708,9 +699,9 @@ class TestUnixServer:
             want = sequential_reference(
                 aln, config, np.array(response["positions"])
             )
-            np.testing.assert_allclose(
-                np.array(response["omegas"]), want.omegas,
-                rtol=1e-9, atol=1e-12,
+            # JSON floats round-trip exactly, so the wire keeps the bits.
+            np.testing.assert_array_equal(
+                np.array(response["omegas"]), want.omegas
             )
             np.testing.assert_array_equal(
                 np.array(response["n_evaluations"]), want.n_evaluations

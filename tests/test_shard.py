@@ -1,11 +1,15 @@
 """Tests for the shard package: manifest ledger round-trips, planner
-partitioning, the DP-anchor replay contract, bitwise sharded-scan
-equivalence, crash-resume, and the fault-injection harness.
+partitioning on block boundaries, bitwise sharded-scan equivalence,
+crash-resume, and the fault-injection harness.
 
-The load-bearing acceptance property: a manifest run with
-``workers_per_shard=1`` — including one interrupted by SIGKILL and
-resumed — merges to records *bitwise* identical to a single
-uninterrupted ``scan_stream`` over each unit.
+The load-bearing acceptance property: a manifest run — at any
+``workers_per_shard``, including one interrupted by SIGKILL and resumed —
+merges to records *bitwise* identical to a single uninterrupted
+``scan_stream`` over each unit.
+
+Every test here cuts grids into blocks of 4 positions (the
+``four_position_blocks`` fixture), so the 12-position grid has 3 blocks
+to shard.
 """
 
 import glob
@@ -20,15 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.grid import GridSpec, build_plans_from_positions
+from repro.core.grid import GridSpec, build_plans_from_positions, make_blocks
 from repro.core.results import merge_scan_results
-from repro.core.reuse import (
-    DpSeed,
-    SumMatrixCache,
-    dp_replay_seed,
-    simulate_dp_actions,
-)
-from repro.core.scan import OmegaConfig, scan_stream
+from repro.core.scan import OmegaConfig, OmegaPlusScanner, scan_stream
 from repro.datasets.alignment import SHM_NAME_PREFIX, SNPAlignment
 from repro.datasets.generators import haplotype_block_alignment
 from repro.datasets.msformat import write_ms
@@ -46,15 +44,16 @@ from repro.shard import (
     run_manifest,
     shard_scan,
 )
-from repro.shard.runner import (
-    HOLD_DIR_ENV,
-    _shard_replay_plan,
-    _strip_warmup,
-)
+from repro.shard.runner import HOLD_DIR_ENV
 from repro.shard.planner import partition_costs
 
 CONFIG = OmegaConfig(grid=GridSpec(n_positions=12, max_window=0.25))
 BUDGET = 60
+
+
+@pytest.fixture(autouse=True)
+def four_position_blocks(block_length):
+    block_length(4)
 
 
 def _write_multi_ms(path):
@@ -144,6 +143,20 @@ class TestManifestLedger:
         with pytest.raises(ManifestError, match="version 99"):
             Manifest.load(manifest.path)
 
+    def test_version_one_ledger_refused(self, multi_ms, tmp_path):
+        """Version-1 shards were cut and computed under the earlier DP
+        schedule: resuming one would merge mixed bits."""
+        manifest = self._manifest(multi_ms, tmp_path)
+        lines = open(manifest.path, encoding="ascii").read().splitlines()
+        header = json.loads(lines[0])
+        assert header["version"] == 2
+        header["version"] = 1
+        lines[0] = json.dumps(header)
+        with open(manifest.path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ManifestError, match="version 1"):
+            Manifest.load(manifest.path)
+
     def test_unknown_record_kind(self, multi_ms, tmp_path):
         manifest = self._manifest(multi_ms, tmp_path)
         with open(manifest.path, "a", encoding="ascii") as fh:
@@ -200,12 +213,23 @@ class TestPlanner:
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
             assert hi == lo
         sizes = [hi - lo for lo, hi in spans]
-        assert max(sizes) - min(sizes) <= 2
+        # Cuts fall on the 4-position blocks: sizes differ by one block.
+        assert max(sizes) - min(sizes) <= 4
+        edges = {edge for block in make_blocks(100) for edge in block}
+        assert all(lo in edges for lo, _hi in spans)
 
     def test_partition_clamps_to_grid(self):
-        spans = partition_costs(np.ones(3), 10)
-        assert spans == [(0, 1), (1, 2), (2, 3)]
-        assert all(hi > lo for lo, hi in spans)
+        # 10 positions are 3 blocks (4 + 4 + 2): at most 3 shards.
+        spans = partition_costs(np.ones(10), 10)
+        assert spans == [(0, 4), (4, 8), (8, 10)]
+        assert partition_costs(np.ones(3), 10) == [(0, 3)]
+
+    def test_partition_follows_costs_at_block_granularity(self):
+        # All the cost in the last block: the first two blocks make one
+        # shard, the costly block the other.
+        costs = np.r_[np.ones(8), np.full(4, 100.0)]
+        assert partition_costs(costs, 2) == [(0, 8), (8, 12)]
+        assert partition_costs(np.zeros(12), 3) == [(0, 4), (4, 8), (8, 12)]
 
     def test_partition_empty_raises(self):
         with pytest.raises(ScanConfigError, match="empty grid"):
@@ -347,7 +371,7 @@ class TestPlanner:
             [u for u in coarse.units if u.status == "ok"]
         )
 
-    def test_cuts_land_on_rebuild_positions(self, multi_ms, tmp_path):
+    def test_cuts_land_on_block_boundaries(self, multi_ms, tmp_path):
         manifest = build_manifest(
             [multi_ms],
             CONFIG,
@@ -356,154 +380,45 @@ class TestPlanner:
             shards_per_unit=4,
             length=1.0,
         )
+        edges = {edge for block in make_blocks(12) for edge in block}
         for unit in manifest.units:
-            reader = StreamingAlignmentReader(
-                unit.path, format="ms", length=1.0, replicate=unit.replicate
-            )
-            plans = build_plans_from_positions(
-                reader.positions, CONFIG.grid
-            )
-            valid = [k for k, p in enumerate(plans) if p.valid]
-            actions = simulate_dp_actions(
-                [(plans[k].region_start, plans[k].region_stop) for k in valid]
-            )
-            builds = {
-                valid[i] for i, a in enumerate(actions) if a == "build"
-            }
             shards = manifest.unit_shards(unit.unit)
-            for prev, shard in zip(shards, shards[1:]):
-                cut = shard.grid_lo
-                if cut in builds:
-                    # Snapped cuts replay with zero warm-up.
-                    scan_lo, _seed = _shard_replay_plan(
-                        plans, cut, dp_reuse=CONFIG.dp_reuse
-                    )
-                    assert scan_lo == cut
-                else:
-                    # Unsnapped cuts are only allowed when no rebuild
-                    # position was available in the cut's window.
-                    assert not any(
-                        prev.grid_lo < b <= cut for b in builds
-                    )
+            # 3 blocks: never more shards than blocks.
+            assert len(shards) == 3
+            assert all(
+                s.grid_lo in edges and s.grid_hi in edges for s in shards
+            )
 
-
-# --------------------------------------------------------------------- #
-# the DP-anchor replay contract
-# --------------------------------------------------------------------- #
-
-region_sequences = st.lists(
-    st.tuples(st.integers(0, 6), st.integers(1, 10)),
-    min_size=1,
-    max_size=40,
-).map(
-    lambda steps: [
-        (start, start + width)
-        for start, width in zip(
-            np.cumsum([s for s, _ in steps]).tolist(),
-            [w for _, w in steps],
-        )
-    ]
-)
-
-
-def _real_cache_trace(regions, *, reuse=True, seed=None, growth=None):
-    cache = SumMatrixCache(reuse=reuse, growth_factor=growth)
-    if seed is not None:
-        cache.seed(seed)
-    actions = []
-    for start, stop in regions:
-        width = stop - start + 1
-        cache.region_sums(start, stop, np.zeros((width, width)))
-        actions.append(cache.last_action)
-    return actions
-
-
-class TestDpReplay:
-    @given(regions=region_sequences)
-    @settings(max_examples=60, deadline=None)
-    def test_mirror_matches_real_cache(self, regions):
-        # The serve decision is a pure function of region geometry, so a
-        # zeros r² matrix exercises the identical control flow.
-        assert simulate_dp_actions(regions) == _real_cache_trace(regions)
-
-    @given(regions=region_sequences)
-    @settings(max_examples=30, deadline=None)
-    def test_mirror_matches_fixed_growth(self, regions):
-        assert simulate_dp_actions(
-            regions, growth_factor=3.0
-        ) == _real_cache_trace(regions, growth=3.0)
-
-    def test_reuse_disabled_always_builds(self):
-        regions = [(0, 5), (1, 6), (2, 7)]
-        assert simulate_dp_actions(regions, reuse=False) == ["build"] * 3
-
-    @given(regions=region_sequences, data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_seeded_replay_reproduces_decisions(self, regions, data):
-        cut = data.draw(
-            st.integers(0, len(regions) - 1), label="call_index"
-        )
-        start_call, seed = dp_replay_seed(regions, cut)
-        assert start_call <= cut
-        full = _real_cache_trace(regions)
-        replay = _real_cache_trace(regions[start_call:], seed=seed)
-        assert replay == full[start_call:]
-        assert replay[0] == "build"
-
-    def test_replay_seed_negative_index(self):
-        with pytest.raises(ScanConfigError, match=">= 0"):
-            dp_replay_seed([(0, 3)], -1)
-
-    def test_seed_after_use_rejected(self):
-        cache = SumMatrixCache()
-        cache.region_sums(0, 3, np.zeros((4, 4)))
-        with pytest.raises(ScanConfigError, match="before the first"):
-            cache.seed(DpSeed())
-
-    def test_scan_stream_rejects_parallel_seed(self, multi_ms):
+    def test_scan_stream_rejects_a_slice_off_the_blocks(self, multi_ms):
         src = StreamingAlignmentReader(
             multi_ms, format="ms", length=1.0, replicate=0
         )
-        with pytest.raises(ScanConfigError, match="n_workers=1"):
-            scan_stream(
-                src,
-                CONFIG,
-                snp_budget=BUDGET,
-                n_workers=2,
-                dp_seed=DpSeed(),
-            )
+        with pytest.raises(ScanConfigError, match="block boundaries"):
+            scan_stream(src, CONFIG, snp_budget=BUDGET, grid_slice=(1, 8))
 
 
 # --------------------------------------------------------------------- #
-# in-process slice replay: bitwise without any worker processes
+# in-process slices: bitwise without any worker processes
 # --------------------------------------------------------------------- #
 
 
-def _slice_scan(aln, config, snp_budget, lo, hi):
+def _slice_scan(aln, config, snp_budget, lo, hi, n_workers=1):
     """What a shard worker computes for grid slice [lo, hi), in-process."""
-    plans = build_plans_from_positions(aln.positions, config.grid)
-    scan_lo, seed = _shard_replay_plan(
-        plans, lo, dp_reuse=config.dp_reuse
-    )
-    grid = np.asarray(config.grid.positions_from(aln.positions)[scan_lo:hi])
-    part = scan_stream(
+    return scan_stream(
         InMemoryStreamSource(aln),
         config,
         snp_budget=snp_budget,
-        grid_positions=grid,
-        dp_seed=seed,
+        n_workers=n_workers,
+        grid_slice=(lo, hi),
     )
-    return _strip_warmup(part, lo - scan_lo)
 
 
 class TestSliceReplayBitwise:
     def test_every_single_cut(self):
         aln = haplotype_block_alignment(20, 80, seed=11)
-        full = scan_stream(
-            InMemoryStreamSource(aln), CONFIG, snp_budget=BUDGET
-        )
+        full = OmegaPlusScanner(CONFIG).scan(aln)
         n = len(full)
-        for cut in range(1, n):
+        for cut, _hi in make_blocks(n)[1:]:
             merged = merge_scan_results(
                 [
                     _slice_scan(aln, CONFIG, BUDGET, 0, cut),
@@ -521,22 +436,21 @@ class TestSliceReplayBitwise:
         omega_batch = data.draw(
             st.sampled_from([1, 3, 8]), label="omega_batch"
         )
+        n_positions = data.draw(st.integers(6, 24), label="n_positions")
         config = OmegaConfig(
-            grid=GridSpec(n_positions=12, max_window=0.25),
+            grid=GridSpec(n_positions=n_positions, max_window=0.25),
             omega_batch=omega_batch,
         )
         aln = haplotype_block_alignment(20, 80, seed=11)
-        full = scan_stream(
-            InMemoryStreamSource(aln), config, snp_budget=snp_budget
-        )
-        n = len(full)
+        full = OmegaPlusScanner(config).scan(aln)
+        starts = [lo for lo, _hi in make_blocks(n_positions)[1:]]
         cuts = sorted(
             data.draw(
-                st.sets(st.integers(1, n - 1), min_size=1, max_size=3),
+                st.sets(st.sampled_from(starts), min_size=1, max_size=3),
                 label="cuts",
             )
         )
-        bounds = [0] + cuts + [n]
+        bounds = [0] + cuts + [n_positions]
         merged = merge_scan_results(
             [
                 _slice_scan(aln, config, snp_budget, lo, hi)
@@ -568,48 +482,27 @@ class TestShardScanEndToEnd:
             _assert_bitwise(ur.result, ref)
         _assert_bitwise(result.combined, merge_scan_results(refs))
         # Observability sidecars merge losslessly: counters add across
-        # shards, covering at least the reference work (warm-up replay
-        # at unsnapped cuts is real work and is honestly accounted).
-        assert result.combined.reuse.regions_served >= sum(
+        # shards, and the shards together do the reference's DP work.
+        assert result.combined.reuse.regions_served == sum(
             ref.reuse.regions_served for ref in refs
         )
+        assert result.combined.reuse.dp_builds == sum(
+            ref.reuse.dp_builds for ref in refs
+        )
 
-    def test_planner_cuts_need_no_warmup(self, multi_ms, tmp_path):
-        manifest_path = str(tmp_path / "scan.manifest")
-        shard_scan(
+    def test_two_workers_per_shard_bitwise(self, multi_ms, tmp_path):
+        result = shard_scan(
             [multi_ms],
             CONFIG,
-            manifest_path=manifest_path,
-            snp_budget=BUDGET,
+            manifest_path=str(tmp_path / "scan.manifest"),
+            # A pooled shard's chunks hold whole blocks.
+            snp_budget=90,
             shards_per_unit=3,
+            workers_per_shard=2,
             length=1.0,
         )
-        manifest = Manifest.load(manifest_path)
-        metas = glob.glob(
-            os.path.join(manifest.sidecar_dir, "shard-*.json")
-        )
-        assert len(metas) == len(manifest.shards)
-        warmups = {}
-        for meta_path in metas:
-            with open(meta_path, encoding="ascii") as fh:
-                meta = json.load(fh)
-            warmups[meta["fingerprint"]["shard"]] = meta[
-                "warmup_positions"
-            ]
-        for unit in manifest.units:
-            reader = StreamingAlignmentReader(
-                unit.path, format="ms", length=1.0, replicate=unit.replicate
-            )
-            plans = build_plans_from_positions(
-                reader.positions, CONFIG.grid
-            )
-            for shard in manifest.unit_shards(unit.unit):
-                scan_lo, _seed = _shard_replay_plan(
-                    plans, shard.grid_lo, dp_reuse=CONFIG.dp_reuse
-                )
-                # Sidecars record exactly the warm-up the replay plan
-                # dictates; snapped cuts (the common case) record 0.
-                assert warmups[shard.id] == shard.grid_lo - scan_lo
+        for ur, rep in zip(result.units, (0, 1)):
+            _assert_bitwise(ur.result, _reference(multi_ms, rep))
 
     def test_resume_is_a_noop_when_done(self, multi_ms, tmp_path):
         manifest_path = str(tmp_path / "scan.manifest")

@@ -1,11 +1,10 @@
 """Tests for streaming ingestion and the streamed-scan equivalence.
 
-The load-bearing property: ``scan_stream`` over any chunking must be
-*bitwise* identical to the corresponding in-memory scan — sequential
-streamed vs :class:`OmegaPlusScanner` (including reuse counters, which
-are deterministic there), parallel streamed vs ``parallel_scan`` with the
-same worker count and block size (arrays only: the shared tile-store
-counters race benignly between workers).
+The load-bearing property: ``scan_stream`` over any chunking and any
+worker count must be *bitwise* identical to the in-memory sequential
+scan (:class:`OmegaPlusScanner`) — including reuse counters for the
+sequential streamed scan, which are deterministic there; arrays only for
+the parallel one, whose blocks each fill their first r² region cold.
 """
 
 import glob
@@ -17,11 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.grid import GridSpec, build_plans, build_plans_from_positions
+import repro.core.grid as grid
+from repro.core.grid import (
+    GridSpec,
+    build_plans,
+    build_plans_from_positions,
+    make_blocks,
+)
 from repro.core.parallel import (
     _block_spans,
     _group_stream_chunks,
-    make_blocks,
     parallel_scan,
 )
 from repro.core.scan import (
@@ -643,9 +647,10 @@ class TestPlanStreamChunks:
         assert not any(p.valid for p in plans)
         assert _plan_stream_chunks(plans, 16) == [(0, 0, 0, len(plans))]
 
-    def test_parallel_grouping_budget_rejection(self):
+    def test_parallel_grouping_budget_rejection(self, block_length):
+        block_length(3)
         plans = self._plans()
-        blocks = make_blocks(len(plans), 2, block_size=3)
+        blocks = make_blocks(len(plans))
         spans = _block_spans(plans, blocks)
         max_span = max(hi - lo for span in spans if span for lo, hi in [span])
         with pytest.raises(ScanConfigError, match="scheduling block"):
@@ -748,17 +753,15 @@ class TestSequentialStreamEquivalence:
 
 
 class TestParallelStreamEquivalence:
-    """Streamed parallel scan == in-memory parallel scan with the same
-    worker count and block size, bitwise on every per-position array.
-    Reuse counters are excluded: the shared tile-store publish counters
-    race benignly between workers in both runs."""
+    """Streamed parallel scan == in-memory sequential scan, bitwise on
+    every per-position array, whatever the worker count and block
+    length."""
 
     _ALN = haplotype_block_alignment(40, 160, seed=77)
 
-    def _budget_for(self, config, n_workers, block_size, extra):
+    def _budget_for(self, config, extra):
         plans = build_plans(self._ALN, config.grid)
-        blocks = make_blocks(len(plans), n_workers, block_size=block_size)
-        spans = _block_spans(plans, blocks)
+        spans = _block_spans(plans, make_blocks(len(plans)))
         widest = max((hi - lo for span in spans if span for lo, hi in [span]),
                      default=2)
         return max(2, widest) + extra
@@ -766,50 +769,49 @@ class TestParallelStreamEquivalence:
     @given(
         n_positions=st.integers(3, 10),
         n_workers=st.integers(2, 3),
-        block_size=st.one_of(st.none(), st.integers(2, 5)),
+        block_len=st.integers(2, 5),
         extra=st.integers(0, 120),
     )
     @settings(max_examples=6, deadline=None)
     def test_bitwise_identical(
-        self, n_positions, n_workers, block_size, extra
+        self, n_positions, n_workers, block_len, extra
     ):
         aln = self._ALN
         config = _config(aln, n_positions)
-        budget = self._budget_for(config, n_workers, block_size, extra)
-        ref = parallel_scan(
-            aln, config, n_workers=n_workers, block_size=block_size
-        )
-        streamed = scan_stream(
-            aln,
-            config,
-            snp_budget=budget,
-            n_workers=n_workers,
-            block_size=block_size,
-        )
+        with mock.patch.multiple(
+            grid, SHORTEST_BLOCK=block_len, LONGEST_BLOCK=block_len
+        ):
+            budget = self._budget_for(config, extra)
+            ref = OmegaPlusScanner(config).scan(aln)
+            streamed = scan_stream(
+                aln, config, snp_budget=budget, n_workers=n_workers
+            )
         _assert_results_equal(streamed, ref)
 
-    def test_shared_multi_chunk_deterministic(self):
+    def test_shared_multi_chunk_deterministic(self, block_length):
         """Small blocks + tight budget: several chunks stream through one
-        persistent pool and still match the in-memory run bitwise — and
+        persistent pool and still match the in-memory runs bitwise — and
         record the same per-block calibration evidence."""
         from repro.core.costmodel import calibration_pairs, reset_cost_model
 
+        block_length(3)
         aln = self._ALN
         config = _config(aln, 10)
-        budget = self._budget_for(config, 2, 3, 0)
+        budget = self._budget_for(config, 0)
         reset_cost_model()
         try:
-            ref = parallel_scan(aln, config, n_workers=2, block_size=3)
+            ref = parallel_scan(aln, config, n_workers=2)
             _assert_block_calibration(ref, len(calibration_pairs()))
             reset_cost_model()
             streamed = scan_stream(
-                aln, config, snp_budget=budget, n_workers=2, block_size=3
+                aln, config, snp_budget=budget, n_workers=2
             )
             _assert_block_calibration(streamed, len(calibration_pairs()))
         finally:
             reset_cost_model()
         assert streamed.metrics["counters"]["stream.chunks"] > 1
         _assert_results_equal(streamed, ref)
+        _assert_results_equal(streamed, OmegaPlusScanner(config).scan(aln))
 
 
 # ------------------------------------------------------------------ #
@@ -848,10 +850,14 @@ class TestStreamLeaks:
 
     _ALN = haplotype_block_alignment(40, 160, seed=77)
 
-    def _config_and_budget(self, block_size=3):
+    @pytest.fixture(autouse=True)
+    def three_position_blocks(self, block_length):
+        block_length(3)
+
+    def _config_and_budget(self):
         config = _config(self._ALN, 10)
         plans = build_plans(self._ALN, config.grid)
-        blocks = make_blocks(len(plans), 2, block_size=block_size)
+        blocks = make_blocks(len(plans))
         spans = _block_spans(plans, blocks)
         widest = max(hi - lo for span in spans if span for lo, hi in [span])
         return config, widest
@@ -864,7 +870,6 @@ class TestStreamLeaks:
             config,
             snp_budget=budget,
             n_workers=2,
-            block_size=3,
         )
         next(it)
         it.close()
